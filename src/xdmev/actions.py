@@ -10,6 +10,7 @@ interval, or "all" (sweep the full input balance at execution time).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InvalidAmount, SequenceStepError, UnknownId, XdmevError
@@ -69,6 +70,12 @@ class Action:
     @property
     def parametric(self) -> bool:
         return self.interval is not None
+
+    @cached_property
+    def step(self) -> SequenceStep:
+        """This action's witness step when it takes no amount, built once
+        and shared by every result that contains it."""
+        return (self.id, None)
 
     def sort_key(self) -> str:
         return self.id

@@ -7,8 +7,13 @@ stderr. Exit codes: 0 success, 2 validation/parse failure, 3 search
 explosion, 4 oracle disagreement.
 
 Machine-readable output is deterministic: sorted keys, decimal strings,
-no timestamps; identical invocations produce identical bytes regardless
-of XDMEV_THREADS.
+no timestamps; identical invocations produce identical bytes.
+
+``explored`` (``engine_explored`` in ``oracle-check``) is the number of
+search nodes ``mev`` expanded: memo misses on (state, used action ids),
+the initial state included, plus parametric shape evaluations. The
+query's ``candidate_cap`` bounds that count; exceeding it exits 3.
+``oracle_explored`` counts the oracle's candidate sequences instead.
 """
 
 from __future__ import annotations
@@ -320,7 +325,7 @@ def cmd_oracle_check(args) -> int:
     def render(out):
         print(f"scenario: {args.scenario}", file=out)
         print(f"grid points: {args.grid_points}", file=out)
-        print(f"engine value: {engine_result.value} ({engine_result.explored} candidates)", file=out)
+        print(f"engine value: {engine_result.value} ({engine_result.explored} nodes)", file=out)
         print(f"oracle value: {oracle_result.value} ({oracle_result.explored} candidates)", file=out)
         print(f"difference: {difference}  tolerance: {tolerance}", file=out)
         print(f"agree: {'yes' if agree else 'NO'}", file=out)

@@ -7,16 +7,13 @@ the independent cross-check: plain enumeration with amounts discretized
 on an even grid, sharing nothing with the search but the state semantics.
 
 Everything here is a pure function over immutable values; the only
-mutable machinery is a guarded candidate counter, so concurrent queries
-need no coordination.
+mutable machinery (a work counter and the search memo) lives inside one
+call, so concurrent queries need no coordination.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -54,35 +51,37 @@ class MevQuery:
     candidate_cap: int = DEFAULT_CANDIDATE_CAP
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MevResult:
+    """Best value and its witness; the final state is ``apply_sequence`` of the witness.
+
+    ``explored`` counts the search's work: for ``mev``, nodes expanded
+    (memo misses plus parametric shape evaluations); for ``mev_oracle``,
+    the empty sequence plus every grid application tried.
+    """
+
     value: Amount
     witness: tuple[SequenceStep, ...]
-    final_state: WorldState
     explored: int
     method: str
 
 
 class _Counter:
-    """Thread-safe candidate counter; trips ExplosionGuard past the cap."""
+    """Work counter of one search; trips ExplosionGuard past the cap."""
 
-    __slots__ = ("count", "cap", "_lock")
+    __slots__ = ("count", "cap")
 
     def __init__(self, cap: int):
         self.count = 0
         self.cap = cap
-        self._lock = threading.Lock()
 
     def bump(self) -> None:
-        with self._lock:
-            self.count += 1
-            if self.count > self.cap:
-                raise ExplosionGuard(
-                    f"candidate sequences exceeded the cap of {self.cap}"
-                )
+        self.count += 1
+        if self.count > self.cap:
+            raise ExplosionGuard(f"search work exceeded the cap of {self.cap}")
 
 
-_Candidate = tuple[Amount, tuple[SequenceStep, ...], WorldState]
+_Candidate = tuple[Amount, tuple[SequenceStep, ...]]
 
 
 def _candidate_better(a: _Candidate, b: _Candidate) -> bool:
@@ -161,19 +160,6 @@ def _validate_query(state: WorldState, query: MevQuery) -> None:
         raise XdmevError("max_sequence_length must be >= 0")
 
 
-def _worker_count() -> int:
-    env = os.environ.get("XDMEV_THREADS", "").strip()
-    if env:
-        try:
-            workers = int(env)
-        except ValueError:
-            raise XdmevError(f"XDMEV_THREADS must be a positive integer, got {env!r}") from None
-        if workers < 1:
-            raise XdmevError("XDMEV_THREADS must be a positive integer")
-        return workers
-    return os.cpu_count() or 1
-
-
 # -- exhaustive search -------------------------------------------------------
 
 
@@ -181,8 +167,10 @@ def _evaluate_shape(
     initial: WorldState,
     query: MevQuery,
     shape: tuple[Action, ...],
+    start: WorldState,
 ) -> Optional[_Candidate]:
-    """Best candidate realizing this exact ordered action list, or None.
+    """Best candidate realizing this exact ordered action list from
+    ``start``, or None; values are priced against ``initial``.
 
     Discrete slots apply directly; parametric slots run a golden-section
     over the affordable part of their interval, each probe evaluating the
@@ -194,7 +182,7 @@ def _evaluate_shape(
 
     def go(idx: int, state: WorldState) -> Optional[_Candidate]:
         if idx == len(shape):
-            return priced_balance_delta(query, initial, state), (), state
+            return priced_balance_delta(query, initial, state), ()
         action = shape[idx]
         if not action.parametric:
             try:
@@ -204,8 +192,7 @@ def _evaluate_shape(
             rest = go(idx + 1, nxt)
             if rest is None:
                 return None
-            value, steps, final = rest
-            return value, ((action.id, None),) + steps, final
+            return rest[0], (action.step,) + rest[1]
 
         interval = action.interval
         lo_u = max(interval.lo.units, 1)
@@ -229,8 +216,7 @@ def _evaluate_shape(
             if rest is None:
                 memo[units] = None
                 return None
-            value, steps, final = rest
-            out = (value, ((action.id, amount),) + steps, final)
+            out = (rest[0], ((action.id, amount),) + rest[1])
             memo[units] = out
             return out
 
@@ -272,59 +258,85 @@ def _evaluate_shape(
                 fd = consider(clamp(d))
         return best
 
-    return go(0, initial)
+    return go(0, start)
+
+
+class _Search:
+    """One ``mev`` call's search. Plain methods instead of recursive
+    closures, so no reference cycle keeps the memo alive after the call."""
+
+    __slots__ = ("initial", "query", "actions", "counter", "memo")
+
+    def __init__(self, initial: WorldState, query: MevQuery, actions: tuple[Action, ...]):
+        self.initial = initial
+        self.query = query
+        self.actions = actions
+        self.counter = _Counter(query.candidate_cap)
+        self.memo: dict[tuple[WorldState, frozenset[str]], _Candidate] = {}
+
+    def best_suffix(self, current: WorldState, used: frozenset[str]) -> _Candidate:
+        """Best continuation from a state reached by a discrete prefix of ``used``."""
+        key = (current, used)
+        best = self.memo.get(key)
+        if best is not None:
+            return best
+        self.counter.bump()
+        query = self.query
+        best = (priced_balance_delta(query, self.initial, current), ())
+        if len(used) < query.max_sequence_length:
+            for action in self.actions:
+                if action.id in used:
+                    continue
+                if action.parametric:
+                    candidate = self.best_shape(current, (action,), used | {action.id})
+                else:
+                    try:
+                        nxt = apply_action(current, query.player, action, None)
+                    except XdmevError:
+                        continue
+                    value, steps = self.best_suffix(nxt, used | {action.id})
+                    candidate = (value, (action.step,) + steps)
+                best = _merge(best, candidate)
+        self.memo[key] = best
+        return best
+
+    def best_shape(
+        self, start: WorldState, shape: tuple[Action, ...], used: frozenset[str]
+    ) -> Optional[_Candidate]:
+        """Best of ``shape`` and its extensions, all evaluated from ``start``;
+        an invalid shape is not extended."""
+        self.counter.bump()
+        best = _evaluate_shape(self.initial, self.query, shape, start)
+        if best is None or len(used) >= self.query.max_sequence_length:
+            return best
+        for nxt in self.actions:
+            if nxt.id not in used:
+                best = _merge(best, self.best_shape(start, shape + (nxt,), used | {nxt.id}))
+        return best
 
 
 def mev(space: ActionSpaceSpec, state: WorldState, query: MevQuery) -> MevResult:
     """Maximize the priced balance change over all valid sequences.
 
     Ties break by shortest sequence, then lexicographic action ids, then
-    smallest amounts, so results are stable across runs and worker counts.
+    smallest amounts, so results are stable across runs.
+
+    The search is a depth-first walk that solves each reached (state, used
+    ids) pair once. That is exact: a sequence's value depends only on its
+    final state, and with the prefix fixed the tie-break order on whole
+    sequences is the same order on suffixes. A discrete action applies once
+    to its parent's state. A parametric action starts a branch of ordered
+    shapes, each optimized by ``_evaluate_shape`` from the branch's start
+    and extended only while it stays valid.
     """
     _validate_query(state, query)
     actions = tuple(
         a for a in space.for_player(query.player) if a.domains <= query.action_domains
     )
-    counter = _Counter(query.candidate_cap)
-    counter.bump()  # the empty sequence
-    empty: _Candidate = (ZERO, (), state)
-    best = empty
-
-    if actions and query.max_sequence_length > 0:
-        def search_branch(first: Action) -> Optional[_Candidate]:
-            branch_best: Optional[_Candidate] = None
-
-            def recurse(shape: tuple[Action, ...], used: frozenset[str], depth: int):
-                nonlocal branch_best
-                counter.bump()
-                res = _evaluate_shape(state, query, shape)
-                if res is None:
-                    return
-                branch_best = _merge(branch_best, res)
-                if depth >= query.max_sequence_length:
-                    return
-                for nxt in actions:
-                    if nxt.id not in used:
-                        recurse(shape + (nxt,), used | {nxt.id}, depth + 1)
-
-            recurse((first,), frozenset({first.id}), 1)
-            return branch_best
-
-        workers = min(_worker_count(), len(actions))
-        if workers <= 1:
-            branch_results = [search_branch(a) for a in actions]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                branch_results = list(pool.map(search_branch, actions))
-        for candidate in branch_results:
-            best = _merge(best, candidate)
-
+    search = _Search(state, query, actions)
+    value, witness = search.best_suffix(state, frozenset())
     return MevResult(
-        value=best[0],
-        witness=best[1],
-        final_state=best[2],
-        explored=counter.count,
-        method="exhaustive",
+        value=value, witness=witness, explored=search.counter.count, method="exhaustive"
     )
 
 
@@ -394,7 +406,7 @@ def mev_oracle(
 
     counter = _Counter(query.candidate_cap)
     counter.bump()
-    best: _Candidate = (ZERO, (), state)
+    best: _Candidate = (ZERO, ())
 
     def recurse(
         current: WorldState,
@@ -415,7 +427,7 @@ def mev_oracle(
                 except XdmevError:
                     continue
                 value = priced_balance_delta(query, state, nxt)
-                candidate = (value, steps + ((action.id, amount),), nxt)
+                candidate = (value, steps + ((action.id, amount),))
                 if _candidate_better(candidate, best):
                     best = candidate
                 recurse(nxt, candidate[1], used | {action.id}, depth + 1)
@@ -424,7 +436,6 @@ def mev_oracle(
     return MevResult(
         value=best[0],
         witness=best[1],
-        final_state=best[2],
         explored=counter.count,
         method="oracle",
     )

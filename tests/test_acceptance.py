@@ -100,8 +100,6 @@ def test_criterion_5_oracle_equivalence(bundled):
     for name in BUNDLED_NAMES:
         scenario = bundled(name)
         actions = scenario.space.for_player(scenario.defaults.player)
-        if len(actions) > 6:
-            continue  # the seven-transaction scenario is out of the oracle's scope
         state = scenario.initial_state()
         query = scenario.default_query()
         engine = mev(scenario.space, state, query)

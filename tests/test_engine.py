@@ -1,5 +1,6 @@
 """Value definitions, the exhaustive search, and its brute-force oracle."""
 
+import gc
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from xdmev.engine import (
     reachable_states,
     replay_witness,
 )
-from xdmev.actions import AmountInterval
+from xdmev.actions import AmountInterval, apply_sequence
 from xdmev.errors import ExplosionGuard, NoOpportunity
 from xdmev.fixedpoint import SCALE, Amount
 from xdmev.venues import ConstantProductPool
@@ -104,9 +105,11 @@ class TestMevOnWorkedExamples:
     def test_joint_final_state_has_all_pools_rebalanced(self, bundled):
         scenario = bundled("appendix_b_4amm")
         state = scenario.initial_state()
-        joint = mev(scenario.space, state, scenario.default_query())
+        query = scenario.default_query()
+        joint = mev(scenario.space, state, query)
+        final = apply_sequence(scenario.space, state, query.player, joint.witness)
         for pool_id in ("uniswap", "sushiswap", "toroswap", "unagiswap"):
-            assert joint.final_state.pool(pool_id).price == Amount("22.5")
+            assert final.pool(pool_id).price == Amount("22.5")
 
     def test_value_scope_excludes_foreign_profits(self, bundled):
         # acting in both domains while valuing only the first: the pair
@@ -136,6 +139,32 @@ class TestMevOnWorkedExamples:
             query = scenario.default_query()
             result = mev(scenario.space, state, query)
             assert replay_witness(scenario.space, state, query, result.witness) == result.value
+
+    def test_commuting_tips_collapse_to_subsets(self):
+        # every ordering of commuting transfers reaches the same state, so
+        # the search expands one node per subset instead of one per ordering
+        doc = one_domain_doc()
+        tips = ["0.25", "1", "2.5", "4", "7", "10.125", "3", "0.5"]
+        doc["players"].append({
+            "id": "whale",
+            "balances": [{"domain": "d0", "asset": "GLD", "amount": "100"}],
+            "capabilities": [],
+        })
+        doc["mempool"] = [
+            {
+                "id": f"tip_{k}",
+                "domain": "d0",
+                "effect": {"type": "transfer", "from_account": "whale",
+                           "to_account": "P", "asset": "GLD", "amount": amount},
+            }
+            for k, amount in reversed(list(enumerate(tips)))
+        ]
+        scenario = scen(doc)
+        result = mev(scenario.space, scenario.initial_state(),
+                     scenario.default_query(max_len=8))
+        assert result.value == sum((Amount(t) for t in tips), Amount(0))
+        assert result.witness == tuple((f"tip_{k}", None) for k in range(8))
+        assert result.explored <= 2**8 + 1
 
     def test_explosion_guard_trips(self, bundled):
         scenario = bundled("appendix_b_4amm")
@@ -327,6 +356,19 @@ class TestQueryMechanics:
         with ThreadPoolExecutor(max_workers=4) as pool:
             values = list(pool.map(lambda q: mev(scenario.space, state, q).value, queries))
         assert values == [Amount("1"), Amount("0"), Amount("1.6")] * 3
+
+    def test_search_memo_dies_with_the_call(self, bundled):
+        # a reference cycle would keep the memo's states allocated until the
+        # cyclic collector runs, raising peak memory across many queries
+        scenario = bundled("appendix_b_4amm")
+        state = scenario.initial_state()
+        gc.collect()
+        gc.disable()
+        try:
+            mev(scenario.space, state, scenario.default_query())
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_reachable_states_guard(self, bundled):
         scenario = bundled("appendix_b_4amm")
