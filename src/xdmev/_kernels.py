@@ -1,9 +1,6 @@
-"""Pure-Python constant-product kernels.
+"""Constant-product kernels.
 
-All quantities are raw fixed-point units (ints scaled by 10^18). The
-compiled twin in ``_cp_ext.pyx`` implements the exact same integer
-semantics instruction for instruction; results from the two backends are
-bit-identical and the test suite asserts it.
+All quantities are raw fixed-point units (ints scaled by 10^18).
 
 Output rounding is always adversary-unfavorable: the pool keeps the
 remainder, never the trader.

@@ -228,7 +228,7 @@ def cmd_collusion(args) -> int:
     player = args.player or scenario.defaults.player
     domains = _csv(args.domains) if args.domains else scenario.defaults.value_domains
     alpha = Amount(args.alpha) if args.alpha is not None else scenario.defaults.alpha
-    max_len = args.max_len or scenario.defaults.max_sequence_length
+    max_len = scenario.defaults.max_sequence_length if args.max_len is None else args.max_len
     report_obj = classify_collusion(
         scenario.space,
         scenario.initial_state(),

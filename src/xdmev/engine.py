@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .actions import (
     Action,
@@ -158,6 +158,13 @@ def _validate_query(state: WorldState, query: MevQuery) -> None:
         query.prices.rate(registry.native_asset(domain), query.base_asset)
     if query.max_sequence_length < 0:
         raise XdmevError("max_sequence_length must be >= 0")
+
+
+def _usable_actions(
+    space: ActionSpaceSpec, player: str, domains: frozenset[str]
+) -> tuple[Action, ...]:
+    """The player's actions whose domains all lie in ``domains``."""
+    return tuple(a for a in space.for_player(player) if a.domains <= domains)
 
 
 # -- exhaustive search -------------------------------------------------------
@@ -330,10 +337,7 @@ def mev(space: ActionSpaceSpec, state: WorldState, query: MevQuery) -> MevResult
     and extended only while it stays valid.
     """
     _validate_query(state, query)
-    actions = tuple(
-        a for a in space.for_player(query.player) if a.domains <= query.action_domains
-    )
-    search = _Search(state, query, actions)
+    search = _Search(state, query, _usable_actions(space, query.player, query.action_domains))
     value, witness = search.best_suffix(state, frozenset())
     return MevResult(
         value=value, witness=witness, explored=search.counter.count, method="exhaustive"
@@ -382,6 +386,44 @@ def grid_amounts(interval, points: int) -> tuple[Amount, ...]:
     return tuple(out)
 
 
+def _grid_sequences(
+    actions: tuple[Action, ...],
+    start: WorldState,
+    player: str,
+    max_len: int,
+    grid_points: int,
+    counter: _Counter,
+) -> Iterator[tuple[WorldState, tuple[SequenceStep, ...]]]:
+    """Every valid sequence of length 1..max_len from ``start``, depth first
+    in action order, as (final state, steps); parametric amounts run over
+    ``grid_amounts``. Each application tried bumps ``counter`` once.
+
+    The grids are built here, before the first sequence is drawn.
+    """
+    choices = tuple(
+        (action, grid_amounts(action.interval, grid_points) if action.parametric else (None,))
+        for action in actions
+    )
+
+    def walk(current: WorldState, steps: tuple[SequenceStep, ...], used: frozenset[str]):
+        if len(steps) >= max_len:
+            return
+        for action, amounts in choices:
+            if action.id in used:
+                continue
+            for amount in amounts:
+                counter.bump()
+                try:
+                    nxt = apply_action(current, player, action, amount)
+                except XdmevError:
+                    continue
+                seq = steps + ((action.id, amount),)
+                yield nxt, seq
+                yield from walk(nxt, seq, used | {action.id})
+
+    return walk(start, (), frozenset())
+
+
 def mev_oracle(
     space: ActionSpaceSpec,
     state: WorldState,
@@ -394,45 +436,17 @@ def mev_oracle(
     the two is the engine's correctness check.
     """
     _validate_query(state, query)
-    actions = tuple(
-        a for a in space.for_player(query.player) if a.domains <= query.action_domains
-    )
-    amount_choices: dict[str, tuple[Optional[Amount], ...]] = {}
-    for action in actions:
-        if action.parametric:
-            amount_choices[action.id] = grid_amounts(action.interval, grid_points)
-        else:
-            amount_choices[action.id] = (None,)
-
     counter = _Counter(query.candidate_cap)
-    counter.bump()
+    sequences = _grid_sequences(
+        _usable_actions(space, query.player, query.action_domains),
+        state, query.player, query.max_sequence_length, grid_points, counter,
+    )
+    counter.bump()  # the empty sequence
     best: _Candidate = (ZERO, ())
-
-    def recurse(
-        current: WorldState,
-        steps: tuple[SequenceStep, ...],
-        used: frozenset[str],
-        depth: int,
-    ):
-        nonlocal best
-        if depth >= query.max_sequence_length:
-            return
-        for action in actions:
-            if action.id in used:
-                continue
-            for amount in amount_choices[action.id]:
-                counter.bump()
-                try:
-                    nxt = apply_action(current, query.player, action, amount)
-                except XdmevError:
-                    continue
-                value = priced_balance_delta(query, state, nxt)
-                candidate = (value, steps + ((action.id, amount),))
-                if _candidate_better(candidate, best):
-                    best = candidate
-                recurse(nxt, candidate[1], used | {action.id}, depth + 1)
-
-    recurse(state, (), frozenset(), 0)
+    for final, steps in sequences:
+        candidate = (priced_balance_delta(query, state, final), steps)
+        if _candidate_better(candidate, best):
+            best = candidate
     return MevResult(
         value=best[0],
         witness=best[1],
@@ -470,35 +484,11 @@ def reachable_states(
         raise XdmevError("max_len must be >= 0")
     state.registry.require_player(player)
     domains = frozenset(state.registry.require_domain(d) for d in domains)
-    actions = tuple(
-        a for a in space.for_player(player) if a.domains <= domains
+    sequences = _grid_sequences(
+        _usable_actions(space, player, domains),
+        state, player, max_len, grid_points, _Counter(candidate_cap),
     )
-    counter = _Counter(candidate_cap)
-    states: set[WorldState] = {state}
-
-    def recurse(current: WorldState, used: frozenset[str], depth: int):
-        if depth >= max_len:
-            return
-        for action in actions:
-            if action.id in used:
-                continue
-            if action.parametric:
-                choices: tuple[Optional[Amount], ...] = grid_amounts(
-                    action.interval, grid_points
-                )
-            else:
-                choices = (None,)
-            for amount in choices:
-                counter.bump()
-                try:
-                    nxt = apply_action(current, player, action, amount)
-                except XdmevError:
-                    continue
-                states.add(nxt)
-                recurse(nxt, used | {action.id}, depth + 1)
-
-    recurse(state, frozenset(), 0)
-    return frozenset(states)
+    return frozenset({state}.union(final for final, _ in sequences))
 
 
 # -- constant-product arbitrage -------------------------------------------------

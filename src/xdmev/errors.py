@@ -50,7 +50,7 @@ class NoOpportunity(XdmevError):
 
 
 class ExplosionGuard(XdmevError):
-    """The candidate-sequence count exceeded the configured cap."""
+    """The search work exceeded the configured cap."""
 
 
 class ParseError(XdmevError):

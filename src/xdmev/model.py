@@ -184,11 +184,10 @@ class PriceMatrix:
     directions is allowed only when they are exact inverses.
     """
 
-    __slots__ = ("_rates", "_declared")
+    __slots__ = ("_rates",)
 
     def __init__(self, rates: Mapping[tuple[str, str], Fraction] | None = None):
         self._rates: dict[tuple[str, str], Fraction] = {}
-        self._declared: set[tuple[str, str]] = set()
         if rates:
             for (src, dst), rate in rates.items():
                 self.declare(src, dst, rate)
@@ -220,7 +219,6 @@ class PriceMatrix:
             raise ValidationError(field, f"conflicting rates {existing} and {rate}")
         self._rates[(src, dst)] = rate
         self._rates[(dst, src)] = 1 / rate
-        self._declared.add((src, dst))
 
     def has_rate(self, src: str, dst: str) -> bool:
         return src == dst or (src, dst) in self._rates
@@ -235,19 +233,6 @@ class PriceMatrix:
 
     def entries(self) -> list[tuple[str, str, Fraction]]:
         return [(src, dst, rate) for (src, dst), rate in sorted(self._rates.items())]
-
-    def scaled(self, factor: Fraction) -> "PriceMatrix":
-        """A matrix with every declared rate multiplied by ``factor``.
-
-        Only meaningful for single-target use (rates toward one base);
-        the scaled matrix intentionally skips reciprocity pairing.
-        """
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        scaled = PriceMatrix()
-        scaled._rates = {pair: rate * factor for pair, rate in self._rates.items()}
-        scaled._declared = set(self._declared)
-        return scaled
 
 
 def convert(prices: PriceMatrix, src: str, dst: str, amount: Amount) -> Amount:

@@ -376,14 +376,12 @@ class TestQueryMechanics:
         with pytest.raises(ExplosionGuard):
             reachable_states(scenario.space, state, "P", {"i", "j"}, 7, candidate_cap=5)
 
-    def test_thread_count_does_not_change_result(self, bundled, monkeypatch):
+    def test_repeated_query_gives_identical_result(self, bundled):
         scenario = bundled("appendix_b_4amm")
         state = scenario.initial_state()
         query = scenario.default_query()
-        monkeypatch.setenv("XDMEV_THREADS", "1")
-        single = mev(scenario.space, state, query)
-        monkeypatch.setenv("XDMEV_THREADS", "8")
-        threaded = mev(scenario.space, state, query)
-        assert single.value == threaded.value
-        assert single.witness == threaded.witness
-        assert single.explored == threaded.explored
+        first = mev(scenario.space, state, query)
+        again = mev(scenario.space, state, query)
+        assert first.value == again.value
+        assert first.witness == again.witness
+        assert first.explored == again.explored

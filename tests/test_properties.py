@@ -266,6 +266,17 @@ def test_breakeven_alpha_is_never_negative():
         assert report.breakeven >= Amount(0), f"seed {seed}: {report.breakeven}"
 
 
+def scaled_prices(prices: PriceMatrix, factor: Fraction) -> PriceMatrix:
+    """``prices`` with every rate multiplied by ``factor``.
+
+    Only meaningful toward one base: the result deliberately breaks the
+    reciprocity a declared matrix keeps.
+    """
+    scaled = PriceMatrix()
+    scaled._rates = {pair: rate * factor for pair, rate in prices._rates.items()}
+    return scaled
+
+
 def test_rate_scaling_preserves_single_domain_witness():
     for seed in range(SCENARIO_RUNS):
         scenario = build(seed)
@@ -283,7 +294,7 @@ def test_rate_scaling_preserves_single_domain_witness():
             value_domains=base_query.value_domains,
             base_domain=base_query.base_domain,
             base_asset=base_query.base_asset,
-            prices=scenario.prices.scaled(Fraction(7, 2)),
+            prices=scaled_prices(scenario.prices, Fraction(7, 2)),
             max_sequence_length=base_query.max_sequence_length,
         )
         scaled = mev(scenario.space, state, scaled_query)
