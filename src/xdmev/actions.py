@@ -114,8 +114,16 @@ class ActionSpaceSpec:
 # -- single-action application ------------------------------------------------
 
 
-def _swap_input_asset(pool, direction: str) -> str:
-    return pool.asset_x if direction == X_TO_Y else pool.asset_y
+def _input_balance(state: WorldState, player: str, action: Action) -> Optional[Amount]:
+    """What the player holds of the asset a swap or bridge spends; None for other kinds."""
+    if action.kind == KIND_SWAP:
+        pool = state.pool(action.pool_id)
+        asset = pool.asset_x if action.direction == X_TO_Y else pool.asset_y
+        return state.balance(pool.domain, player, asset)
+    if action.kind == KIND_BRIDGE:
+        bridge = action.bridge
+        return state.balance(bridge.from_domain, player, bridge.from_asset)
+    return None
 
 
 def resolve_amount(state: WorldState, player: str, action: Action) -> Optional[Amount]:
@@ -125,14 +133,8 @@ def resolve_amount(state: WorldState, player: str, action: Action) -> Optional[A
     if action.amount is not None:
         return action.amount
     if action.sweep:
-        if action.kind == KIND_SWAP:
-            pool = state.pool(action.pool_id)
-            asset = _swap_input_asset(pool, action.direction)
-            held = state.balance(pool.domain, player, asset)
-        elif action.kind == KIND_BRIDGE:
-            bridge = action.bridge
-            held = state.balance(bridge.from_domain, player, bridge.from_asset)
-        else:
+        held = _input_balance(state, player, action)
+        if held is None:
             raise InvalidAmount(f"action {action.id!r}: sweep needs a swap or bridge")
         if held.units <= 0:
             raise InvalidAmount(f"action {action.id!r}: nothing to sweep")
@@ -177,17 +179,8 @@ def apply_action(
 
 def max_feasible_amount(state: WorldState, player: str, action: Action) -> Amount:
     """Largest in-interval amount the player can afford right now."""
-    interval = action.interval
-    if action.kind == KIND_SWAP:
-        pool = state.pool(action.pool_id)
-        asset = _swap_input_asset(pool, action.direction)
-        held = state.balance(pool.domain, player, asset)
-    elif action.kind == KIND_BRIDGE:
-        bridge = action.bridge
-        held = state.balance(bridge.from_domain, player, bridge.from_asset)
-    else:
-        held = interval.hi
-    return min(interval.hi, held)
+    held = _input_balance(state, player, action)
+    return action.interval.hi if held is None else min(action.interval.hi, held)
 
 
 # -- availability ----------------------------------------------------------------

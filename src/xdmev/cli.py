@@ -3,8 +3,8 @@
 Subcommands: ``mev`` (run a value query), ``collusion`` (classify a
 coalition), ``oracle-check`` (engine vs. brute-force cross-check),
 ``validate`` (schema check only). Reports go to stdout, diagnostics to
-stderr. Exit codes: 0 success, 2 validation/parse failure, 3 search
-explosion, 4 oracle disagreement.
+stderr. Exit codes: 0 success, 2 validation/parse failure or unreadable
+scenario file, 3 search explosion, 4 oracle disagreement.
 
 Machine-readable output is deterministic: sorted keys, decimal strings,
 no timestamps; identical invocations produce identical bytes.
@@ -26,7 +26,7 @@ from pathlib import Path
 from .actions import KIND_ARB, KIND_BRIDGE, KIND_PENDING, KIND_SWAP, apply_action, resolve_amount
 from .collusion import classify_collusion
 from .engine import MevQuery, mev, mev_oracle
-from .errors import ExplosionGuard, ParseError, ValidationError, XdmevError
+from .errors import ExplosionGuard, ValidationError, XdmevError
 from .fixedpoint import Amount
 from .scenario import BUNDLED_NAMES, Scenario, bundled_path, load_path
 from .venues import ArbLegEffect, CpSwapEffect, PricePushEffect, TransferEffect
@@ -54,6 +54,13 @@ def _parse_base(text: str) -> tuple[str, str]:
     if not sep or not domain or not asset:
         raise ValidationError("--base", f"expected domain:asset, got {text!r}")
     return domain, asset
+
+
+def _parse_alpha(text: str) -> Amount:
+    try:
+        return Amount(text)
+    except ValueError as exc:
+        raise ValidationError("--alpha", str(exc)) from None
 
 
 def _csv(text: str) -> tuple[str, ...]:
@@ -227,7 +234,7 @@ def cmd_collusion(args) -> int:
     scenario = _load(args.scenario)
     player = args.player or scenario.defaults.player
     domains = _csv(args.domains) if args.domains else scenario.defaults.value_domains
-    alpha = Amount(args.alpha) if args.alpha is not None else scenario.defaults.alpha
+    alpha = scenario.defaults.alpha if args.alpha is None else _parse_alpha(args.alpha)
     max_len = scenario.defaults.max_sequence_length if args.max_len is None else args.max_len
     report_obj = classify_collusion(
         scenario.space,
@@ -395,13 +402,7 @@ def main(argv=None) -> int:
     except ExplosionGuard as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EXPLOSION
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except XdmevError as exc:
+    except (XdmevError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

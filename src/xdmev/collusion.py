@@ -9,7 +9,7 @@ the sequencers do better alone. All comparisons are exact fixed point.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 from .actions import ActionSpaceSpec
@@ -41,17 +41,8 @@ class CollusionReport:
         return self.joint_value - sum(self.solo_values.values(), ZERO)
 
 
-def _solo_query(base_query: MevQuery, domain: str) -> MevQuery:
-    return MevQuery(
-        player=base_query.player,
-        action_domains=frozenset({domain}),
-        value_domains=(domain,),
-        base_domain=base_query.base_domain,
-        base_asset=base_query.base_asset,
-        prices=base_query.prices,
-        max_sequence_length=base_query.max_sequence_length,
-        candidate_cap=base_query.candidate_cap,
-    )
+def _solo_query(joint_query: MevQuery, domain: str) -> MevQuery:
+    return replace(joint_query, action_domains=frozenset({domain}), value_domains=(domain,))
 
 
 def classify_collusion(

@@ -109,9 +109,6 @@ class Amount:
 
     # -- conversion / formatting --------------------------------------
 
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.units, SCALE)
-
     def __float__(self) -> float:
         return self.units / SCALE
 
@@ -147,7 +144,6 @@ def _parse_units(text: str) -> int:
 
 
 ZERO = Amount.from_units(0)
-ONE_UNIT = Amount.from_units(1)
 
 
 def parse_fraction(text: str) -> Fraction:

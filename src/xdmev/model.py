@@ -11,12 +11,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import (
     InsufficientBalance,
     MissingRate,
     UnknownId,
+    UnknownPool,
     ValidationError,
 )
 from .fixedpoint import ZERO, Amount
@@ -92,8 +93,6 @@ class WorldState:
         return self.balances.get((domain, player, asset), ZERO)
 
     def pool(self, pool_id: str):
-        from .errors import UnknownPool
-
         try:
             return self.pools[pool_id]
         except KeyError:
@@ -192,13 +191,6 @@ class PriceMatrix:
             for (src, dst), rate in rates.items():
                 self.declare(src, dst, rate)
 
-    @classmethod
-    def from_entries(cls, entries: Iterable[tuple[str, str, Fraction]]) -> "PriceMatrix":
-        matrix = cls()
-        for src, dst, rate in entries:
-            matrix.declare(src, dst, rate)
-        return matrix
-
     def declare(self, src: str, dst: str, rate: Fraction) -> None:
         field = f"prices({src}->{dst})"
         if rate <= 0:
@@ -240,14 +232,3 @@ def convert(prices: PriceMatrix, src: str, dst: str, amount: Amount) -> Amount:
     if src == dst:
         return amount
     return amount.mul_fraction(prices.rate(src, dst))
-
-
-@dataclass(frozen=True)
-class Player:
-    """A player id plus its per-domain action-kind capabilities."""
-
-    id: str
-    capabilities: Mapping[str, frozenset[str]]  # domain id -> kinds
-
-    def can(self, domain: str, kind: str) -> bool:
-        return kind in self.capabilities.get(domain, frozenset())

@@ -11,7 +11,7 @@ cross-references.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from importlib import resources
 from pathlib import Path
 from typing import Mapping, Optional
@@ -27,8 +27,8 @@ from .actions import (
 )
 from .engine import DEFAULT_MAX_SEQUENCE_LENGTH, MevQuery
 from .errors import ParseError, ValidationError
-from .fixedpoint import Amount, format_fraction, parse_fraction
-from .model import ACTION_KINDS, PriceMatrix, Player, Registry, WorldState, check_id
+from .fixedpoint import ZERO, Amount, format_fraction, parse_fraction
+from .model import ACTION_KINDS, PriceMatrix, Registry, WorldState, check_id
 from .venues import (
     ArbLegEffect,
     BridgeSpec,
@@ -92,41 +92,31 @@ class Defaults:
     value_domains: tuple[str, ...]
 
 
+@dataclass(eq=False)
 class Scenario:
     """A fully validated scenario; immutable after construction."""
 
-    def __init__(
-        self,
-        schema_version: int,
-        domains: tuple[DomainDecl, ...],
-        assets: tuple[str, ...],
-        players: tuple[PlayerDecl, ...],
-        pools: tuple[object, ...],
-        bridges: tuple[BridgeSpec, ...],
-        mempool: tuple[PendingTx, ...],
-        opportunities: tuple[LegOpportunity, ...],
-        stylized_arbs: tuple[StylizedArbSpec, ...],
-        player_actions: tuple[tuple[str, Action], ...],
-        prices: PriceMatrix,
-        defaults: Defaults,
-    ):
-        self.schema_version = schema_version
-        self.domains = domains
-        self.assets = assets
-        self.players = players
-        self.pools = pools
-        self.bridges = bridges
-        self.mempool = mempool
-        self.opportunities = opportunities
-        self.stylized_arbs = stylized_arbs
-        self.player_actions = player_actions
-        self.prices = prices
-        self.defaults = defaults
+    schema_version: int
+    domains: tuple[DomainDecl, ...]
+    assets: tuple[str, ...]
+    players: tuple[PlayerDecl, ...]
+    pools: tuple[object, ...]
+    bridges: tuple[BridgeSpec, ...]
+    mempool: tuple[PendingTx, ...]
+    opportunities: tuple[LegOpportunity, ...]
+    stylized_arbs: tuple[StylizedArbSpec, ...]
+    player_actions: tuple[tuple[str, Action], ...]
+    prices: PriceMatrix
+    defaults: Defaults
+    registry: Registry = dataclass_field(init=False)
+    space: ActionSpaceSpec = dataclass_field(init=False)
+
+    def __post_init__(self):
         self.registry = Registry(
-            native_assets={d.id: d.native_asset for d in domains},
-            players=frozenset(p.id for p in players),
-            assets=frozenset(assets),
-            pool_ids=frozenset(p.id for p in pools),
+            native_assets={d.id: d.native_asset for d in self.domains},
+            players=frozenset(p.id for p in self.players),
+            assets=frozenset(self.assets),
+            pool_ids=frozenset(p.id for p in self.pools),
         )
         self.space = _build_space(self)
 
@@ -162,6 +152,9 @@ class Scenario:
 
 
 # -- parsing helpers ------------------------------------------------------------
+#
+# Every field is named by its path in the document (``pools[0].reserve_x``);
+# ``path`` is the enclosing object's path, and "document" for the root.
 
 
 def _require(obj: dict, field: str, path: str):
@@ -194,6 +187,72 @@ def _expect_int(value, path: str) -> int:
     return value
 
 
+def _str(obj: dict, field: str, path: str) -> str:
+    """A required string field."""
+    value = obj.get(field)
+    if isinstance(value, str):  # the common case builds no path
+        return value
+    return _expect_str(_require(obj, field, path), f"{path}.{field}")
+
+
+def _ref(obj: dict, field: str, path: str, declared: Mapping, what: str) -> str:
+    """A required string field naming a key of ``declared``."""
+    value = obj.get(field)
+    if isinstance(value, str) and value in declared:
+        return value
+    value = _str(obj, field, path)
+    if value not in declared:
+        raise ValidationError(f"{path}.{field}", f"undeclared {what} {value!r}")
+    return value
+
+
+def _new_id(obj, path: str, seen, what: str, field: Optional[str] = "id") -> str:
+    """``obj[field]`` (``obj`` itself when ``field`` is None) as a well-formed
+    identifier that is not yet in ``seen``."""
+    if field is not None:
+        obj, path = _require(obj, field, path), f"{path}.{field}"
+    value = check_id(_expect_str(obj, path), path)
+    if value in seen:
+        raise ValidationError(path, f"duplicate {what} {value!r}")
+    return value
+
+
+def _items(obj: dict, field: str, path: str, required: bool = False, objects: bool = False):
+    """(path, value) for each entry of the list field ``obj[field]``; with
+    ``objects``, every value must be an object."""
+    where = field if path == "document" else f"{path}.{field}"
+    raw = _require(obj, field, path) if required else obj.get(field, [])
+    for i, value in enumerate(_expect_list(raw, where)):
+        item = f"{where}[{i}]"
+        yield item, _expect_dict(value, item) if objects else value
+
+
+def _entries(obj: dict, field: str, path: str, required: bool = False):
+    """(path, object) for each entry of the list field ``obj[field]``."""
+    return _items(obj, field, path, required, objects=True)
+
+
+_POOL_TYPE_NAMES = {ConstantProductPool: "constant-product", StylizedMidpointPool: "stylized"}
+
+
+def _pool(obj: dict, field: str, path: str, pools: Mapping, cls: type, domain=None):
+    """The pool named by ``obj[field]``: a ``cls`` pool, on ``domain`` when given."""
+    pool_id = _str(obj, field, path)
+    pool = pools.get(pool_id)
+    if not isinstance(pool, cls):
+        raise ValidationError(f"{path}.{field}", f"{pool_id!r} is not a {_POOL_TYPE_NAMES[cls]} pool")
+    if domain is not None and pool.domain != domain:
+        raise ValidationError(f"{path}.{field}", f"pool {pool_id!r} lives on {pool.domain!r}")
+    return pool
+
+
+def _direction(obj: dict, path: str) -> str:
+    direction = _str(obj, "direction", path)
+    if direction not in DIRECTIONS:
+        raise ValidationError(f"{path}.direction", f"unknown direction {direction!r}")
+    return direction
+
+
 def _amount(value, path: str, minimum: Optional[Amount] = None) -> Amount:
     text = _expect_str(value, path)
     try:
@@ -205,21 +264,42 @@ def _amount(value, path: str, minimum: Optional[Amount] = None) -> Amount:
     return amount
 
 
-def _fraction(value, path: str):
-    text = _expect_str(value, path)
+def _amount_field(obj: dict, field: str, path: str, minimum: Optional[Amount] = None) -> Amount:
+    return _amount(_require(obj, field, path), f"{path}.{field}", minimum)
+
+
+def _fraction(obj: dict, field: str, path: str):
+    where = f"{path}.{field}"
     try:
-        ratio = parse_fraction(text)
+        ratio = parse_fraction(_str(obj, field, path))
     except ValueError as exc:
-        raise ValidationError(path, str(exc)) from None
+        raise ValidationError(where, str(exc)) from None
     if ratio <= 0:
-        raise ValidationError(path, "rate must be positive")
+        raise ValidationError(where, "rate must be positive")
     return ratio
 
 
-def _unique(seen: set, value: str, path: str, what: str):
-    if value in seen:
-        raise ValidationError(path, f"duplicate {what} {value!r}")
-    seen.add(value)
+def _amount_mode(value, path: str) -> Optional[dict]:
+    """The ``Action`` amount arguments an ``amount`` field asks for; None when absent."""
+    if value is None:
+        return None
+    if value == "all":
+        return {"sweep": True}
+    if isinstance(value, dict) and set(value) == {"fixed"}:
+        fixed = _amount(value["fixed"], f"{path}.fixed")
+        if fixed.units <= 0:
+            raise ValidationError(f"{path}.fixed", "fixed amount must be positive")
+        return {"amount": fixed}
+    if isinstance(value, dict) and set(value) == {"interval"}:
+        bounds = _expect_list(value["interval"], f"{path}.interval")
+        if len(bounds) != 2:
+            raise ValidationError(f"{path}.interval", "interval needs [lo, hi]")
+        lo = _amount(bounds[0], f"{path}.interval[0]", ZERO)
+        hi = _amount(bounds[1], f"{path}.interval[1]")
+        if hi <= lo:
+            raise ValidationError(f"{path}.interval[1]", "hi must exceed lo")
+        return {"interval": AmountInterval(lo, hi)}
+    raise ValidationError(path, "expected \"all\", {\"fixed\": ...} or {\"interval\": [lo, hi]}")
 
 
 # -- loading ---------------------------------------------------------------------
@@ -237,7 +317,11 @@ def loads(text: str) -> Scenario:
 
 
 def load_path(path: str | Path) -> Scenario:
-    return loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return loads(text)
 
 
 def load_scenario(source: str | Path) -> Scenario:
@@ -258,448 +342,252 @@ def _from_object(doc) -> Scenario:
     if version != SCHEMA_VERSION:
         raise ValidationError("schema_version", f"unsupported version {version}")
 
-    # domains and assets come first; everything else resolves against them
-    assets: list[str] = []
-    seen_assets: set[str] = set()
-    for idx, entry in enumerate(_expect_list(_require(root, "assets", "document"), "assets")):
-        path = f"assets[{idx}]"
-        asset = check_id(_expect_str(entry, path), path)
-        _unique(seen_assets, asset, path, "asset")
-        assets.append(asset)
+    # Each section becomes one id-keyed dict in document order. Sections are
+    # read in dependency order, so every reference resolves against the
+    # sections read before it.
+    assets: dict[str, None] = {}
+    for path, value in _items(root, "assets", "document", required=True):
+        assets[_new_id(value, path, assets, "asset", field=None)] = None
 
-    domains: list[DomainDecl] = []
-    seen_domains: set[str] = set()
-    domain_entries = _expect_list(_require(root, "domains", "document"), "domains")
-    if not domain_entries:
+    domains: dict[str, DomainDecl] = {}
+    for path, entry in _entries(root, "domains", "document", required=True):
+        did = _new_id(entry, path, domains, "domain")
+        domains[did] = DomainDecl(did, _ref(entry, "native_asset", path, assets, "asset"))
+    if not domains:
         raise ValidationError("domains", "at least one domain is required")
-    for idx, entry in enumerate(domain_entries):
-        path = f"domains[{idx}]"
-        entry = _expect_dict(entry, path)
-        did = check_id(_expect_str(_require(entry, "id", path), f"{path}.id"), f"{path}.id")
-        _unique(seen_domains, did, f"{path}.id", "domain")
-        native = _expect_str(_require(entry, "native_asset", path), f"{path}.native_asset")
-        if native not in seen_assets:
-            raise ValidationError(f"{path}.native_asset", f"undeclared asset {native!r}")
-        domains.append(DomainDecl(did, native))
 
-    players: list[PlayerDecl] = []
-    seen_players: set[str] = set()
-    for idx, entry in enumerate(_expect_list(_require(root, "players", "document"), "players")):
-        path = f"players[{idx}]"
-        entry = _expect_dict(entry, path)
-        pid = check_id(_expect_str(_require(entry, "id", path), f"{path}.id"), f"{path}.id")
-        _unique(seen_players, pid, f"{path}.id", "player")
-        balances = []
-        for b_idx, bal in enumerate(_expect_list(entry.get("balances", []), f"{path}.balances")):
-            b_path = f"{path}.balances[{b_idx}]"
-            bal = _expect_dict(bal, b_path)
-            domain = _expect_str(_require(bal, "domain", b_path), f"{b_path}.domain")
-            if domain not in seen_domains:
-                raise ValidationError(f"{b_path}.domain", f"undeclared domain {domain!r}")
-            asset = _expect_str(_require(bal, "asset", b_path), f"{b_path}.asset")
-            if asset not in seen_assets:
-                raise ValidationError(f"{b_path}.asset", f"undeclared asset {asset!r}")
-            amount = _amount(_require(bal, "amount", b_path), f"{b_path}.amount", Amount(0))
-            balances.append(BalanceDecl(domain, asset, amount))
+    players: dict[str, PlayerDecl] = {}
+    for path, entry in _entries(root, "players", "document", required=True):
+        pid = _new_id(entry, path, players, "player")
+        balances = tuple(
+            BalanceDecl(
+                _ref(bal, "domain", b_path, domains, "domain"),
+                _ref(bal, "asset", b_path, assets, "asset"),
+                _amount_field(bal, "amount", b_path, ZERO),
+            )
+            for b_path, bal in _entries(entry, "balances", path)
+        )
         capabilities: dict[str, frozenset[str]] = {}
-        for c_idx, cap in enumerate(
-            _expect_list(entry.get("capabilities", []), f"{path}.capabilities")
-        ):
-            c_path = f"{path}.capabilities[{c_idx}]"
-            cap = _expect_dict(cap, c_path)
-            domain = _expect_str(_require(cap, "domain", c_path), f"{c_path}.domain")
-            if domain not in seen_domains:
-                raise ValidationError(f"{c_path}.domain", f"undeclared domain {domain!r}")
-            if domain in capabilities:
-                raise ValidationError(f"{c_path}.domain", f"duplicate capability domain {domain!r}")
+        for c_path, cap in _entries(entry, "capabilities", path):
+            _ref(cap, "domain", c_path, domains, "domain")
+            domain = _new_id(cap, c_path, capabilities, "capability domain", field="domain")
             kinds = []
-            for k_idx, kind in enumerate(_expect_list(_require(cap, "kinds", c_path), f"{c_path}.kinds")):
-                kind = _expect_str(kind, f"{c_path}.kinds[{k_idx}]")
-                if kind not in ACTION_KINDS:
-                    raise ValidationError(f"{c_path}.kinds[{k_idx}]", f"unknown action kind {kind!r}")
+            for k_path, kind in _items(cap, "kinds", c_path, required=True):
+                if _expect_str(kind, k_path) not in ACTION_KINDS:
+                    raise ValidationError(k_path, f"unknown action kind {kind!r}")
                 kinds.append(kind)
             capabilities[domain] = frozenset(kinds)
-        players.append(PlayerDecl(pid, tuple(balances), capabilities))
+        players[pid] = PlayerDecl(pid, balances, capabilities)
 
-    pools: list[object] = []
-    pool_by_id: dict[str, object] = {}
-    for idx, entry in enumerate(_expect_list(root.get("pools", []), "pools")):
-        path = f"pools[{idx}]"
-        entry = _expect_dict(entry, path)
-        pool_id = check_id(_expect_str(_require(entry, "id", path), f"{path}.id"), f"{path}.id")
-        if pool_id in pool_by_id:
-            raise ValidationError(f"{path}.id", f"duplicate pool {pool_id!r}")
-        domain = _expect_str(_require(entry, "domain", path), f"{path}.domain")
-        if domain not in seen_domains:
-            raise ValidationError(f"{path}.domain", f"undeclared domain {domain!r}")
-        asset_x = _expect_str(_require(entry, "asset_x", path), f"{path}.asset_x")
-        asset_y = _expect_str(_require(entry, "asset_y", path), f"{path}.asset_y")
-        for field_name, asset in (("asset_x", asset_x), ("asset_y", asset_y)):
-            if asset not in seen_assets:
-                raise ValidationError(f"{path}.{field_name}", f"undeclared asset {asset!r}")
+    pools: dict[str, object] = {}
+    for path, entry in _entries(root, "pools", "document"):
+        pool_id = _new_id(entry, path, pools, "pool")
+        domain = _ref(entry, "domain", path, domains, "domain")
+        for field in ("asset_x", "asset_y"):  # both are strings before either resolves
+            _str(entry, field, path)
+        asset_x = _ref(entry, "asset_x", path, assets, "asset")
+        asset_y = _ref(entry, "asset_y", path, assets, "asset")
         if asset_x == asset_y:
             raise ValidationError(f"{path}.asset_y", "pool assets must differ")
-        pool_type = _expect_str(_require(entry, "type", path), f"{path}.type")
+        pool_type = _str(entry, "type", path)
         if pool_type == "constant_product":
             fee = _expect_int(entry.get("fee_bps", 0), f"{path}.fee_bps")
             if not 0 <= fee < 10_000:
                 raise ValidationError(f"{path}.fee_bps", "fee_bps must lie in [0, 10000)")
-            pool = ConstantProductPool(
-                id=pool_id,
-                domain=domain,
-                asset_x=asset_x,
-                asset_y=asset_y,
-                reserve_x=_amount(_require(entry, "reserve_x", path), f"{path}.reserve_x"),
-                reserve_y=_amount(_require(entry, "reserve_y", path), f"{path}.reserve_y"),
-                fee_bps=fee,
-            )
-            if pool.reserve_x.units <= 0 or pool.reserve_y.units <= 0:
-                raise ValidationError(f"{path}.reserve_x", "reserves must be positive")
+            reserves = [_amount_field(entry, f, path) for f in ("reserve_x", "reserve_y")]
+            for field, reserve in zip(("reserve_x", "reserve_y"), reserves):
+                if reserve.units <= 0:
+                    raise ValidationError(f"{path}.{field}", "reserves must be positive")
+            pools[pool_id] = ConstantProductPool(pool_id, domain, asset_x, asset_y, *reserves, fee)
         elif pool_type == "stylized_midpoint":
-            price = _amount(_require(entry, "price", path), f"{path}.price")
+            price = _amount_field(entry, "price", path)
             if price.units <= 0:
                 raise ValidationError(f"{path}.price", "price must be positive")
-            pool = StylizedMidpointPool(
-                id=pool_id, domain=domain, asset_x=asset_x, asset_y=asset_y, price=price
-            )
+            pools[pool_id] = StylizedMidpointPool(pool_id, domain, asset_x, asset_y, price)
         else:
             raise ValidationError(f"{path}.type", f"unknown pool type {pool_type!r}")
-        pools.append(pool)
-        pool_by_id[pool_id] = pool
 
-    bridges: list[BridgeSpec] = []
-    bridge_by_id: dict[str, BridgeSpec] = {}
-    for idx, entry in enumerate(_expect_list(root.get("bridges", []), "bridges")):
-        path = f"bridges[{idx}]"
-        entry = _expect_dict(entry, path)
-        bid = check_id(_expect_str(_require(entry, "id", path), f"{path}.id"), f"{path}.id")
-        if bid in bridge_by_id:
-            raise ValidationError(f"{path}.id", f"duplicate bridge {bid!r}")
-        fields = {}
-        for field_name in ("from_domain", "to_domain"):
-            value = _expect_str(_require(entry, field_name, path), f"{path}.{field_name}")
-            if value not in seen_domains:
-                raise ValidationError(f"{path}.{field_name}", f"undeclared domain {value!r}")
-            fields[field_name] = value
-        for field_name in ("from_asset", "to_asset"):
-            value = _expect_str(_require(entry, field_name, path), f"{path}.{field_name}")
-            if value not in seen_assets:
-                raise ValidationError(f"{path}.{field_name}", f"undeclared asset {value!r}")
-            fields[field_name] = value
-        bridge = BridgeSpec(
+    bridges: dict[str, BridgeSpec] = {}
+    for path, entry in _entries(root, "bridges", "document"):
+        bid = _new_id(entry, path, bridges, "bridge")
+        bridges[bid] = BridgeSpec(
             id=bid,
-            rate=_fraction(_require(entry, "rate", path), f"{path}.rate"),
-            flat_fee=_amount(entry.get("flat_fee", "0"), f"{path}.flat_fee", Amount(0)),
-            **fields,
+            from_domain=_ref(entry, "from_domain", path, domains, "domain"),
+            to_domain=_ref(entry, "to_domain", path, domains, "domain"),
+            from_asset=_ref(entry, "from_asset", path, assets, "asset"),
+            to_asset=_ref(entry, "to_asset", path, assets, "asset"),
+            rate=_fraction(entry, "rate", path),
+            flat_fee=_amount(entry.get("flat_fee", "0"), f"{path}.flat_fee", ZERO),
         )
-        bridges.append(bridge)
-        bridge_by_id[bid] = bridge
 
-    # opportunities parse before mempool so legs can resolve
-    opportunities: list[LegOpportunity] = []
-    opp_raw: dict[str, tuple[LegOpportunity, str]] = {}
-    for idx, entry in enumerate(_expect_list(root.get("opportunities", []), "opportunities")):
-        path = f"opportunities[{idx}]"
-        entry = _expect_dict(entry, path)
-        oid = check_id(_expect_str(_require(entry, "id", path), f"{path}.id"), f"{path}.id")
-        if oid in opp_raw:
-            raise ValidationError(f"{path}.id", f"duplicate opportunity {oid!r}")
-        beneficiary = _expect_str(_require(entry, "beneficiary", path), f"{path}.beneficiary")
-        if beneficiary not in seen_players:
-            raise ValidationError(f"{path}.beneficiary", f"undeclared player {beneficiary!r}")
-        profit_domain = _expect_str(_require(entry, "profit_domain", path), f"{path}.profit_domain")
-        if profit_domain not in seen_domains:
-            raise ValidationError(f"{path}.profit_domain", f"undeclared domain {profit_domain!r}")
-        profit_asset = _expect_str(_require(entry, "profit_asset", path), f"{path}.profit_asset")
-        if profit_asset not in seen_assets:
-            raise ValidationError(f"{path}.profit_asset", f"undeclared asset {profit_asset!r}")
+    # opportunities come before the mempool so that legs can resolve
+    opportunities: dict[str, LegOpportunity] = {}
+    for path, entry in _entries(root, "opportunities", "document"):
+        oid = _new_id(entry, path, opportunities, "opportunity")
+        beneficiary = _ref(entry, "beneficiary", path, players, "player")
+        profit_domain = _ref(entry, "profit_domain", path, domains, "domain")
+        profit_asset = _ref(entry, "profit_asset", path, assets, "asset")
         legs = tuple(
-            _expect_str(leg, f"{path}.legs[{l_idx}]")
-            for l_idx, leg in enumerate(_expect_list(_require(entry, "legs", path), f"{path}.legs"))
+            _expect_str(leg, l_path) for l_path, leg in _items(entry, "legs", path, required=True)
         )
         if len(legs) < 2:
             raise ValidationError(f"{path}.legs", "an opportunity needs at least two legs")
         if len(set(legs)) != len(legs):
             raise ValidationError(f"{path}.legs", "legs must be distinct")
-        opp = LegOpportunity(
+        opportunities[oid] = LegOpportunity(
             id=oid,
             beneficiary=beneficiary,
-            declared_profit=_amount(
-                _require(entry, "declared_profit", path), f"{path}.declared_profit", Amount(0)
-            ),
+            declared_profit=_amount_field(entry, "declared_profit", path, ZERO),
             profit_asset=profit_asset,
             profit_domain=profit_domain,
             leg_ids=legs,
         )
-        opportunities.append(opp)
-        opp_raw[oid] = (opp, path)
 
-    action_ids: set[str] = set()
-    mempool: list[PendingTx] = []
-    legs_seen: dict[str, set[str]] = {oid: set() for oid in opp_raw}
-    for idx, entry in enumerate(_expect_list(root.get("mempool", []), "mempool")):
-        path = f"mempool[{idx}]"
-        entry = _expect_dict(entry, path)
-        tid = check_id(_expect_str(_require(entry, "id", path), f"{path}.id"), f"{path}.id")
-        _unique(action_ids, tid, f"{path}.id", "action id")
-        domain = _expect_str(_require(entry, "domain", path), f"{path}.domain")
-        if domain not in seen_domains:
-            raise ValidationError(f"{path}.domain", f"undeclared domain {domain!r}")
-        effect_obj = _expect_dict(_require(entry, "effect", path), f"{path}.effect")
+    mempool: dict[str, PendingTx] = {}
+    for path, entry in _entries(root, "mempool", "document"):
+        tid = _new_id(entry, path, mempool, "action id")
+        domain = _ref(entry, "domain", path, domains, "domain")
         e_path = f"{path}.effect"
-        e_type = _expect_str(_require(effect_obj, "type", e_path), f"{e_path}.type")
+        obj = _expect_dict(_require(entry, "effect", path), e_path)
+        e_type = _str(obj, "type", e_path)
         if e_type == "price_push":
-            pool = _resolve_stylized(pool_by_id, effect_obj, e_path, domain)
-            effect = PricePushEffect(
-                pool_id=pool.id,
-                to_price=_amount(_require(effect_obj, "to_price", e_path), f"{e_path}.to_price"),
-            )
+            pool = _pool(obj, "pool", e_path, pools, StylizedMidpointPool, domain)
+            effect = PricePushEffect(pool.id, _amount_field(obj, "to_price", e_path))
         elif e_type == "cp_swap":
-            pool_id = _expect_str(_require(effect_obj, "pool", e_path), f"{e_path}.pool")
-            pool = pool_by_id.get(pool_id)
-            if not isinstance(pool, ConstantProductPool):
-                raise ValidationError(f"{e_path}.pool", f"{pool_id!r} is not a constant-product pool")
-            if pool.domain != domain:
-                raise ValidationError(f"{e_path}.pool", f"pool {pool_id!r} lives on {pool.domain!r}")
-            direction = _expect_str(_require(effect_obj, "direction", e_path), f"{e_path}.direction")
-            if direction not in DIRECTIONS:
-                raise ValidationError(f"{e_path}.direction", f"unknown direction {direction!r}")
-            account = _expect_str(_require(effect_obj, "account", e_path), f"{e_path}.account")
-            if account not in seen_players:
-                raise ValidationError(f"{e_path}.account", f"undeclared player {account!r}")
+            pool = _pool(obj, "pool", e_path, pools, ConstantProductPool, domain)
             effect = CpSwapEffect(
-                pool_id=pool_id,
-                direction=direction,
-                amount_in=_amount(_require(effect_obj, "amount_in", e_path), f"{e_path}.amount_in"),
-                account=account,
+                pool_id=pool.id,
+                direction=_direction(obj, e_path),
+                account=_ref(obj, "account", e_path, players, "player"),
+                amount_in=_amount_field(obj, "amount_in", e_path),
             )
         elif e_type == "transfer":
-            for field_name in ("from_account", "to_account"):
-                account = _expect_str(_require(effect_obj, field_name, e_path), f"{e_path}.{field_name}")
-                if account not in seen_players:
-                    raise ValidationError(f"{e_path}.{field_name}", f"undeclared player {account!r}")
-            asset = _expect_str(_require(effect_obj, "asset", e_path), f"{e_path}.asset")
-            if asset not in seen_assets:
-                raise ValidationError(f"{e_path}.asset", f"undeclared asset {asset!r}")
             effect = TransferEffect(
                 domain=domain,
-                from_account=effect_obj["from_account"],
-                to_account=effect_obj["to_account"],
-                asset=asset,
-                amount=_amount(_require(effect_obj, "amount", e_path), f"{e_path}.amount", Amount(0)),
+                from_account=_ref(obj, "from_account", e_path, players, "player"),
+                to_account=_ref(obj, "to_account", e_path, players, "player"),
+                asset=_ref(obj, "asset", e_path, assets, "asset"),
+                amount=_amount_field(obj, "amount", e_path, ZERO),
             )
         elif e_type == "arb_leg":
-            pool = _resolve_stylized(pool_by_id, effect_obj, e_path, domain)
-            opp_id = _expect_str(_require(effect_obj, "opportunity", e_path), f"{e_path}.opportunity")
-            if opp_id not in opp_raw:
-                raise ValidationError(f"{e_path}.opportunity", f"undeclared opportunity {opp_id!r}")
-            opp = opp_raw[opp_id][0]
+            pool = _pool(obj, "pool", e_path, pools, StylizedMidpointPool, domain)
+            opp = opportunities[_ref(obj, "opportunity", e_path, opportunities, "opportunity")]
             if tid not in opp.leg_ids:
                 raise ValidationError(
-                    f"{e_path}.opportunity", f"tx {tid!r} is not a declared leg of {opp_id!r}"
+                    f"{e_path}.opportunity", f"tx {tid!r} is not a declared leg of {opp.id!r}"
                 )
-            legs_seen[opp_id].add(tid)
             effect = ArbLegEffect(
                 pool_id=pool.id,
-                from_price=_amount(_require(effect_obj, "from_price", e_path), f"{e_path}.from_price"),
-                to_price=_amount(_require(effect_obj, "to_price", e_path), f"{e_path}.to_price"),
+                from_price=_amount_field(obj, "from_price", e_path),
+                to_price=_amount_field(obj, "to_price", e_path),
                 opportunity=opp,
             )
         else:
             raise ValidationError(f"{e_path}.type", f"unknown effect type {e_type!r}")
-        mempool.append(PendingTx(id=tid, domain=domain, effect=effect))
+        mempool[tid] = PendingTx(id=tid, domain=domain, effect=effect)
 
-    for oid, (opp, path) in opp_raw.items():
-        missing = set(opp.leg_ids) - legs_seen[oid]
+    arb_legs = {
+        (tx.effect.opportunity.id, tx.id)
+        for tx in mempool.values()
+        if isinstance(tx.effect, ArbLegEffect)
+    }
+    for idx, opp in enumerate(opportunities.values()):
+        missing = sorted(leg for leg in opp.leg_ids if (opp.id, leg) not in arb_legs)
         if missing:
             raise ValidationError(
-                f"{path}.legs", f"legs not present in the mempool: {sorted(missing)}"
+                f"opportunities[{idx}].legs", f"legs not present in the mempool: {missing}"
             )
 
-    arbs: list[StylizedArbSpec] = []
-    arb_by_id: dict[str, StylizedArbSpec] = {}
-    for idx, entry in enumerate(_expect_list(root.get("stylized_arbs", []), "stylized_arbs")):
-        path = f"stylized_arbs[{idx}]"
-        entry = _expect_dict(entry, path)
-        aid = check_id(_expect_str(_require(entry, "id", path), f"{path}.id"), f"{path}.id")
-        if aid in arb_by_id:
-            raise ValidationError(f"{path}.id", f"duplicate stylized arb {aid!r}")
-        sides = {}
-        for field_name in ("pool_a", "pool_b"):
-            pool_id = _expect_str(_require(entry, field_name, path), f"{path}.{field_name}")
-            pool = pool_by_id.get(pool_id)
-            if not isinstance(pool, StylizedMidpointPool):
-                raise ValidationError(f"{path}.{field_name}", f"{pool_id!r} is not a stylized pool")
-            sides[field_name] = pool
-        pa, pb = sides["pool_a"], sides["pool_b"]
+    arbs: dict[str, StylizedArbSpec] = {}
+    for path, entry in _entries(root, "stylized_arbs", "document"):
+        aid = _new_id(entry, path, arbs, "stylized arb")
+        pa = _pool(entry, "pool_a", path, pools, StylizedMidpointPool)
+        pb = _pool(entry, "pool_b", path, pools, StylizedMidpointPool)
         if pa.id == pb.id:
             raise ValidationError(f"{path}.pool_b", "pools must differ")
         if (pa.asset_x, pa.asset_y) != (pb.asset_x, pb.asset_y):
             raise ValidationError(f"{path}.pool_b", "pools must share the same asset pair")
-        profit_domain = _expect_str(_require(entry, "profit_domain", path), f"{path}.profit_domain")
-        if profit_domain not in seen_domains:
-            raise ValidationError(f"{path}.profit_domain", f"undeclared domain {profit_domain!r}")
-        profit_asset = _expect_str(_require(entry, "profit_asset", path), f"{path}.profit_asset")
-        if profit_asset not in seen_assets:
-            raise ValidationError(f"{path}.profit_asset", f"undeclared asset {profit_asset!r}")
-        arb = StylizedArbSpec(
+        arbs[aid] = StylizedArbSpec(
             id=aid,
             pool_a=pa.id,
             pool_b=pb.id,
-            declared_profit=_amount(
-                _require(entry, "declared_profit", path), f"{path}.declared_profit", Amount(0)
-            ),
-            profit_asset=profit_asset,
-            profit_domain=profit_domain,
+            profit_domain=_ref(entry, "profit_domain", path, domains, "domain"),
+            profit_asset=_ref(entry, "profit_asset", path, assets, "asset"),
+            declared_profit=_amount_field(entry, "declared_profit", path, ZERO),
         )
-        arbs.append(arb)
-        arb_by_id[aid] = arb
 
-    player_decl_by_id = {p.id: p for p in players}
-    player_actions: list[tuple[str, Action]] = []
-    for idx, entry in enumerate(_expect_list(root.get("actions", []), "actions")):
-        path = f"actions[{idx}]"
-        entry = _expect_dict(entry, path)
-        aid = check_id(_expect_str(_require(entry, "id", path), f"{path}.id"), f"{path}.id")
-        _unique(action_ids, aid, f"{path}.id", "action id")
-        owner = _expect_str(_require(entry, "player", path), f"{path}.player")
-        if owner not in seen_players:
-            raise ValidationError(f"{path}.player", f"undeclared player {owner!r}")
-        kind = _expect_str(_require(entry, "kind", path), f"{path}.kind")
+    actions: dict[str, tuple[str, Action]] = {}
+    action_ids = set(mempool)  # pending txs and actions share one namespace
+    for path, entry in _entries(root, "actions", "document"):
+        aid = _new_id(entry, path, action_ids, "action id")
+        action_ids.add(aid)
+        owner = _ref(entry, "player", path, players, "player")
+        kind = _str(entry, "kind", path)
         if kind == KIND_PENDING:
             raise ValidationError(f"{path}.kind", "pending transactions belong in the mempool")
         if kind not in ACTION_KINDS:
             raise ValidationError(f"{path}.kind", f"unknown action kind {kind!r}")
-
-        amount_mode = entry.get("amount")
-        fixed = interval = None
-        sweep = False
-        if amount_mode is not None:
-            a_path = f"{path}.amount"
-            if amount_mode == "all":
-                sweep = True
-            elif isinstance(amount_mode, dict) and set(amount_mode) == {"fixed"}:
-                fixed = _amount(amount_mode["fixed"], f"{a_path}.fixed")
-                if fixed.units <= 0:
-                    raise ValidationError(f"{a_path}.fixed", "fixed amount must be positive")
-            elif isinstance(amount_mode, dict) and set(amount_mode) == {"interval"}:
-                bounds = _expect_list(amount_mode["interval"], f"{a_path}.interval")
-                if len(bounds) != 2:
-                    raise ValidationError(f"{a_path}.interval", "interval needs [lo, hi]")
-                lo = _amount(bounds[0], f"{a_path}.interval[0]", Amount(0))
-                hi = _amount(bounds[1], f"{a_path}.interval[1]")
-                if hi <= lo:
-                    raise ValidationError(f"{a_path}.interval[1]", "hi must exceed lo")
-                interval = AmountInterval(lo, hi)
-            else:
-                raise ValidationError(a_path, "expected \"all\", {\"fixed\": ...} or {\"interval\": [lo, hi]}")
-
-        if kind == KIND_SWAP:
-            pool_id = _expect_str(_require(entry, "pool", path), f"{path}.pool")
-            pool = pool_by_id.get(pool_id)
-            if pool is None:
-                raise ValidationError(f"{path}.pool", f"undeclared pool {pool_id!r}")
-            direction = _expect_str(_require(entry, "direction", path), f"{path}.direction")
-            if direction not in DIRECTIONS:
-                raise ValidationError(f"{path}.direction", f"unknown direction {direction!r}")
-            if fixed is None and interval is None and not sweep:
-                raise ValidationError(f"{path}.amount", "swap actions need an amount mode")
-            action = Action(
-                id=aid,
-                kind=kind,
-                domains=frozenset({pool.domain}),
-                pool_id=pool_id,
-                direction=direction,
-                amount=fixed,
-                interval=interval,
-                sweep=sweep,
-            )
-        elif kind == KIND_BRIDGE:
-            bridge_id = _expect_str(_require(entry, "bridge", path), f"{path}.bridge")
-            bridge = bridge_by_id.get(bridge_id)
-            if bridge is None:
-                raise ValidationError(f"{path}.bridge", f"undeclared bridge {bridge_id!r}")
-            if fixed is None and interval is None and not sweep:
-                raise ValidationError(f"{path}.amount", "bridge actions need an amount mode")
-            action = Action(
-                id=aid,
-                kind=kind,
-                domains=frozenset({bridge.from_domain, bridge.to_domain}),
-                bridge=bridge,
-                amount=fixed,
-                interval=interval,
-                sweep=sweep,
-            )
-        else:  # StylizedArb
-            if amount_mode is not None:
+        mode = _amount_mode(entry.get("amount"), f"{path}.amount")
+        if kind == KIND_ARB:
+            if mode is not None:
                 raise ValidationError(f"{path}.amount", "stylized arbs take no amount")
-            arb_id = _expect_str(_require(entry, "arb", path), f"{path}.arb")
-            arb = arb_by_id.get(arb_id)
-            if arb is None:
-                raise ValidationError(f"{path}.arb", f"undeclared stylized arb {arb_id!r}")
-            domains_touched = frozenset(
-                {pool_by_id[arb.pool_a].domain, pool_by_id[arb.pool_b].domain}
-            )
-            action = Action(id=aid, kind=kind, domains=domains_touched, arb=arb)
-
-        decl = player_decl_by_id[owner]
-        for domain in sorted(action.domains):
-            if kind not in decl.capabilities.get(domain, frozenset()):
+            arb = arbs[_ref(entry, "arb", path, arbs, "stylized arb")]
+            domains_touched = {pools[arb.pool_a].domain, pools[arb.pool_b].domain}
+            payload = {"arb": arb}
+        else:
+            if kind == KIND_SWAP:
+                pool = pools[_ref(entry, "pool", path, pools, "pool")]
+                domains_touched = {pool.domain}
+                payload = {"pool_id": pool.id, "direction": _direction(entry, path)}
+            else:
+                bridge = bridges[_ref(entry, "bridge", path, bridges, "bridge")]
+                domains_touched = {bridge.from_domain, bridge.to_domain}
+                payload = {"bridge": bridge}
+            if mode is None:
+                raise ValidationError(f"{path}.amount", f"{kind.lower()} actions need an amount mode")
+            payload.update(mode)
+        capabilities = players[owner].capabilities
+        for domain in sorted(domains_touched):
+            if kind not in capabilities.get(domain, frozenset()):
                 raise ValidationError(
                     f"{path}.kind", f"player {owner!r} lacks {kind} capability on {domain!r}"
                 )
-        player_actions.append((owner, action))
+        actions[aid] = (owner, Action(aid, kind, frozenset(domains_touched), **payload))
 
     prices = PriceMatrix()
-    for idx, entry in enumerate(_expect_list(root.get("prices", []), "prices")):
-        path = f"prices[{idx}]"
-        entry = _expect_dict(entry, path)
-        src = _expect_str(_require(entry, "from", path), f"{path}.from")
-        dst = _expect_str(_require(entry, "to", path), f"{path}.to")
-        for field_name, asset in (("from", src), ("to", dst)):
-            if asset not in seen_assets:
-                raise ValidationError(f"{path}.{field_name}", f"undeclared asset {asset!r}")
+    for path, entry in _entries(root, "prices", "document"):
+        for field in ("from", "to"):  # both are strings before either resolves
+            _str(entry, field, path)
+        src = _ref(entry, "from", path, assets, "asset")
+        dst = _ref(entry, "to", path, assets, "asset")
         try:
-            prices.declare(src, dst, _fraction(_require(entry, "rate", path), f"{path}.rate"))
+            prices.declare(src, dst, _fraction(entry, "rate", path))
         except ValidationError as exc:
             raise ValidationError(f"{path}.rate", str(exc)) from None
 
     defaults_obj = _expect_dict(_require(root, "defaults", "document"), "defaults")
-    d_player = _expect_str(_require(defaults_obj, "player", "defaults"), "defaults.player")
-    if d_player not in seen_players:
-        raise ValidationError("defaults.player", f"undeclared player {d_player!r}")
-    d_base_domain = _expect_str(
-        _require(defaults_obj, "base_domain", "defaults"), "defaults.base_domain"
-    )
-    if d_base_domain not in seen_domains:
-        raise ValidationError("defaults.base_domain", f"undeclared domain {d_base_domain!r}")
-    d_base_asset = _expect_str(
-        _require(defaults_obj, "base_asset", "defaults"), "defaults.base_asset"
-    )
-    if d_base_asset not in seen_assets:
-        raise ValidationError("defaults.base_asset", f"undeclared asset {d_base_asset!r}")
+    d_player = _ref(defaults_obj, "player", "defaults", players, "player")
+    d_base_domain = _ref(defaults_obj, "base_domain", "defaults", domains, "domain")
+    d_base_asset = _ref(defaults_obj, "base_asset", "defaults", assets, "asset")
     max_len = _expect_int(
         defaults_obj.get("max_sequence_length", DEFAULT_MAX_SEQUENCE_LENGTH),
         "defaults.max_sequence_length",
     )
     if max_len < 0:
         raise ValidationError("defaults.max_sequence_length", "must be >= 0")
-    alpha = _amount(defaults_obj.get("alpha", "0"), "defaults.alpha", Amount(0))
 
-    def domain_list(field_name: str) -> tuple[str, ...]:
-        raw = defaults_obj.get(field_name)
-        if raw is None:
-            return tuple(d.id for d in domains)
+    def domain_list(field: str) -> tuple[str, ...]:
+        if defaults_obj.get(field) is None:
+            return tuple(domains)
         values = []
-        for i, value in enumerate(_expect_list(raw, f"defaults.{field_name}")):
-            value = _expect_str(value, f"defaults.{field_name}[{i}]")
-            if value not in seen_domains:
-                raise ValidationError(f"defaults.{field_name}[{i}]", f"undeclared domain {value!r}")
+        for where, value in _items(defaults_obj, field, "defaults"):
+            if _expect_str(value, where) not in domains:
+                raise ValidationError(where, f"undeclared domain {value!r}")
             if value in values:
-                raise ValidationError(f"defaults.{field_name}[{i}]", f"repeated domain {value!r}")
+                raise ValidationError(where, f"repeated domain {value!r}")
             values.append(value)
         if not values:
-            raise ValidationError(f"defaults.{field_name}", "must be nonempty")
+            raise ValidationError(f"defaults.{field}", "must be nonempty")
         return tuple(values)
 
     defaults = Defaults(
@@ -707,13 +595,13 @@ def _from_object(doc) -> Scenario:
         base_domain=d_base_domain,
         base_asset=d_base_asset,
         max_sequence_length=max_len,
-        alpha=alpha,
+        alpha=_amount(defaults_obj.get("alpha", "0"), "defaults.alpha", ZERO),
         action_domains=domain_list("action_domains"),
         value_domains=domain_list("value_domains"),
     )
 
     # every domain's measurement asset must price into the default base
-    for domain in domains:
+    for domain in domains.values():
         if not prices.has_rate(domain.native_asset, defaults.base_asset):
             raise ValidationError(
                 "prices",
@@ -723,28 +611,18 @@ def _from_object(doc) -> Scenario:
 
     return Scenario(
         schema_version=version,
-        domains=tuple(domains),
+        domains=tuple(domains.values()),
         assets=tuple(assets),
-        players=tuple(players),
-        pools=tuple(pools),
-        bridges=tuple(bridges),
-        mempool=tuple(mempool),
-        opportunities=tuple(opportunities),
-        stylized_arbs=tuple(arbs),
-        player_actions=tuple(player_actions),
+        players=tuple(players.values()),
+        pools=tuple(pools.values()),
+        bridges=tuple(bridges.values()),
+        mempool=tuple(mempool.values()),
+        opportunities=tuple(opportunities.values()),
+        stylized_arbs=tuple(arbs.values()),
+        player_actions=tuple(actions.values()),
         prices=prices,
         defaults=defaults,
     )
-
-
-def _resolve_stylized(pool_by_id, effect_obj, e_path, domain) -> StylizedMidpointPool:
-    pool_id = _expect_str(_require(effect_obj, "pool", e_path), f"{e_path}.pool")
-    pool = pool_by_id.get(pool_id)
-    if not isinstance(pool, StylizedMidpointPool):
-        raise ValidationError(f"{e_path}.pool", f"{pool_id!r} is not a stylized pool")
-    if pool.domain != domain:
-        raise ValidationError(f"{e_path}.pool", f"pool {pool_id!r} lives on {pool.domain!r}")
-    return pool
 
 
 def _build_space(scenario: Scenario) -> ActionSpaceSpec:

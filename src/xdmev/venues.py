@@ -57,9 +57,6 @@ class ConstantProductPool:
             return self.reserve_y, self.reserve_x
         raise InvalidAmount(f"unknown swap direction {direction!r}")
 
-    def marginal_price_y_per_x(self) -> Fraction:
-        return Fraction(self.reserve_y.units, self.reserve_x.units)
-
 
 @dataclass(frozen=True)
 class StylizedMidpointPool:

@@ -136,6 +136,14 @@ class TestCollusionCommand:
         assert report["result"]["joint_value"] == "0"
         assert report["result"]["verdict"] == "Indifferent"
 
+    def test_malformed_alpha_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "collusion", "--scenario", "section3_2amm", "--alpha", "abc",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --alpha: not a decimal amount: 'abc'\n"
+
 
 class TestOracleCheckCommand:
     def test_discrete_scenario_agrees_exactly(self, capsys):
@@ -196,6 +204,21 @@ class TestValidateCommand:
         code, _, err = run_cli(capsys, "validate", "--scenario", str(path))
         assert code == 2
         assert "ghost" in err
+
+    def test_directory_path_exits_2(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "validate", "--scenario", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(tmp_path) in err
+
+    def test_non_utf8_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"assets": ["caf\xe9"]}')  # latin-1, not UTF-8
+        code, out, err = run_cli(capsys, "validate", "--scenario", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path}: not UTF-8 text") and err.count("\n") == 1
 
 
 class TestDeterminism:
