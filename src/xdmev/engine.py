@@ -27,7 +27,8 @@ from .actions import (
 )
 from .errors import ExplosionGuard, NoOpportunity, UnknownId, XdmevError
 from .fixedpoint import ZERO, Amount, div_half_even
-from .model import PriceMatrix, WorldState, balance_of, convert
+from .model import PriceMatrix, WorldState, balance_of
+from .model import convert  # noqa: F401  re-exported; perfbench/tracing.py wraps engine.convert
 from .venues import ConstantProductPool
 from . import _kernels
 
@@ -108,17 +109,25 @@ def _merge(a: Optional[_Candidate], b: Optional[_Candidate]) -> Optional[_Candid
 
 
 def priced_balance_delta(query: MevQuery, initial: WorldState, final: WorldState) -> Amount:
-    """Sum over value domains of the native-asset delta priced into the base."""
+    """Sum over value domains of the native-asset delta priced into the base.
+
+    Each domain's delta is rounded half-even at the 18th digit on its own,
+    as ``convert`` rounds it, and the rounded deltas sum exactly.
+    """
     registry = initial.registry
-    total = ZERO
+    prices, base, player = query.prices, query.base_asset, query.player
+    before, after = initial.balances, final.balances
+    total = 0
     for domain in query.value_domains:
         asset = registry.native_asset(domain)
-        delta = final.balance(domain, query.player, asset) - initial.balance(
-            domain, query.player, asset
-        )
-        if delta.units:
-            total = total + convert(query.prices, asset, query.base_asset, delta)
-    return total
+        key = (domain, player, asset)
+        delta = after.get(key, ZERO).units - before.get(key, ZERO).units
+        if delta:
+            if asset != base:
+                rate = prices.rate(asset, base)
+                delta = div_half_even(delta * rate.numerator, rate.denominator)
+            total += delta
+    return Amount.from_units(total)
 
 
 def extractable_value(

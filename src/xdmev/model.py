@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Optional, Sequence
 
 from .errors import (
     InsufficientBalance,
@@ -64,6 +64,10 @@ class Registry:
 
 BalanceKey = tuple[str, str, str]  # (domain, player, asset)
 
+DEBIT = -1
+CREDIT = 1
+BalanceMove = tuple[int, str, str, str, Amount]  # (DEBIT or CREDIT, domain, player, asset, amount)
+
 
 class WorldState:
     """Immutable snapshot of balances, pool states, and consumed actions.
@@ -100,47 +104,62 @@ class WorldState:
 
     # -- functional updates ---------------------------------------------
 
+    def update(
+        self,
+        moves: Sequence[BalanceMove] = (),
+        pools: Sequence[tuple[str, object]] = (),
+        consumed: Optional[str] = None,
+    ) -> "WorldState":
+        """One new state: ``moves`` applied in order, then ``pools``
+        replaced, then ``consumed`` marked executed.
+
+        A move is ``(DEBIT or CREDIT, domain, player, asset, amount)``. It
+        checks what ``debit`` and ``credit`` check, in the same order and
+        with the same errors; a zero amount moves nothing, and a balance
+        that reaches zero is dropped. Nothing is built when a check fails.
+        """
+        balances = self.balances
+        if moves:
+            balances = dict(balances)
+            for sign, domain, player, asset, amount in moves:
+                units = amount.units
+                if units < 0:
+                    verb = "debit" if sign == DEBIT else "credit"
+                    raise InsufficientBalance(f"cannot {verb} negative amount {amount}")
+                if units == 0:
+                    continue
+                key = (domain, player, asset)
+                held = balances.get(key, ZERO)
+                if sign == DEBIT:
+                    if held.units < units:
+                        raise InsufficientBalance(
+                            f"{player} holds {held} {asset} on {domain}, needs {amount}"
+                        )
+                    units = -units
+                units += held.units
+                if units:
+                    balances[key] = Amount.from_units(units)
+                else:
+                    del balances[key]
+        if pools:
+            replaced, pools = pools, dict(self.pools)
+            pools.update(replaced)
+        else:
+            pools = self.pools
+        consumed = self.consumed if consumed is None else self.consumed | {consumed}
+        return WorldState(self.registry, balances, pools, consumed)
+
     def credit(self, domain: str, player: str, asset: str, amount: Amount) -> "WorldState":
-        if amount.units < 0:
-            raise InsufficientBalance(f"cannot credit negative amount {amount}")
-        if amount.units == 0:
-            return self
-        balances = dict(self.balances)
-        key = (domain, player, asset)
-        balances[key] = self.balance(*key) + amount
-        return self._replace(balances=balances)
+        return self.update(((CREDIT, domain, player, asset, amount),))
 
     def debit(self, domain: str, player: str, asset: str, amount: Amount) -> "WorldState":
-        if amount.units < 0:
-            raise InsufficientBalance(f"cannot debit negative amount {amount}")
-        if amount.units == 0:
-            return self
-        key = (domain, player, asset)
-        held = self.balance(*key)
-        if held < amount:
-            raise InsufficientBalance(
-                f"{player} holds {held} {asset} on {domain}, needs {amount}"
-            )
-        balances = dict(self.balances)
-        remainder = held - amount
-        if remainder.units == 0:
-            del balances[key]
-        else:
-            balances[key] = remainder
-        return self._replace(balances=balances)
+        return self.update(((DEBIT, domain, player, asset, amount),))
 
     def with_pool(self, pool_id: str, pool) -> "WorldState":
-        pools = dict(self.pools)
-        pools[pool_id] = pool
-        return WorldState(self.registry, self.balances, pools, self.consumed)
+        return self.update(pools=((pool_id, pool),))
 
     def consume(self, action_id: str) -> "WorldState":
-        return WorldState(
-            self.registry, self.balances, self.pools, self.consumed | {action_id}
-        )
-
-    def _replace(self, balances) -> "WorldState":
-        return WorldState(self.registry, balances, self.pools, self.consumed)
+        return self.update(consumed=action_id)
 
     # -- value semantics -------------------------------------------------
 

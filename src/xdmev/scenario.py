@@ -560,8 +560,9 @@ def _from_object(doc) -> Scenario:
             _str(entry, field, path)
         src = _ref(entry, "from", path, assets, "asset")
         dst = _ref(entry, "to", path, assets, "asset")
+        rate = _fraction(entry, "rate", path)
         try:
-            prices.declare(src, dst, _fraction(entry, "rate", path))
+            prices.declare(src, dst, rate)
         except ValidationError as exc:
             raise ValidationError(f"{path}.rate", str(exc)) from None
 

@@ -9,7 +9,7 @@ effects; executing one is itself an action.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _kernels
@@ -24,7 +24,7 @@ from .errors import (
     XdmevError,
 )
 from .fixedpoint import Amount
-from .model import WorldState
+from .model import CREDIT, DEBIT, BalanceMove, WorldState
 
 X_TO_Y = "x_to_y"
 Y_TO_X = "y_to_x"
@@ -164,6 +164,9 @@ class PendingTx:
 
 # -- constant-product operations -----------------------------------------
 
+# what one application changes: balance moves, then (pool id, new pool) pairs
+_Effects = tuple[tuple[BalanceMove, ...], tuple[tuple[str, object], ...]]
+
 
 def quote_swap(pool: ConstantProductPool, direction: str, amount_in: Amount) -> Amount:
     """Pure quote: output for ``amount_in``, pool untouched, rounded down."""
@@ -180,40 +183,55 @@ def quote_swap(pool: ConstantProductPool, direction: str, amount_in: Amount) -> 
     return Amount.from_units(out_units)
 
 
-def apply_swap(
+def _swap_effects(
     state: WorldState, player: str, pool_id: str, direction: str, amount_in: Amount
-) -> WorldState:
-    """Swap against a constant-product pool, debiting and crediting the player."""
+) -> _Effects:
+    """Balance moves and pool replacement of a constant-product swap."""
     pool = state.pool(pool_id)
     if not isinstance(pool, ConstantProductPool):
         raise UnknownPool(f"pool {pool_id!r} is not a constant-product pool")
     out = quote_swap(pool, direction, amount_in)
+    rx, ry = pool.reserve_x.units, pool.reserve_y.units
     if direction == X_TO_Y:
         asset_in, asset_out = pool.asset_x, pool.asset_y
-        new_pool = replace(
-            pool,
-            reserve_x=pool.reserve_x + amount_in,
-            reserve_y=pool.reserve_y - out,
-        )
+        rx, ry = rx + amount_in.units, ry - out.units
     else:
         asset_in, asset_out = pool.asset_y, pool.asset_x
-        new_pool = replace(
-            pool,
-            reserve_y=pool.reserve_y + amount_in,
-            reserve_x=pool.reserve_x - out,
-        )
-    state = state.debit(pool.domain, player, asset_in, amount_in)
-    state = state.credit(pool.domain, player, asset_out, out)
-    return state.with_pool(pool_id, new_pool)
+        rx, ry = rx - out.units, ry + amount_in.units
+    new_pool = ConstantProductPool(
+        pool.id, pool.domain, pool.asset_x, pool.asset_y,
+        Amount.from_units(rx), Amount.from_units(ry), pool.fee_bps,
+    )
+    moves = (
+        (DEBIT, pool.domain, player, asset_in, amount_in),
+        (CREDIT, pool.domain, player, asset_out, out),
+    )
+    return moves, ((pool_id, new_pool),)
+
+
+def apply_swap(
+    state: WorldState, player: str, pool_id: str, direction: str, amount_in: Amount
+) -> WorldState:
+    """Swap against a constant-product pool, debiting and crediting the player."""
+    return state.update(*_swap_effects(state, player, pool_id, direction, amount_in))
+
+
+def _stylized(state: WorldState, pool_id: str) -> StylizedMidpointPool:
+    pool = state.pool(pool_id)
+    if not isinstance(pool, StylizedMidpointPool):
+        raise UnknownPool(f"pool {pool_id!r} is not a stylized pool")
+    return pool
+
+
+def _repriced(pool: StylizedMidpointPool, price: Amount) -> StylizedMidpointPool:
+    return StylizedMidpointPool(pool.id, pool.domain, pool.asset_x, pool.asset_y, price)
 
 
 def apply_stylized_fill(
     state: WorldState, player: str, pool_id: str, direction: str, amount_in: Amount
 ) -> WorldState:
     """Trade at a stylized pool's quoted price; the quote does not move."""
-    pool = state.pool(pool_id)
-    if not isinstance(pool, StylizedMidpointPool):
-        raise UnknownPool(f"pool {pool_id!r} is not a stylized pool")
+    pool = _stylized(state, pool_id)
     if amount_in.units <= 0:
         raise InvalidAmount(f"fill amount must be positive, got {amount_in}")
     if direction == X_TO_Y:
@@ -226,8 +244,10 @@ def apply_stylized_fill(
         raise InvalidAmount(f"unknown swap direction {direction!r}")
     if out.units <= 0:
         raise InsufficientLiquidity(f"pool {pool_id}: fill output rounds to zero")
-    state = state.debit(pool.domain, player, asset_in, amount_in)
-    return state.credit(pool.domain, player, asset_out, out)
+    return state.update((
+        (DEBIT, pool.domain, player, asset_in, amount_in),
+        (CREDIT, pool.domain, player, asset_out, out),
+    ))
 
 
 # -- stylized arbitrage ----------------------------------------------------
@@ -245,9 +265,10 @@ def apply_stylized_arb(state: WorldState, player: str, spec: StylizedArbSpec) ->
             f"{spec.pool_a} and {spec.pool_b} both quote {pool_a.price}"
         )
     midpoint = (pool_a.price + pool_b.price) / Amount(2)
-    state = state.with_pool(spec.pool_a, replace(pool_a, price=midpoint))
-    state = state.with_pool(spec.pool_b, replace(pool_b, price=midpoint))
-    return state.credit(spec.profit_domain, player, spec.profit_asset, spec.declared_profit)
+    return state.update(
+        ((CREDIT, spec.profit_domain, player, spec.profit_asset, spec.declared_profit),),
+        ((spec.pool_a, _repriced(pool_a, midpoint)), (spec.pool_b, _repriced(pool_b, midpoint))),
+    )
 
 
 # -- pending transactions ---------------------------------------------------
@@ -258,44 +279,41 @@ def apply_pending_tx(state: WorldState, tx: PendingTx) -> WorldState:
     if tx.id in state.consumed:
         raise AlreadyConsumed(f"pending tx {tx.id!r} already executed")
     effect = tx.effect
+    moves, pools = (), ()
     if isinstance(effect, PricePushEffect):
-        state = _apply_price_push(state, effect)
+        pool = _stylized(state, effect.pool_id)
+        pools = ((effect.pool_id, _repriced(pool, effect.to_price)),)
     elif isinstance(effect, CpSwapEffect):
-        state = apply_swap(state, effect.account, effect.pool_id, effect.direction, effect.amount_in)
+        moves, pools = _swap_effects(
+            state, effect.account, effect.pool_id, effect.direction, effect.amount_in
+        )
     elif isinstance(effect, TransferEffect):
-        state = state.debit(effect.domain, effect.from_account, effect.asset, effect.amount)
-        state = state.credit(effect.domain, effect.to_account, effect.asset, effect.amount)
+        moves = (
+            (DEBIT, effect.domain, effect.from_account, effect.asset, effect.amount),
+            (CREDIT, effect.domain, effect.to_account, effect.asset, effect.amount),
+        )
     elif isinstance(effect, ArbLegEffect):
-        state = _apply_arb_leg(state, tx.id, effect)
+        moves, pools = _arb_leg_effects(state, tx.id, effect)
     else:
         raise XdmevError(f"pending tx {tx.id!r}: unknown effect {type(effect).__name__}")
-    return state.consume(tx.id)
+    return state.update(moves, pools, tx.id)
 
 
-def _apply_price_push(state: WorldState, effect: PricePushEffect) -> WorldState:
-    pool = state.pool(effect.pool_id)
-    if not isinstance(pool, StylizedMidpointPool):
-        raise UnknownPool(f"pool {effect.pool_id!r} is not a stylized pool")
-    return state.with_pool(effect.pool_id, replace(pool, price=effect.to_price))
-
-
-def _apply_arb_leg(state: WorldState, tx_id: str, effect: ArbLegEffect) -> WorldState:
-    pool = state.pool(effect.pool_id)
-    if not isinstance(pool, StylizedMidpointPool):
-        raise UnknownPool(f"pool {effect.pool_id!r} is not a stylized pool")
+def _arb_leg_effects(
+    state: WorldState, tx_id: str, effect: ArbLegEffect
+) -> _Effects:
+    pool = _stylized(state, effect.pool_id)
     if pool.price != effect.from_price:
         raise PriceMismatch(
             f"leg {tx_id!r} expects {effect.pool_id} at {effect.from_price}, "
             f"pool quotes {pool.price}"
         )
-    state = state.with_pool(effect.pool_id, replace(pool, price=effect.to_price))
     opp = effect.opportunity
-    others = set(opp.leg_ids) - {tx_id}
-    if others <= state.consumed:
-        state = state.credit(
-            opp.profit_domain, opp.beneficiary, opp.profit_asset, opp.declared_profit
-        )
-    return state
+    moves = ()
+    if set(opp.leg_ids) - {tx_id} <= state.consumed:
+        profit = (CREDIT, opp.profit_domain, opp.beneficiary, opp.profit_asset, opp.declared_profit)
+        moves = (profit,)
+    return moves, ((effect.pool_id, _repriced(pool, effect.to_price)),)
 
 
 # -- bridges -----------------------------------------------------------------
@@ -318,5 +336,7 @@ def apply_bridge(
         raise FeeExceedsOutput(
             f"bridge {bridge.id}: fee {bridge.flat_fee} exceeds converted {quantity}"
         )
-    state = state.debit(bridge.from_domain, player, bridge.from_asset, quantity)
-    return state.credit(bridge.to_domain, player, bridge.to_asset, arriving)
+    return state.update((
+        (DEBIT, bridge.from_domain, player, bridge.from_asset, quantity),
+        (CREDIT, bridge.to_domain, player, bridge.to_asset, arriving),
+    ))

@@ -3,10 +3,23 @@
 from __future__ import annotations
 
 import json
+import os
+from pathlib import Path
 
 import pytest
 
+import xdmev
 from xdmev.scenario import Scenario, load_bundled, loads
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _children_import_this_xdmev():
+    """``python -m xdmev.cli`` subprocesses import the package these tests
+    import, also when only pytest's ``pythonpath`` setting puts it in reach."""
+    src = str(Path(xdmev.__file__).resolve().parent.parent)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", src, prepend=os.pathsep)
+        yield
 
 
 def scen(doc: dict) -> Scenario:

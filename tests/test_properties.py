@@ -11,9 +11,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from xdmev.collusion import Verdict, classify_collusion
-from xdmev.engine import MevQuery, mev, mev_oracle, replay_witness
+from xdmev.engine import MevQuery, mev, mev_oracle, priced_balance_delta, replay_witness
+from xdmev.errors import MissingRate, UnknownId, XdmevError
 from xdmev.fixedpoint import Amount
-from xdmev.model import PriceMatrix, convert
+from xdmev.model import PriceMatrix, Registry, WorldState, convert
 from xdmev.scenario import Scenario, loads
 
 SCENARIO_RUNS = 200
@@ -220,6 +221,69 @@ def test_price_reciprocity_round_trip_within_one_unit():
         x = Amount.from_units(rng.randint(0, 10**24))
         back = convert(prices, mid, start, convert(prices, start, mid, x))
         assert abs(back - x) <= one_unit, f"run {run}: rate {rate}, x {x}, back {back}"
+
+
+def priced_delta_reference(query: MevQuery, initial: WorldState, final: WorldState) -> Amount:
+    """The per-domain formula: each native-asset delta converted to the base
+    with ``convert``, then the converted amounts summed."""
+    total = Amount(0)
+    for domain in query.value_domains:
+        asset = initial.registry.native_asset(domain)
+        delta = final.balance(domain, query.player, asset) - initial.balance(
+            domain, query.player, asset
+        )
+        if delta.units:
+            total = total + convert(query.prices, asset, query.base_asset, delta)
+    return total
+
+
+def test_priced_balance_delta_matches_per_domain_convert():
+    rng = random.Random(8080)
+    assets = ("A", "B", "C", "D")
+    raised = set()
+    for run in range(10 * SCENARIO_RUNS):
+        domains = [f"d{k}" for k in range(rng.randint(1, 4))]
+        registry = Registry(
+            native_assets={d: rng.choice(assets) for d in domains},
+            players=frozenset({"P", "Q"}),
+            assets=frozenset(assets),
+            pool_ids=frozenset(),
+        )
+        base = rng.choice(assets)
+        prices = PriceMatrix()
+        for asset in assets:
+            if asset != base and rng.random() < 0.9:  # some assets stay unpriced
+                prices.declare(asset, base, Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6)))
+
+        def random_state():
+            balances = {}
+            for domain, asset in registry.native_assets.items():
+                for player in ("P", "Q"):
+                    if rng.random() < 0.7:
+                        balances[(domain, player, asset)] = Amount.from_units(
+                            rng.randint(0, 10**24)
+                        )
+            return WorldState(registry, balances, {})
+
+        initial = random_state()
+        final = random_state() if rng.random() < 0.9 else initial
+        value_domains = rng.sample(domains, rng.randint(1, len(domains)))
+        if rng.random() < 0.05:
+            value_domains.insert(rng.randint(0, len(value_domains)), "undeclared")
+        query = MevQuery(
+            player="P", action_domains=frozenset(domains), value_domains=tuple(value_domains),
+            base_domain=domains[0], base_asset=base, prices=prices,
+        )
+        outcomes = []
+        for pricer in (priced_balance_delta, priced_delta_reference):
+            try:
+                outcomes.append(pricer(query, initial, final))
+            except XdmevError as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1], f"run {run}: {outcomes}"
+        if isinstance(outcomes[0], tuple):
+            raised.add(outcomes[0][0])
+    assert raised == {UnknownId, MissingRate}
 
 
 def test_engine_agrees_with_oracle_on_random_discrete_scenarios():

@@ -1,9 +1,12 @@
 """Pool, bridge, and pending-transaction mechanics."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from conftest import one_domain_doc, scen
+from xdmev.actions import KIND_SWAP, apply_action, max_feasible_amount, resolve_amount
 from xdmev.errors import (
     AlreadyConsumed,
     FeeExceedsOutput,
@@ -13,9 +16,11 @@ from xdmev.errors import (
     PriceMismatch,
     PricesEqual,
     UnknownPool,
+    XdmevError,
 )
 from xdmev.fixedpoint import SCALE, Amount
-from xdmev.model import Registry, WorldState
+from xdmev.model import CREDIT, DEBIT, Registry, WorldState
+from xdmev.scenario import BUNDLED_NAMES, load_bundled
 from xdmev.venues import (
     ArbLegEffect,
     BridgeSpec,
@@ -32,6 +37,7 @@ from xdmev.venues import (
     apply_stylized_arb,
     apply_stylized_fill,
     apply_swap,
+    bridge_output,
     quote_swap,
 )
 
@@ -298,3 +304,308 @@ class TestBridge:
         total_before = s.balance("i", "P", "ETH") + s.balance("j", "P", "ETH")
         total_after = s2.balance("i", "P", "ETH") + s2.balance("j", "P", "ETH")
         assert total_before - total_after == Amount("0.25")
+
+
+# -- one state per application ------------------------------------------------
+#
+# The reference below is the pre-fusion update chain, written out: each
+# debit, credit, pool replacement and consume builds its own state.
+
+
+def _ref_credit(state, domain, player, asset, amount):
+    if amount.units < 0:
+        raise InsufficientBalance(f"cannot credit negative amount {amount}")
+    if amount.units == 0:
+        return state
+    balances = dict(state.balances)
+    key = (domain, player, asset)
+    balances[key] = state.balance(*key) + amount
+    return WorldState(state.registry, balances, state.pools, state.consumed)
+
+
+def _ref_debit(state, domain, player, asset, amount):
+    if amount.units < 0:
+        raise InsufficientBalance(f"cannot debit negative amount {amount}")
+    if amount.units == 0:
+        return state
+    key = (domain, player, asset)
+    held = state.balance(*key)
+    if held < amount:
+        raise InsufficientBalance(f"{player} holds {held} {asset} on {domain}, needs {amount}")
+    balances = dict(state.balances)
+    if (held - amount).units == 0:
+        del balances[key]
+    else:
+        balances[key] = held - amount
+    return WorldState(state.registry, balances, state.pools, state.consumed)
+
+
+def _ref_with_pool(state, pool_id, pool):
+    pools = dict(state.pools)
+    pools[pool_id] = pool
+    return WorldState(state.registry, state.balances, pools, state.consumed)
+
+
+def _ref_stylized(state, pool_id):
+    pool = state.pool(pool_id)
+    if not isinstance(pool, StylizedMidpointPool):
+        raise UnknownPool(f"pool {pool_id!r} is not a stylized pool")
+    return pool
+
+
+def _ref_swap(state, player, pool_id, direction, amount_in):
+    pool = state.pool(pool_id)
+    if not isinstance(pool, ConstantProductPool):
+        raise UnknownPool(f"pool {pool_id!r} is not a constant-product pool")
+    out = quote_swap(pool, direction, amount_in)
+    if direction == "x_to_y":
+        asset_in, asset_out = pool.asset_x, pool.asset_y
+        new_pool = replace(pool, reserve_x=pool.reserve_x + amount_in,
+                           reserve_y=pool.reserve_y - out)
+    else:
+        asset_in, asset_out = pool.asset_y, pool.asset_x
+        new_pool = replace(pool, reserve_y=pool.reserve_y + amount_in,
+                           reserve_x=pool.reserve_x - out)
+    state = _ref_debit(state, pool.domain, player, asset_in, amount_in)
+    state = _ref_credit(state, pool.domain, player, asset_out, out)
+    return _ref_with_pool(state, pool_id, new_pool)
+
+
+def _ref_fill(state, player, pool_id, direction, amount_in):
+    pool = _ref_stylized(state, pool_id)
+    if amount_in.units <= 0:
+        raise InvalidAmount(f"fill amount must be positive, got {amount_in}")
+    if direction == "x_to_y":
+        asset_in, asset_out, out = pool.asset_x, pool.asset_y, amount_in * pool.price
+    elif direction == "y_to_x":
+        asset_in, asset_out, out = pool.asset_y, pool.asset_x, amount_in / pool.price
+    else:
+        raise InvalidAmount(f"unknown swap direction {direction!r}")
+    if out.units <= 0:
+        raise InsufficientLiquidity(f"pool {pool_id}: fill output rounds to zero")
+    state = _ref_debit(state, pool.domain, player, asset_in, amount_in)
+    return _ref_credit(state, pool.domain, player, asset_out, out)
+
+
+def _ref_stylized_arb(state, player, spec):
+    pool_a, pool_b = state.pool(spec.pool_a), state.pool(spec.pool_b)
+    for pool in (pool_a, pool_b):
+        if not isinstance(pool, StylizedMidpointPool):
+            raise UnknownPool(f"pool {pool.id!r} is not a stylized pool")
+    if pool_a.price == pool_b.price:
+        raise PricesEqual(f"{spec.pool_a} and {spec.pool_b} both quote {pool_a.price}")
+    midpoint = (pool_a.price + pool_b.price) / Amount(2)
+    state = _ref_with_pool(state, spec.pool_a, replace(pool_a, price=midpoint))
+    state = _ref_with_pool(state, spec.pool_b, replace(pool_b, price=midpoint))
+    return _ref_credit(state, spec.profit_domain, player, spec.profit_asset, spec.declared_profit)
+
+
+def _ref_pending(state, tx):
+    if tx.id in state.consumed:
+        raise AlreadyConsumed(f"pending tx {tx.id!r} already executed")
+    effect = tx.effect
+    if isinstance(effect, PricePushEffect):
+        pool = _ref_stylized(state, effect.pool_id)
+        state = _ref_with_pool(state, effect.pool_id, replace(pool, price=effect.to_price))
+    elif isinstance(effect, CpSwapEffect):
+        state = _ref_swap(state, effect.account, effect.pool_id, effect.direction,
+                          effect.amount_in)
+    elif isinstance(effect, TransferEffect):
+        state = _ref_debit(state, effect.domain, effect.from_account, effect.asset, effect.amount)
+        state = _ref_credit(state, effect.domain, effect.to_account, effect.asset, effect.amount)
+    else:
+        pool = _ref_stylized(state, effect.pool_id)
+        if pool.price != effect.from_price:
+            raise PriceMismatch(
+                f"leg {tx.id!r} expects {effect.pool_id} at {effect.from_price}, "
+                f"pool quotes {pool.price}"
+            )
+        state = _ref_with_pool(state, effect.pool_id, replace(pool, price=effect.to_price))
+        opp = effect.opportunity
+        if set(opp.leg_ids) - {tx.id} <= state.consumed:
+            state = _ref_credit(state, opp.profit_domain, opp.beneficiary, opp.profit_asset,
+                                opp.declared_profit)
+    return WorldState(state.registry, state.balances, state.pools, state.consumed | {tx.id})
+
+
+def _ref_bridge(state, player, bridge, quantity):
+    if quantity.units <= 0:
+        raise InvalidAmount(f"bridge quantity must be positive, got {quantity}")
+    arriving = bridge_output(bridge, quantity)
+    if arriving.units < 0:
+        raise FeeExceedsOutput(
+            f"bridge {bridge.id}: fee {bridge.flat_fee} exceeds converted {quantity}"
+        )
+    state = _ref_debit(state, bridge.from_domain, player, bridge.from_asset, quantity)
+    return _ref_credit(state, bridge.to_domain, player, bridge.to_asset, arriving)
+
+
+def _ref_apply(state, player, action, amount):
+    """``apply_action``'s venue dispatch on the reference chain; parametric
+    amounts must already lie in the action's interval."""
+    if not action.parametric:
+        amount = resolve_amount(state, player, action)
+    if action.kind == "ExecutePendingTx":
+        return _ref_pending(state, action.tx)
+    if action.kind == "StylizedArb":
+        return _ref_stylized_arb(state, player, action.arb)
+    if action.kind == "Bridge":
+        return _ref_bridge(state, player, action.bridge, amount)
+    if isinstance(state.pool(action.pool_id), ConstantProductPool):
+        return _ref_swap(state, player, action.pool_id, action.direction, amount)
+    return _ref_fill(state, player, action.pool_id, action.direction, amount)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except XdmevError as exc:
+        return type(exc), str(exc)
+
+
+def edge_doc() -> dict:
+    """Every pending effect kind, a self-transfer, a zero transfer, a transfer
+    and a sweep that empty a balance, and a tx that fails once another ran."""
+    doc = one_domain_doc()
+    doc["players"][0]["balances"] = [{"domain": "d0", "asset": "GLD", "amount": "10"}]
+    doc["players"].append({"id": "whale", "capabilities": [],
+                           "balances": [{"domain": "d0", "asset": "AAA", "amount": "5"}]})
+    doc["pools"] = [
+        {"id": "cp", "type": "constant_product", "domain": "d0", "asset_x": "AAA",
+         "asset_y": "GLD", "reserve_x": "100", "reserve_y": "200", "fee_bps": 30},
+        {"id": "m0", "type": "stylized_midpoint", "domain": "d0", "asset_x": "AAA",
+         "asset_y": "GLD", "price": "10"},
+    ]
+
+    def transfer(tx_id, to, amount):
+        return {"id": tx_id, "domain": "d0",
+                "effect": {"type": "transfer", "from_account": "whale", "to_account": to,
+                           "asset": "AAA", "amount": amount}}
+
+    doc["mempool"] = [
+        transfer("self", "whale", "2"),
+        transfer("drain", "P", "5"),
+        transfer("zero", "P", "0"),
+        {"id": "whale_swap", "domain": "d0",
+         "effect": {"type": "cp_swap", "pool": "cp", "direction": "x_to_y",
+                    "amount_in": "5", "account": "whale"}},
+        {"id": "push", "domain": "d0",
+         "effect": {"type": "price_push", "pool": "m0", "to_price": "11"}},
+    ]
+    doc["actions"] = [
+        {"id": "sweep", "player": "P", "kind": "Swap", "pool": "cp",
+         "direction": "y_to_x", "amount": "all"},
+        {"id": "buy", "player": "P", "kind": "Swap", "pool": "cp",
+         "direction": "y_to_x", "amount": {"interval": ["0", "10"]}},
+        {"id": "fill", "player": "P", "kind": "Swap", "pool": "m0",
+         "direction": "x_to_y", "amount": {"fixed": "1"}},
+    ]
+    return doc
+
+
+SCENARIOS = (*BUNDLED_NAMES, "edge_doc")
+
+
+def _scenario(name):
+    return scen(edge_doc()) if name == "edge_doc" else load_bundled(name)
+
+
+def _trials(state, player, action):
+    """Amounts to try: None for a discrete action, else positive in-interval probes."""
+    if not action.parametric:
+        return [None]
+    lo, hi = action.interval.lo.units, action.interval.hi.units
+    probes = {max(lo, 1), (lo + hi) // 2, hi, max_feasible_amount(state, player, action).units}
+    return [Amount.from_units(u) for u in sorted(probes) if max(lo, 1) <= u <= hi]
+
+
+def _starts(sc, player):
+    """The initial state and every state one valid action away."""
+    initial = sc.initial_state()
+    states = [initial]
+    for action in sc.space.for_player(player):
+        for amount in _trials(initial, player, action):
+            nxt = _outcome(apply_action, initial, player, action, amount)
+            if isinstance(nxt, WorldState):
+                states.append(nxt)
+    return states
+
+
+class TestFusedUpdateMatchesSingleSteps:
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_every_action_from_initial_and_one_step_on(self, name):
+        sc = _scenario(name)
+        player = sc.defaults.player
+        outcomes = set()
+        for start in _starts(sc, player):
+            for action in sc.space.for_player(player):
+                for amount in _trials(start, player, action):
+                    fused = _outcome(apply_action, start, player, action, amount)
+                    ref = _outcome(_ref_apply, start, player, action, amount)
+                    assert fused == ref, (action.id, amount)
+                    if isinstance(fused, WorldState):
+                        assert hash(fused) == hash(ref)
+                        assert all(v.units != 0 for v in fused.balances.values())
+                    outcomes.add(type(fused) if isinstance(fused, WorldState) else fused[0])
+        assert WorldState in outcomes
+
+    def test_edge_doc_covers_its_cases(self):
+        sc = scen(edge_doc())
+        s0 = sc.initial_state()
+        act = {a.id: a for a in sc.space.for_player("P")}
+        drained = apply_action(s0, "P", act["drain"])
+        assert ("d0", "whale", "AAA") not in drained.balances
+        swept = apply_action(s0, "P", act["sweep"])
+        assert ("d0", "P", "GLD") not in swept.balances
+        assert apply_action(s0, "P", act["self"]).balances == s0.balances
+        with pytest.raises(AlreadyConsumed):
+            apply_action(drained, "P", act["drain"])
+        with pytest.raises(InsufficientBalance):
+            apply_action(drained, "P", act["whale_swap"])
+
+    @pytest.mark.parametrize("sign", [DEBIT, CREDIT])
+    @pytest.mark.parametrize("amount", ["-1", "0", "0.5", "1", "1.5"])
+    def test_single_moves(self, sign, amount):
+        state = state_with([cp()], {("dex", "P", "DAI"): Amount("1")})
+        ref = _ref_debit if sign == DEBIT else _ref_credit
+        move = (sign, "dex", "P", "DAI", Amount(amount))
+        fused = _outcome(state.update, (move,))
+        assert fused == _outcome(ref, state, *move[1:])
+        if isinstance(fused, WorldState):
+            assert all(v.units != 0 for v in fused.balances.values())
+
+
+class TestOneStatePerApplication:
+    def test_each_kind_builds_exactly_one_state(self, monkeypatch):
+        cases = [
+            (start, sc.defaults.player, action, amount)
+            for sc in map(_scenario, SCENARIOS)
+            for start in _starts(sc, sc.defaults.player)
+            for action in sc.space.for_player(sc.defaults.player)
+            for amount in _trials(start, sc.defaults.player, action)
+        ]
+        built = []
+        init = WorldState.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(WorldState, "__init__", counting_init)
+        covered = set()
+        for start, player, action, amount in cases:
+            built.clear()
+            try:
+                apply_action(start, player, action, amount)
+            except XdmevError:
+                assert built == [], action.id
+                continue
+            assert len(built) == 1, action.id
+            kind = action.kind
+            if kind == KIND_SWAP:
+                kind += ":" + type(start.pool(action.pool_id)).__name__
+            covered.add(kind)
+        assert covered == {
+            "Bridge", "ExecutePendingTx", "StylizedArb",
+            "Swap:ConstantProductPool", "Swap:StylizedMidpointPool",
+        }
