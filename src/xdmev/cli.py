@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .actions import KIND_ARB, KIND_BRIDGE, KIND_PENDING, KIND_SWAP, apply_action, resolve_amount
 from .collusion import classify_collusion
-from .engine import MevQuery, mev, mev_oracle
+from .engine import MevQuery, _usable_actions, mev, mev_oracle
 from .errors import ExplosionGuard, ValidationError, XdmevError
 from .fixedpoint import Amount
 from .scenario import BUNDLED_NAMES, Scenario, bundled_path, load_path
@@ -120,21 +120,21 @@ def _signed(amount: Amount) -> str:
     return f"+{text}" if amount.units > 0 else text
 
 
-def _witness_steps(scenario: Scenario, query: MevQuery, state, witness) -> list[dict]:
+def _witness_steps(scenario: Scenario, player: str, state, witness) -> list[dict]:
     steps = []
     current = state
     for index, (action_id, amount) in enumerate(witness, start=1):
-        action = scenario.space.lookup(query.player, action_id)
+        action = scenario.space.lookup(player, action_id)
         resolved = amount
         if resolved is None and action.kind in (KIND_SWAP, KIND_BRIDGE):
-            resolved = resolve_amount(current, query.player, action)
-        nxt = apply_action(current, query.player, action, amount)
+            resolved = resolve_amount(current, player, action)
+        nxt = apply_action(current, player, action, amount)
         deltas: dict[str, dict[str, str]] = {}
         touched = set(current.balances) | set(nxt.balances)
-        for domain, player, asset in sorted(touched):
-            if player != query.player:
+        for domain, owner, asset in sorted(touched):
+            if owner != player:
                 continue
-            diff = nxt.balance(domain, player, asset) - current.balance(domain, player, asset)
+            diff = nxt.balance(domain, owner, asset) - current.balance(domain, owner, asset)
             if diff.units:
                 deltas.setdefault(domain, {})[asset] = _signed(diff)
         steps.append(
@@ -200,7 +200,7 @@ def cmd_mev(args) -> int:
     query = _build_query(scenario, args)
     state = scenario.initial_state()
     result = mev(scenario.space, state, query)
-    steps = _witness_steps(scenario, query, state, result.witness)
+    steps = _witness_steps(scenario, query.player, state, result.witness)
     report = {
         "command": "mev",
         "query": _query_echo(args, query),
@@ -236,9 +236,10 @@ def cmd_collusion(args) -> int:
     domains = _csv(args.domains) if args.domains else scenario.defaults.value_domains
     alpha = scenario.defaults.alpha if args.alpha is None else _parse_alpha(args.alpha)
     max_len = scenario.defaults.max_sequence_length if args.max_len is None else args.max_len
+    state = scenario.initial_state()
     report_obj = classify_collusion(
         scenario.space,
-        scenario.initial_state(),
+        state,
         player,
         tuple(domains),
         alpha,
@@ -247,13 +248,7 @@ def cmd_collusion(args) -> int:
         scenario.defaults.base_asset,
         max_len,
     )
-    state = scenario.initial_state()
-    joint_steps = _witness_steps(
-        scenario,
-        scenario.default_query(player=player, action_domains=domains, value_domains=domains),
-        state,
-        report_obj.joint_result.witness,
-    )
+    joint_steps = _witness_steps(scenario, player, state, report_obj.joint_result.witness)
     report = {
         "command": "collusion",
         "query": {
@@ -300,10 +295,8 @@ def cmd_oracle_check(args) -> int:
     state = scenario.initial_state()
     engine_result = mev(scenario.space, state, query)
     oracle_result = mev_oracle(scenario.space, state, query, grid_points=args.grid_points)
-    space_actions = [
-        a for a in scenario.space.for_player(query.player) if a.domains <= query.action_domains
-    ]
-    has_parametric = any(a.parametric for a in space_actions)
+    usable = _usable_actions(scenario.space, query.player, query.action_domains)
+    has_parametric = any(a.parametric for a in usable)
     tolerance = ORACLE_TOLERANCE if has_parametric else Amount(0)
     difference = engine_result.value - oracle_result.value
     agree = abs(difference) <= tolerance
@@ -323,8 +316,8 @@ def cmd_oracle_check(args) -> int:
             "agree": agree,
             "engine_explored": engine_result.explored,
             "oracle_explored": oracle_result.explored,
-            "engine_witness": _witness_steps(scenario, query, state, engine_result.witness),
-            "oracle_witness": _witness_steps(scenario, query, state, oracle_result.witness),
+            "engine_witness": _witness_steps(scenario, query.player, state, engine_result.witness),
+            "oracle_witness": _witness_steps(scenario, query.player, state, oracle_result.witness),
             "note": grid_note,
         },
     }

@@ -2,20 +2,24 @@
 
 ``mev`` maximizes the priced sum of per-domain balance changes over every
 valid action sequence (distinct ids, bounded length), optimizing
-continuous trade sizes by golden-section at the leaves. ``mev_oracle`` is
-the independent cross-check: plain enumeration with amounts discretized
-on an even grid, sharing nothing with the search but the state semantics.
+continuous trade sizes by golden-section at the leaves; the one probe
+schedule, ``_golden_section``, also serves ``optimal_cp_arbitrage``.
+``mev_oracle`` is the independent cross-check: plain enumeration with
+amounts discretized on an even grid, sharing nothing with the search but
+the state semantics.
 
 Everything here is a pure function over immutable values; the only
 mutable machinery (a work counter and the search memo) lives inside one
-call, so concurrent queries need no coordination.
+call, so concurrent queries need no coordination. The searches are plain
+functions, methods and generators with no self-referencing closure, so a
+query leaves no reference cycle and its states are freed when it returns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .actions import (
     Action,
@@ -179,107 +183,49 @@ def _usable_actions(
 # -- exhaustive search -------------------------------------------------------
 
 
-def _evaluate_shape(
-    initial: WorldState,
-    query: MevQuery,
-    shape: tuple[Action, ...],
-    start: WorldState,
-) -> Optional[_Candidate]:
-    """Best candidate realizing this exact ordered action list from
-    ``start``, or None; values are priced against ``initial``.
+def _golden_section(lo_u: int, hi_u: int, score: Callable[[int], Optional[int]]) -> None:
+    """Probe integer amounts in ``[lo_u, hi_u]`` by golden-section on ``score``.
 
-    Discrete slots apply directly; parametric slots run a golden-section
-    over the affordable part of their interval, each probe evaluating the
-    optimized suffix. Probe positions travel as floats, but every probe is
-    applied and valued in exact fixed point, so the returned candidate is
-    exactly replayable.
+    Both ends are probed first; past two integers, float positions are
+    rounded and clamped into the range until the bracket is at most
+    ``max((hi - lo) * 1e-12, 1)``. A None score (an invalid probe) ranks
+    below every value. Each integer is scored once; the caller keeps its
+    own best probe.
     """
-    player = query.player
+    scores: dict[int, Optional[int]] = {}
 
-    def go(idx: int, state: WorldState) -> Optional[_Candidate]:
-        if idx == len(shape):
-            return priced_balance_delta(query, initial, state), ()
-        action = shape[idx]
-        if not action.parametric:
-            try:
-                nxt = apply_action(state, player, action, None)
-            except XdmevError:
-                return None
-            rest = go(idx + 1, nxt)
-            if rest is None:
-                return None
-            return rest[0], (action.step,) + rest[1]
+    def probe(x: float) -> Optional[int]:
+        units = min(max(round(x), lo_u), hi_u)
+        if units not in scores:
+            scores[units] = score(units)
+        return scores[units]
 
-        interval = action.interval
-        lo_u = max(interval.lo.units, 1)
-        hi_u = max_feasible_amount(state, player, action).units
-        if hi_u < lo_u:
-            return None
-
-        memo: dict[int, Optional[_Candidate]] = {}
-
-        def eval_units(units: int) -> Optional[_Candidate]:
-            cached = memo.get(units, False)
-            if cached is not False:
-                return cached
-            amount = Amount.from_units(units)
-            try:
-                nxt = apply_action(state, player, action, amount)
-            except XdmevError:
-                memo[units] = None
-                return None
-            rest = go(idx + 1, nxt)
-            if rest is None:
-                memo[units] = None
-                return None
-            out = (rest[0], ((action.id, amount),) + rest[1])
-            memo[units] = out
-            return out
-
-        best: Optional[_Candidate] = None
-
-        def consider(units: int) -> Optional[int]:
-            nonlocal best
-            res = eval_units(units)
-            if res is None:
-                return None
-            if best is None or _candidate_better(res, best):
-                best = res
-            return res[0].units
-
-        def clamp(x: float) -> int:
-            return min(max(int(round(x)), lo_u), hi_u)
-
-        consider(lo_u)
-        consider(hi_u)
-        if hi_u - lo_u <= 1:
-            return best
-
-        lo_f, hi_f = float(lo_u), float(hi_u)
-        tol = max((hi_f - lo_f) * 1e-12, 1.0)
-        c = hi_f - (hi_f - lo_f) * _INV_PHI
-        d = lo_f + (hi_f - lo_f) * _INV_PHI
-        fc = consider(clamp(c))
-        fd = consider(clamp(d))
-        while (hi_f - lo_f) > tol:
-            # None scores as -inf: the probe was an invalid application
-            left = fc is not None and (fd is None or fc > fd)
-            if left:
-                hi_f, d, fd = d, c, fc
-                c = hi_f - (hi_f - lo_f) * _INV_PHI
-                fc = consider(clamp(c))
-            else:
-                lo_f, c, fc = c, d, fd
-                d = lo_f + (hi_f - lo_f) * _INV_PHI
-                fd = consider(clamp(d))
-        return best
-
-    return go(0, start)
+    probe(lo_u)
+    probe(hi_u)
+    if hi_u - lo_u <= 1:
+        return
+    lo_f, hi_f = float(lo_u), float(hi_u)
+    tol = max((hi_f - lo_f) * 1e-12, 1.0)
+    c = hi_f - (hi_f - lo_f) * _INV_PHI
+    d = lo_f + (hi_f - lo_f) * _INV_PHI
+    fc = probe(c)
+    fd = probe(d)
+    while (hi_f - lo_f) > tol:
+        if fc is not None and (fd is None or fc > fd):
+            hi_f, d, fd = d, c, fc
+            c = hi_f - (hi_f - lo_f) * _INV_PHI
+            fc = probe(c)
+        else:
+            lo_f, c, fc = c, d, fd
+            d = lo_f + (hi_f - lo_f) * _INV_PHI
+            fd = probe(d)
 
 
 class _Search:
     """One ``mev`` call's search. Plain methods instead of recursive
-    closures, so no reference cycle keeps the memo alive after the call."""
+    closures, so no reference cycle keeps the memo alive after the call:
+    ``best_suffix`` solves discrete prefixes, ``best_shape`` enumerates the
+    shapes a parametric action starts, ``realize`` sizes one shape."""
 
     __slots__ = ("initial", "query", "actions", "counter", "memo")
 
@@ -322,12 +268,53 @@ class _Search:
         """Best of ``shape`` and its extensions, all evaluated from ``start``;
         an invalid shape is not extended."""
         self.counter.bump()
-        best = _evaluate_shape(self.initial, self.query, shape, start)
+        best = self.realize(shape, 0, start)
         if best is None or len(used) >= self.query.max_sequence_length:
             return best
         for nxt in self.actions:
             if nxt.id not in used:
                 best = _merge(best, self.best_shape(start, shape + (nxt,), used | {nxt.id}))
+        return best
+
+    def realize(
+        self, shape: tuple[Action, ...], idx: int, state: WorldState
+    ) -> Optional[_Candidate]:
+        """Best candidate applying exactly ``shape[idx:]`` from ``state``, or
+        None; values are priced against the query's initial state.
+
+        A discrete slot applies once. A parametric slot runs
+        ``_golden_section`` over the affordable part of its interval, each
+        probe applied in exact fixed point and scored by the optimized rest
+        of the shape, so the returned candidate is exactly replayable.
+        """
+        if idx == len(shape):
+            return priced_balance_delta(self.query, self.initial, state), ()
+        player, action = self.query.player, shape[idx]
+        best: Optional[_Candidate] = None
+
+        def score(units: Optional[int]) -> Optional[int]:
+            nonlocal best
+            amount = None if units is None else Amount.from_units(units)
+            try:
+                nxt = apply_action(state, player, action, amount)
+            except XdmevError:
+                return None
+            rest = self.realize(shape, idx + 1, nxt)
+            if rest is None:
+                return None
+            step = action.step if amount is None else (action.id, amount)
+            candidate = (rest[0], (step,) + rest[1])
+            if best is None or _candidate_better(candidate, best):
+                best = candidate
+            return rest[0].units
+
+        if not action.parametric:
+            score(None)
+        else:
+            lo_u = max(action.interval.lo.units, 1)
+            hi_u = max_feasible_amount(state, player, action).units
+            if hi_u >= lo_u:
+                _golden_section(lo_u, hi_u, score)
         return best
 
 
@@ -342,7 +329,7 @@ def mev(space: ActionSpaceSpec, state: WorldState, query: MevQuery) -> MevResult
     final state, and with the prefix fixed the tie-break order on whole
     sequences is the same order on suffixes. A discrete action applies once
     to its parent's state. A parametric action starts a branch of ordered
-    shapes, each optimized by ``_evaluate_shape`` from the branch's start
+    shapes, each optimized by ``_Search.realize`` from the branch's start
     and extended only while it stays valid.
     """
     _validate_query(state, query)
@@ -413,24 +400,28 @@ def _grid_sequences(
         (action, grid_amounts(action.interval, grid_points) if action.parametric else (None,))
         for action in actions
     )
+    return _grid_walk(choices, start, (), frozenset(), player, max_len, counter)
 
-    def walk(current: WorldState, steps: tuple[SequenceStep, ...], used: frozenset[str]):
-        if len(steps) >= max_len:
-            return
-        for action, amounts in choices:
-            if action.id in used:
+
+def _grid_walk(choices, current, steps, used, player, max_len, counter):
+    """``_grid_sequences`` below the prefix ``steps`` (ids ``used``) that
+    reached ``current``; ``choices`` pairs each action with its amounts."""
+    if len(steps) >= max_len:
+        return
+    for action, amounts in choices:
+        if action.id in used:
+            continue
+        for amount in amounts:
+            counter.bump()
+            try:
+                nxt = apply_action(current, player, action, amount)
+            except XdmevError:
                 continue
-            for amount in amounts:
-                counter.bump()
-                try:
-                    nxt = apply_action(current, player, action, amount)
-                except XdmevError:
-                    continue
-                seq = steps + ((action.id, amount),)
-                yield nxt, seq
-                yield from walk(nxt, seq, used | {action.id})
-
-    return walk(start, (), frozenset())
+            seq = steps + ((action.id, amount),)
+            yield nxt, seq
+            yield from _grid_walk(
+                choices, nxt, seq, used | {action.id}, player, max_len, counter
+            )
 
 
 def mev_oracle(
@@ -517,8 +508,9 @@ def optimal_cp_arbitrage(
     """Input size maximizing buy-cheap/sell-dear profit across two pools.
 
     Zero-fee pairs use the closed form (integer square root, exact
-    neighbor check); anything with fees falls back to golden-section over
-    [0, hi], hi being the buy pool's input-side reserve.
+    neighbor check). A pair with fees runs ``mev``'s golden-section
+    schedule over [1, hi], hi being the buy pool's input-side reserve, and
+    keeps the highest profit, then the smallest amount.
     """
     if (pool_b.asset_x, pool_b.asset_y) == (pool_a.asset_x, pool_a.asset_y):
         b_rx, b_ry = pool_b.reserve_x.units, pool_b.reserve_y.units
@@ -546,56 +538,29 @@ def optimal_cp_arbitrage(
         dear_rx, dear_ry, dear_fee = a_rx, a_ry, pool_a.fee_bps
         buy_pool, sell_pool = pool_b, pool_a
 
-    def profit_at(units: int) -> int:
-        return _kernels.round_trip_profit(
+    best_amount = best_profit = 0
+
+    def score(units: int) -> int:
+        """Round-trip profit at ``units``; keeps the highest, then the smallest amount."""
+        nonlocal best_amount, best_profit
+        profit = _kernels.round_trip_profit(
             cheap_ry, cheap_rx, dear_rx, dear_ry, cheap_fee, dear_fee, units
         )
+        if profit > best_profit or (profit == best_profit and units < best_amount):
+            best_profit = profit
+            best_amount = units
+        return profit
 
-    best_amount = 0
-    best_profit = 0
     if cheap_fee == 0 and dear_fee == 0:
         k1 = dear_ry * cheap_rx
         k2 = dear_rx * cheap_ry
         k3 = dear_rx + cheap_rx
         center = (math.isqrt(k1 * k2) - k2) // k3
         for units in (center - 1, center, center + 1):
-            if units <= 0:
-                continue
-            profit = profit_at(units)
-            if profit > best_profit:
-                best_profit = profit
-                best_amount = units
+            if units > 0:
+                score(units)
     else:
-        hi_u = cheap_ry
-        lo_f, hi_f = 1.0, float(hi_u)
-        tol = max(hi_f * 1e-12, 1.0)
-
-        def consider(units: int) -> int:
-            nonlocal best_amount, best_profit
-            units = min(max(units, 1), hi_u)
-            profit = profit_at(units)
-            if profit > best_profit or (
-                profit == best_profit and 0 < units < best_amount
-            ):
-                best_profit = profit
-                best_amount = units
-            return profit
-
-        consider(1)
-        consider(hi_u)
-        c = hi_f - (hi_f - lo_f) * _INV_PHI
-        d = lo_f + (hi_f - lo_f) * _INV_PHI
-        fc = consider(int(round(c)))
-        fd = consider(int(round(d)))
-        while (hi_f - lo_f) > tol:
-            if fc > fd:
-                hi_f, d, fd = d, c, fc
-                c = hi_f - (hi_f - lo_f) * _INV_PHI
-                fc = consider(int(round(c)))
-            else:
-                lo_f, c, fc = c, d, fd
-                d = lo_f + (hi_f - lo_f) * _INV_PHI
-                fd = consider(int(round(d)))
+        _golden_section(1, cheap_ry, score)
 
     if best_amount <= 0 or best_profit <= 0:
         raise NoOpportunity(

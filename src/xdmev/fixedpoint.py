@@ -41,11 +41,11 @@ class Amount:
 
     def __init__(self, value: "Amount | str | int" = 0):
         if isinstance(value, Amount):
-            object.__setattr__(self, "units", value.units)
+            self.units = value.units
         elif isinstance(value, int):
-            object.__setattr__(self, "units", value * SCALE)
+            self.units = value * SCALE
         elif isinstance(value, str):
-            object.__setattr__(self, "units", _parse_units(value))
+            self.units = _parse_units(value)
         else:
             raise TypeError(f"cannot build Amount from {type(value).__name__}")
 
@@ -54,7 +54,7 @@ class Amount:
         if not isinstance(units, int):
             raise TypeError("units must be int")
         amt = object.__new__(cls)
-        object.__setattr__(amt, "units", units)
+        amt.units = units
         return amt
 
     # -- arithmetic ---------------------------------------------------

@@ -171,6 +171,8 @@ def test_criterion_8_cli_determinism():
         for _ in range(3):
             proc = subprocess.run(
                 [sys.executable, "-m", "xdmev.cli", *argv], capture_output=True)
+            assert proc.returncode == 0, f"{argv[0]} exited {proc.returncode}: {proc.stderr!r}"
+            assert proc.stdout, f"{argv[0]} wrote nothing to stdout"
             outputs.add((proc.returncode, proc.stdout))
         assert len(outputs) == 1, f"{argv[0]} output varied across runs"
     _report(8, "all four commands byte-identical across 3 repeated runs")

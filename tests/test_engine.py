@@ -1,12 +1,14 @@
 """Value definitions, the exhaustive search, and its brute-force oracle."""
 
 import gc
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import one_domain_doc, scen
-from xdmev._kernels import grid_scan
+from xdmev._kernels import grid_scan, round_trip_profit
 from xdmev.engine import (
     MevQuery,
     extractable_value,
@@ -21,6 +23,7 @@ from xdmev.engine import (
 from xdmev.actions import AmountInterval, apply_sequence
 from xdmev.errors import ExplosionGuard, NoOpportunity
 from xdmev.fixedpoint import SCALE, Amount
+from xdmev.scenario import BUNDLED_NAMES
 from xdmev.venues import ConstantProductPool
 
 MICRO = Amount("0.000001")
@@ -210,6 +213,43 @@ class TestMevCrossTwo:
         assert result.value == Amount("0") and result.witness == ()
 
 
+def reference_fee_search(cheap_ry, cheap_rx, dear_rx, dear_ry, cheap_fee, dear_fee):
+    """(amount, profit) of ``optimal_cp_arbitrage``'s own golden-section loop,
+    as it ran for pairs with fees before it shared ``mev``'s schedule."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    best_amount = best_profit = 0
+    hi_u = cheap_ry
+    lo_f, hi_f = 1.0, float(hi_u)
+    tol = max(hi_f * 1e-12, 1.0)
+
+    def consider(units):
+        nonlocal best_amount, best_profit
+        units = min(max(units, 1), hi_u)
+        profit = round_trip_profit(
+            cheap_ry, cheap_rx, dear_rx, dear_ry, cheap_fee, dear_fee, units)
+        if profit > best_profit or (profit == best_profit and 0 < units < best_amount):
+            best_profit = profit
+            best_amount = units
+        return profit
+
+    consider(1)
+    consider(hi_u)
+    c = hi_f - (hi_f - lo_f) * inv_phi
+    d = lo_f + (hi_f - lo_f) * inv_phi
+    fc = consider(int(round(c)))
+    fd = consider(int(round(d)))
+    while (hi_f - lo_f) > tol:
+        if fc > fd:
+            hi_f, d, fd = d, c, fc
+            c = hi_f - (hi_f - lo_f) * inv_phi
+            fc = consider(int(round(c)))
+        else:
+            lo_f, c, fc = c, d, fd
+            d = lo_f + (hi_f - lo_f) * inv_phi
+            fd = consider(int(round(d)))
+    return best_amount, best_profit
+
+
 class TestOptimalCpArbitrage:
     def pools(self, ry_b="3000", fee_a=0, fee_b=0):
         a = ConstantProductPool(
@@ -269,6 +309,45 @@ class TestOptimalCpArbitrage:
             30, 30, 0, 2000 * SCALE, 1_000_000,
         )
         assert abs(plan.profit.units - grid_profit) <= max(plan.profit.units * 1e-6, 10)
+
+    def test_fee_pairs_match_the_reference_loop(self):
+        rng = random.Random(20261018)
+        fees = (0, 1, 5, 30, 100)
+        checked = 0
+        for i in range(2000):
+            if i % 4 == 0:  # where the old and new stopping widths differ
+                reserves = [rng.randrange(10**12, 2**53) for _ in range(4)]
+            else:
+                reserves = [rng.randrange(1, 10 ** rng.randint(1, 30) + 1) for _ in range(4)]
+            a_rx, a_ry, b_rx, b_ry = reserves
+            fee_a, fee_b = rng.choice(fees), rng.choice(fees[1:])
+            if i % 2:
+                fee_a, fee_b = fee_b, fee_a
+            a = ConstantProductPool(
+                id="pool_a", domain="dex", asset_x="ETH", asset_y="DAI",
+                reserve_x=Amount.from_units(a_rx), reserve_y=Amount.from_units(a_ry),
+                fee_bps=fee_a)
+            b = ConstantProductPool(
+                id="pool_b", domain="dex", asset_x="ETH", asset_y="DAI",
+                reserve_x=Amount.from_units(b_rx), reserve_y=Amount.from_units(b_ry),
+                fee_bps=fee_b)
+            if a_ry * b_rx < b_ry * a_rx:
+                expected = reference_fee_search(a_ry, a_rx, b_rx, b_ry, fee_a, fee_b)
+                pools = ("pool_a", "pool_b")
+            elif a_ry * b_rx > b_ry * a_rx:
+                expected = reference_fee_search(b_ry, b_rx, a_rx, a_ry, fee_b, fee_a)
+                pools = ("pool_b", "pool_a")
+            else:
+                expected, pools = (0, 0), None
+            if expected[0] <= 0 or expected[1] <= 0:
+                with pytest.raises(NoOpportunity):
+                    optimal_cp_arbitrage(a, b)
+                continue
+            plan = optimal_cp_arbitrage(a, b)
+            assert (plan.amount.units, plan.profit.units) == expected, reserves
+            assert (plan.buy_pool, plan.sell_pool) == pools
+            checked += 1
+        assert checked > 1000
 
     def test_mismatched_pair_rejected(self):
         a, _ = self.pools()
@@ -366,6 +445,28 @@ class TestQueryMechanics:
         gc.disable()
         try:
             mev(scenario.space, state, scenario.default_query())
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("call", ("mev", "mev_oracle", "reachable_states"))
+    @pytest.mark.parametrize("name", BUNDLED_NAMES)
+    def test_no_query_leaves_a_reference_cycle(self, bundled, name, call):
+        # a cycle keeps the query's memo or grids allocated until the cyclic
+        # collector runs
+        scenario = bundled(name)
+        state = scenario.initial_state()
+        query = scenario.default_query()
+        gc.collect()
+        gc.disable()
+        try:
+            if call == "mev":
+                mev(scenario.space, state, query)
+            elif call == "mev_oracle":
+                mev_oracle(scenario.space, state, query, grid_points=11)
+            else:
+                reachable_states(
+                    scenario.space, state, query.player, query.action_domains, 2)
             assert gc.collect() == 0
         finally:
             gc.enable()
