@@ -146,15 +146,17 @@ def apply_action(
     state: WorldState, player: str, action: Action, amount: Optional[Amount] = None
 ) -> WorldState:
     """Apply one action; ``amount`` is required iff the action is parametric."""
-    if action.parametric:
+    interval = action.interval
+    if interval is not None:
         if amount is None:
             raise InvalidAmount(f"action {action.id!r} requires an amount")
-        if amount < action.interval.lo or amount > action.interval.hi:
+        units = amount.units
+        if units < interval.lo.units or units > interval.hi.units:
             raise InvalidAmount(
                 f"action {action.id!r}: amount {amount} outside "
-                f"[{action.interval.lo}, {action.interval.hi}]"
+                f"[{interval.lo}, {interval.hi}]"
             )
-        if amount.units <= 0:
+        if units <= 0:
             raise InvalidAmount(f"action {action.id!r}: amount must be positive")
     else:
         if amount is not None:

@@ -14,11 +14,16 @@ search nodes ``mev`` expanded: memo misses on (state, used action ids),
 the initial state included, plus parametric shape evaluations. The
 query's ``candidate_cap`` bounds that count; exceeding it exits 3.
 ``oracle_explored`` counts the oracle's candidate sequences instead.
+
+``main`` builds its argument parser on its first call and reuses it for
+every later call in the same process, so in-process callers pay for the
+parser tree once; ``build_parser`` still returns a fresh parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -387,9 +392,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first ``main`` call, not at import, so start-up stays cheap
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except ExplosionGuard as exc:

@@ -302,11 +302,14 @@ class _Search:
             rest = self.realize(shape, idx + 1, nxt)
             if rest is None:
                 return None
-            step = action.step if amount is None else (action.id, amount)
-            candidate = (rest[0], (step,) + rest[1])
-            if best is None or _candidate_better(candidate, best):
-                best = candidate
-            return rest[0].units
+            value, tail = rest
+            # a lower value loses the tie-break outright; build no candidate for it
+            if best is None or value.units >= best[0].units:
+                step = action.step if amount is None else (action.id, amount)
+                candidate = (value, (step,) + tail)
+                if best is None or _candidate_better(candidate, best):
+                    best = candidate
+            return value.units
 
         if not action.parametric:
             score(None)
@@ -444,9 +447,10 @@ def mev_oracle(
     counter.bump()  # the empty sequence
     best: _Candidate = (ZERO, ())
     for final, steps in sequences:
-        candidate = (priced_balance_delta(query, state, final), steps)
-        if _candidate_better(candidate, best):
-            best = candidate
+        value = priced_balance_delta(query, state, final)
+        # as in ``_Search.realize``: a lower value cannot win the tie-break
+        if value.units >= best[0].units and _candidate_better((value, steps), best):
+            best = (value, steps)
     return MevResult(
         value=best[0],
         witness=best[1],

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dataclass_field
-from importlib import resources
 from pathlib import Path
 from typing import Mapping, Optional
 
@@ -826,10 +825,14 @@ BUNDLED_NAMES = (
 )
 
 
+# resolved once; the scenarios are plain files beside this module
+_BUNDLED_DIR = Path(__file__).parent / "scenarios"
+
+
 def bundled_path(name: str) -> Path:
     if name not in BUNDLED_NAMES:
         raise ParseError(f"no bundled scenario named {name!r}")
-    return Path(str(resources.files("xdmev") / "scenarios" / f"{name}.json"))
+    return _BUNDLED_DIR / f"{name}.json"
 
 
 def load_bundled(name: str) -> Scenario:

@@ -57,6 +57,22 @@ class ConstantProductPool:
             return self.reserve_y, self.reserve_x
         raise InvalidAmount(f"unknown swap direction {direction!r}")
 
+    def _with_reserves(self, reserve_x_units: int, reserve_y_units: int) -> "ConstantProductPool":
+        """This pool with new reserves, without running ``__init__`` again.
+
+        Only the reserves change, so only their positivity is checked again;
+        a new field or invariant on this class must be carried over here.
+        """
+        if reserve_x_units <= 0 or reserve_y_units <= 0:
+            raise XdmevError(f"pool {self.id}: reserves must be strictly positive")
+        moved = object.__new__(ConstantProductPool)
+        moved.__dict__.update(
+            self.__dict__,
+            reserve_x=Amount.from_units(reserve_x_units),
+            reserve_y=Amount.from_units(reserve_y_units),
+        )
+        return moved
+
 
 @dataclass(frozen=True)
 class StylizedMidpointPool:
@@ -168,8 +184,8 @@ class PendingTx:
 _Effects = tuple[tuple[BalanceMove, ...], tuple[tuple[str, object], ...]]
 
 
-def quote_swap(pool: ConstantProductPool, direction: str, amount_in: Amount) -> Amount:
-    """Pure quote: output for ``amount_in``, pool untouched, rounded down."""
+def _quote_units(pool: ConstantProductPool, direction: str, amount_in: Amount) -> int:
+    """Output units of a swap, rounded down; ``quote_swap``'s checks and errors."""
     if amount_in.units <= 0:
         raise InvalidAmount(f"swap amount must be positive, got {amount_in}")
     reserve_in, reserve_out = pool.reserves(direction)
@@ -180,7 +196,12 @@ def quote_swap(pool: ConstantProductPool, direction: str, amount_in: Amount) -> 
         raise InsufficientLiquidity(
             f"pool {pool.id}: input {amount_in} buys no output"
         )
-    return Amount.from_units(out_units)
+    return out_units
+
+
+def quote_swap(pool: ConstantProductPool, direction: str, amount_in: Amount) -> Amount:
+    """Pure quote: output for ``amount_in``, pool untouched, rounded down."""
+    return Amount.from_units(_quote_units(pool, direction, amount_in))
 
 
 def _swap_effects(
@@ -190,23 +211,19 @@ def _swap_effects(
     pool = state.pool(pool_id)
     if not isinstance(pool, ConstantProductPool):
         raise UnknownPool(f"pool {pool_id!r} is not a constant-product pool")
-    out = quote_swap(pool, direction, amount_in)
+    out = _quote_units(pool, direction, amount_in)
     rx, ry = pool.reserve_x.units, pool.reserve_y.units
     if direction == X_TO_Y:
         asset_in, asset_out = pool.asset_x, pool.asset_y
-        rx, ry = rx + amount_in.units, ry - out.units
+        rx, ry = rx + amount_in.units, ry - out
     else:
         asset_in, asset_out = pool.asset_y, pool.asset_x
-        rx, ry = rx - out.units, ry + amount_in.units
-    new_pool = ConstantProductPool(
-        pool.id, pool.domain, pool.asset_x, pool.asset_y,
-        Amount.from_units(rx), Amount.from_units(ry), pool.fee_bps,
-    )
+        rx, ry = rx - out, ry + amount_in.units
     moves = (
         (DEBIT, pool.domain, player, asset_in, amount_in),
-        (CREDIT, pool.domain, player, asset_out, out),
+        (CREDIT, pool.domain, player, asset_out, Amount.from_units(out)),
     )
-    return moves, ((pool_id, new_pool),)
+    return moves, ((pool_id, pool._with_reserves(rx, ry)),)
 
 
 def apply_swap(

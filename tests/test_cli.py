@@ -248,3 +248,33 @@ class TestDeterminism:
             assert proc.stdout
             outputs.append((proc.returncode, proc.stdout))
         assert outputs[0] == outputs[1] == outputs[2]
+
+
+class TestParserReuse:
+    """``main`` reuses one parser per process; no option outlives its call."""
+
+    SEQUENCE = (
+        ("mev", "--scenario", "cp_arbitrage_small", "--max-len", "1", "--format", "json"),
+        ("mev", "--scenario", "cp_arbitrage_small", "--format", "json"),
+        ("collusion", "--scenario", "figure1_bridge", "--alpha", "5"),
+        ("mev", "--scenario", "section3_2amm", "--max-len", "x"),
+        ("oracle-check", "--scenario", "section3_2amm"),
+    )
+
+    def test_back_to_back_calls_match_fresh_processes(self, capsys):
+        for argv in self.SEQUENCE:
+            if "x" in argv:
+                with pytest.raises(SystemExit) as info:
+                    cli.main(list(argv))
+                code = info.value.code
+                assert code == 2
+            else:
+                code = cli.main(list(argv))
+            out = capsys.readouterr().out
+            fresh = subprocess.run(
+                [sys.executable, "-m", "xdmev.cli", *argv], capture_output=True, text=True
+            )
+            assert (code, out) == (fresh.returncode, fresh.stdout), argv
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()

@@ -471,6 +471,29 @@ class TestQueryMechanics:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("name", BUNDLED_NAMES)
+    def test_grid_walker_applies_through_the_engine_binding(self, bundled, name, monkeypatch):
+        # the benchmark counts the oracle's applications by wrapping this
+        # binding; a walker that bypasses it drops them from every count
+        from xdmev import engine
+
+        calls = []
+        apply = engine.apply_action
+
+        def counting_apply(*args, **kwargs):
+            calls.append(args[2].id)
+            return apply(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "apply_action", counting_apply)
+        scenario = bundled(name)
+        state = scenario.initial_state()
+        query = scenario.default_query()
+        result = mev_oracle(scenario.space, state, query, grid_points=11)
+        assert len(calls) == result.explored - 1
+        calls.clear()
+        states = reachable_states(scenario.space, state, query.player, query.action_domains, 2)
+        assert len(calls) >= len(states) - 1
+
     def test_reachable_states_guard(self, bundled):
         scenario = bundled("appendix_b_4amm")
         state = scenario.initial_state()

@@ -160,6 +160,43 @@ class TestApplySwap:
         assert s2.pool("other") == s.pool("other")
         assert s2.balance("dex", "whale", "DAI") == Amount("9")
 
+    def test_moved_pool_equals_and_hashes_as_a_built_one(self):
+        s = state_with([cp()], {("dex", "P", "ETH"): Amount("100")})
+        moved = apply_swap(s, "P", "pool", "x_to_y", Amount("100")).pool("pool")
+        built = cp(rx="200", ry="1000")
+        assert type(moved) is ConstantProductPool
+        assert moved == built and hash(moved) == hash(built)
+
+
+DUST_POOLS = {
+    "x_to_y": cp(rx="1000000", ry="0.000000000000000005"),
+    "y_to_x": cp(rx="0.000000000000000005", ry="1000000"),
+}
+
+
+class TestApplySwapErrorsMatchQuote:
+    """``apply_swap`` rejects a swap with ``quote_swap``'s exception type,
+    message and check order (amount before direction)."""
+
+    @pytest.mark.parametrize(
+        "pool, direction, amount",
+        [
+            *[(cp(), d, a) for d in ("x_to_y", "y_to_x") for a in ("0", "-1")],
+            (cp(), "sideways", "1"),
+            (cp(), "sideways", "0"),
+            *[(pool, d, "0.000000000000000001") for d, pool in DUST_POOLS.items()],
+        ],
+        ids=["x_zero", "x_negative", "y_zero", "y_negative", "unknown_direction",
+             "unknown_direction_zero", "x_dust", "y_dust"],
+    )
+    def test_same_error_as_quote(self, pool, direction, amount):
+        s = state_with([pool], {("dex", "P", "ETH"): Amount("5"), ("dex", "P", "DAI"): Amount("5")})
+        expected = _outcome(quote_swap, pool, direction, Amount(amount))
+        assert isinstance(expected, tuple)
+        assert _outcome(apply_swap, s, "P", "pool", direction, Amount(amount)) == expected
+        if (direction, amount) == ("sideways", "0"):
+            assert expected == (InvalidAmount, "swap amount must be positive, got 0")
+
 
 class TestStylizedFill:
     def test_fill_at_price_both_directions(self):
