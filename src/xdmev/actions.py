@@ -114,15 +114,15 @@ class ActionSpaceSpec:
 # -- single-action application ------------------------------------------------
 
 
-def _input_balance(state: WorldState, player: str, action: Action) -> Optional[Amount]:
-    """What the player holds of the asset a swap or bridge spends; None for other kinds."""
+def _input_units(state: WorldState, player: str, action: Action) -> Optional[int]:
+    """Units the player holds of the asset a swap or bridge spends; None for other kinds."""
     if action.kind == KIND_SWAP:
         pool = state.pool(action.pool_id)
         asset = pool.asset_x if action.direction == X_TO_Y else pool.asset_y
-        return state.balance(pool.domain, player, asset)
+        return state.balances.get((pool.domain, player, asset), 0)
     if action.kind == KIND_BRIDGE:
         bridge = action.bridge
-        return state.balance(bridge.from_domain, player, bridge.from_asset)
+        return state.balances.get((bridge.from_domain, player, bridge.from_asset), 0)
     return None
 
 
@@ -133,12 +133,12 @@ def resolve_amount(state: WorldState, player: str, action: Action) -> Optional[A
     if action.amount is not None:
         return action.amount
     if action.sweep:
-        held = _input_balance(state, player, action)
+        held = _input_units(state, player, action)
         if held is None:
             raise InvalidAmount(f"action {action.id!r}: sweep needs a swap or bridge")
-        if held.units <= 0:
+        if held <= 0:
             raise InvalidAmount(f"action {action.id!r}: nothing to sweep")
-        return held
+        return Amount.from_units(held)
     return None
 
 
@@ -181,8 +181,9 @@ def apply_action(
 
 def max_feasible_amount(state: WorldState, player: str, action: Action) -> Amount:
     """Largest in-interval amount the player can afford right now."""
-    held = _input_balance(state, player, action)
-    return action.interval.hi if held is None else min(action.interval.hi, held)
+    hi = action.interval.hi
+    held = _input_units(state, player, action)
+    return hi if held is None or held >= hi.units else Amount.from_units(held)
 
 
 # -- availability ----------------------------------------------------------------

@@ -62,7 +62,8 @@ class MevResult:
 
     ``explored`` counts the search's work: for ``mev``, nodes expanded
     (memo misses plus parametric shape evaluations); for ``mev_oracle``,
-    the empty sequence plus every grid application tried.
+    1 for the empty sequence plus every grid application tried, failed
+    ones included.
     """
 
     value: Amount
@@ -125,7 +126,7 @@ def priced_balance_delta(query: MevQuery, initial: WorldState, final: WorldState
     for domain in query.value_domains:
         asset = registry.native_asset(domain)
         key = (domain, player, asset)
-        delta = after.get(key, ZERO).units - before.get(key, ZERO).units
+        delta = after.get(key, 0) - before.get(key, 0)
         if delta:
             if asset != base:
                 rate = prices.rate(asset, base)
@@ -403,14 +404,17 @@ def _grid_sequences(
         (action, grid_amounts(action.interval, grid_points) if action.parametric else (None,))
         for action in actions
     )
+    if max_len < 1:
+        return iter(())
     return _grid_walk(choices, start, (), frozenset(), player, max_len, counter)
 
 
 def _grid_walk(choices, current, steps, used, player, max_len, counter):
     """``_grid_sequences`` below the prefix ``steps`` (ids ``used``) that
-    reached ``current``; ``choices`` pairs each action with its amounts."""
-    if len(steps) >= max_len:
-        return
+    reached ``current``, shorter than ``max_len``; ``choices`` pairs each
+    action with its amounts. A sequence of length ``max_len`` starts no walk
+    below it."""
+    deeper = len(steps) + 1 < max_len
     for action, amounts in choices:
         if action.id in used:
             continue
@@ -422,9 +426,10 @@ def _grid_walk(choices, current, steps, used, player, max_len, counter):
                 continue
             seq = steps + ((action.id, amount),)
             yield nxt, seq
-            yield from _grid_walk(
-                choices, nxt, seq, used | {action.id}, player, max_len, counter
-            )
+            if deeper:
+                yield from _grid_walk(
+                    choices, nxt, seq, used | {action.id}, player, max_len, counter
+                )
 
 
 def mev_oracle(

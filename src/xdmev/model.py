@@ -1,9 +1,11 @@
 """World state, identifiers, players, and the cross-domain pricing function.
 
 The world is monolithic: one balance map keyed by (domain, player, asset)
-covers every domain, and pool states live beside it. ``WorldState`` is a
-value — applying anything yields a new state, prior states stay intact,
-and states are hashable so reachable-state sets deduplicate naturally.
+covers every domain, and pool states live beside it. Balances are held as
+plain int fixed-point units (``Amount.units``); the reads hand out
+``Amount``s. ``WorldState`` is a value — applying anything yields a new
+state, prior states stay intact, and states are hashable so
+reachable-state sets deduplicate naturally.
 """
 
 from __future__ import annotations
@@ -66,14 +68,18 @@ BalanceKey = tuple[str, str, str]  # (domain, player, asset)
 
 DEBIT = -1
 CREDIT = 1
-BalanceMove = tuple[int, str, str, str, Amount]  # (DEBIT or CREDIT, domain, player, asset, amount)
+BalanceMove = tuple[int, str, str, str, int]  # (DEBIT or CREDIT, domain, player, asset, units)
 
 
 class WorldState:
     """Immutable snapshot of balances, pool states, and consumed actions.
 
-    Zero balances are never stored, so states that differ only by
-    explicit zeros compare equal. All updaters return fresh states.
+    ``balances`` maps (domain, player, asset) to nonzero int units; zero
+    balances are never stored, so states that differ only by explicit
+    zeros compare equal. A state owns the dicts it is built from: the
+    constructor neither copies nor filters them, so a caller hands over
+    maps it will not change again, with no zero balance in them. All
+    updaters return fresh states.
     """
 
     __slots__ = ("registry", "balances", "pools", "consumed", "_key")
@@ -81,20 +87,21 @@ class WorldState:
     def __init__(
         self,
         registry: Registry,
-        balances: Mapping[BalanceKey, Amount],
-        pools: Mapping[str, object],
+        balances: dict[BalanceKey, int],
+        pools: dict[str, object],
         consumed: frozenset[str] = frozenset(),
     ):
         self.registry = registry
-        self.balances = {k: v for k, v in balances.items() if v.units != 0}
-        self.pools = dict(pools)
+        self.balances = balances
+        self.pools = pools
         self.consumed = consumed
         self._key = None
 
     # -- reads ---------------------------------------------------------
 
     def balance(self, domain: str, player: str, asset: str) -> Amount:
-        return self.balances.get((domain, player, asset), ZERO)
+        units = self.balances.get((domain, player, asset))
+        return ZERO if units is None else Amount.from_units(units)
 
     def pool(self, pool_id: str):
         try:
@@ -113,32 +120,36 @@ class WorldState:
         """One new state: ``moves`` applied in order, then ``pools``
         replaced, then ``consumed`` marked executed.
 
-        A move is ``(DEBIT or CREDIT, domain, player, asset, amount)``. It
-        checks what ``debit`` and ``credit`` check, in the same order and
-        with the same errors; a zero amount moves nothing, and a balance
-        that reaches zero is dropped. Nothing is built when a check fails.
+        A move is ``(DEBIT or CREDIT, domain, player, asset, units)``. A
+        negative amount or a debit past the balance raises
+        ``InsufficientBalance``, checked in move order; a zero amount moves
+        nothing, and a balance that reaches zero is dropped. Nothing is
+        built when a check fails. Each changed map is copied once, and the
+        new state owns the copy; an unchanged map is shared with this state.
         """
         balances = self.balances
         if moves:
             balances = dict(balances)
-            for sign, domain, player, asset, amount in moves:
-                units = amount.units
+            for sign, domain, player, asset, units in moves:
                 if units < 0:
                     verb = "debit" if sign == DEBIT else "credit"
-                    raise InsufficientBalance(f"cannot {verb} negative amount {amount}")
+                    raise InsufficientBalance(
+                        f"cannot {verb} negative amount {Amount.from_units(units)}"
+                    )
                 if units == 0:
                     continue
                 key = (domain, player, asset)
-                held = balances.get(key, ZERO)
+                held = balances.get(key, 0)
                 if sign == DEBIT:
-                    if held.units < units:
+                    if held < units:
                         raise InsufficientBalance(
-                            f"{player} holds {held} {asset} on {domain}, needs {amount}"
+                            f"{player} holds {Amount.from_units(held)} {asset} on {domain}, "
+                            f"needs {Amount.from_units(units)}"
                         )
                     units = -units
-                units += held.units
+                units += held
                 if units:
-                    balances[key] = Amount.from_units(units)
+                    balances[key] = units
                 else:
                     del balances[key]
         if pools:
@@ -149,16 +160,24 @@ class WorldState:
         consumed = self.consumed if consumed is None else self.consumed | {consumed}
         return WorldState(self.registry, balances, pools, consumed)
 
+    # Single-step forms of ``update``, kept as named entry points (the
+    # benchmark's tracer wraps them by name). Each converts its ``Amount``
+    # argument to units and builds one state through ``update``.
+
     def credit(self, domain: str, player: str, asset: str, amount: Amount) -> "WorldState":
-        return self.update(((CREDIT, domain, player, asset, amount),))
+        """``update`` with one credit of ``amount`` (converted to units)."""
+        return self.update(((CREDIT, domain, player, asset, amount.units),))
 
     def debit(self, domain: str, player: str, asset: str, amount: Amount) -> "WorldState":
-        return self.update(((DEBIT, domain, player, asset, amount),))
+        """``update`` with one debit of ``amount`` (converted to units)."""
+        return self.update(((DEBIT, domain, player, asset, amount.units),))
 
     def with_pool(self, pool_id: str, pool) -> "WorldState":
+        """``update`` replacing one pool."""
         return self.update(pools=((pool_id, pool),))
 
     def consume(self, action_id: str) -> "WorldState":
+        """``update`` marking one action executed."""
         return self.update(consumed=action_id)
 
     # -- value semantics -------------------------------------------------
@@ -166,7 +185,7 @@ class WorldState:
     def _canonical_key(self):
         if self._key is None:
             self._key = (
-                tuple(sorted((k, v.units) for k, v in self.balances.items())),
+                tuple(sorted(self.balances.items())),
                 tuple(sorted(self.pools.items(), key=lambda item: item[0])),
                 tuple(sorted(self.consumed)),
             )

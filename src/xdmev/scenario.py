@@ -120,12 +120,14 @@ class Scenario:
         self.space = _build_space(self)
 
     def initial_state(self) -> WorldState:
-        balances = {}
+        """A fresh state owning fresh maps: declared balances summed per
+        key as int units, zero sums dropped."""
+        balances: dict[tuple[str, str, str], int] = {}
         for player in self.players:
             for bal in player.balances:
                 key = (bal.domain, player.id, bal.asset)
-                existing = balances.get(key)
-                balances[key] = bal.amount if existing is None else existing + bal.amount
+                balances[key] = balances.get(key, 0) + bal.amount.units
+        balances = {key: units for key, units in balances.items() if units}
         pools = {pool.id: pool for pool in self.pools}
         return WorldState(self.registry, balances, pools)
 

@@ -220,8 +220,8 @@ def _swap_effects(
         asset_in, asset_out = pool.asset_y, pool.asset_x
         rx, ry = rx - out, ry + amount_in.units
     moves = (
-        (DEBIT, pool.domain, player, asset_in, amount_in),
-        (CREDIT, pool.domain, player, asset_out, Amount.from_units(out)),
+        (DEBIT, pool.domain, player, asset_in, amount_in.units),
+        (CREDIT, pool.domain, player, asset_out, out),
     )
     return moves, ((pool_id, pool._with_reserves(rx, ry)),)
 
@@ -262,8 +262,8 @@ def apply_stylized_fill(
     if out.units <= 0:
         raise InsufficientLiquidity(f"pool {pool_id}: fill output rounds to zero")
     return state.update((
-        (DEBIT, pool.domain, player, asset_in, amount_in),
-        (CREDIT, pool.domain, player, asset_out, out),
+        (DEBIT, pool.domain, player, asset_in, amount_in.units),
+        (CREDIT, pool.domain, player, asset_out, out.units),
     ))
 
 
@@ -283,7 +283,7 @@ def apply_stylized_arb(state: WorldState, player: str, spec: StylizedArbSpec) ->
         )
     midpoint = (pool_a.price + pool_b.price) / Amount(2)
     return state.update(
-        ((CREDIT, spec.profit_domain, player, spec.profit_asset, spec.declared_profit),),
+        ((CREDIT, spec.profit_domain, player, spec.profit_asset, spec.declared_profit.units),),
         ((spec.pool_a, _repriced(pool_a, midpoint)), (spec.pool_b, _repriced(pool_b, midpoint))),
     )
 
@@ -306,8 +306,8 @@ def apply_pending_tx(state: WorldState, tx: PendingTx) -> WorldState:
         )
     elif isinstance(effect, TransferEffect):
         moves = (
-            (DEBIT, effect.domain, effect.from_account, effect.asset, effect.amount),
-            (CREDIT, effect.domain, effect.to_account, effect.asset, effect.amount),
+            (DEBIT, effect.domain, effect.from_account, effect.asset, effect.amount.units),
+            (CREDIT, effect.domain, effect.to_account, effect.asset, effect.amount.units),
         )
     elif isinstance(effect, ArbLegEffect):
         moves, pools = _arb_leg_effects(state, tx.id, effect)
@@ -328,8 +328,8 @@ def _arb_leg_effects(
     opp = effect.opportunity
     moves = ()
     if set(opp.leg_ids) - {tx_id} <= state.consumed:
-        profit = (CREDIT, opp.profit_domain, opp.beneficiary, opp.profit_asset, opp.declared_profit)
-        moves = (profit,)
+        profit = opp.declared_profit.units
+        moves = ((CREDIT, opp.profit_domain, opp.beneficiary, opp.profit_asset, profit),)
     return moves, ((effect.pool_id, _repriced(pool, effect.to_price)),)
 
 
@@ -354,6 +354,6 @@ def apply_bridge(
             f"bridge {bridge.id}: fee {bridge.flat_fee} exceeds converted {quantity}"
         )
     return state.update((
-        (DEBIT, bridge.from_domain, player, bridge.from_asset, quantity),
-        (CREDIT, bridge.to_domain, player, bridge.to_asset, arriving),
+        (DEBIT, bridge.from_domain, player, bridge.from_asset, quantity.units),
+        (CREDIT, bridge.to_domain, player, bridge.to_asset, arriving.units),
     ))

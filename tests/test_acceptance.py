@@ -134,7 +134,7 @@ def test_criterion_7_constant_product_checks(bundled):
         id="pool", domain="dex", asset_x="ETH", asset_y="DAI",
         reserve_x=Amount("100"), reserve_y=Amount("2000"), fee_bps=0)
     for amount in ("0.000000000000000123", "1", "7.5", "99.999999"):
-        state = WorldState(registry, {("dex", "P", "ETH"): Amount("100")}, {"pool": pool})
+        state = WorldState(registry, {("dex", "P", "ETH"): Amount("100").units}, {"pool": pool})
         after = apply_swap(state, "P", "pool", "x_to_y", Amount(amount)).pool("pool")
         drift = after.reserve_x.units * after.reserve_y.units - pool.reserve_x.units * pool.reserve_y.units
         assert 0 <= drift < after.reserve_x.units, amount

@@ -18,11 +18,21 @@ WRAPPED_COUNTERS = (
 
 
 # seed-1 counts of one traced oracle_grid round; a swap that goes around
-# the wrapped kernel, or builds an extra state, changes them
+# the wrapped kernel, or builds an extra state or an extra Amount, changes them
 ORACLE_GRID_SEED1_COUNTS = {
     "actions.apply_calls": 48_618,
     "kernels.swap_out_calls": 48_600,
     "model.worldstate_new": 48_609,
+    "fixedpoint.amount_new": 193_809,
+}
+
+# seed-1 counts of one traced tips round (pending transfers, no parametric
+# action): one Amount per priced node, none per balance move
+TIPS_SEED1_COUNTS = {
+    "engine.explored": 448,
+    "actions.apply_calls": 1_440,
+    "model.worldstate_new": 1_446,
+    "fixedpoint.amount_new": 448,
 }
 
 
@@ -44,7 +54,15 @@ def test_traced_bundled_round_answers_and_counts_every_layer():
         assert metrics[name]["value"] > 0, name
 
 
-def test_traced_oracle_grid_round_keeps_its_counts():
-    metrics = traced_round("oracle_grid")
-    for name, count in ORACLE_GRID_SEED1_COUNTS.items():
+def assert_counts(workload: str, counts: dict) -> None:
+    metrics = traced_round(workload)
+    for name, count in counts.items():
         assert metrics[name]["value"] == count, name
+
+
+def test_traced_oracle_grid_round_keeps_its_counts():
+    assert_counts("oracle_grid", ORACLE_GRID_SEED1_COUNTS)
+
+
+def test_traced_tips_round_keeps_its_counts():
+    assert_counts("tips", TIPS_SEED1_COUNTS)

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import one_domain_doc, scen
 from xdmev.actions import KIND_SWAP, apply_action, max_feasible_amount, resolve_amount
+from xdmev.engine import mev_oracle
 from xdmev.errors import (
     AlreadyConsumed,
     FeeExceedsOutput,
@@ -56,13 +57,16 @@ def mid(pool_id, price, domain="i"):
 
 
 def state_with(pools, balances=None):
+    """A state holding ``pools`` and ``balances``, a map of nonzero ``Amount``s
+    that the state stores as int units."""
     registry = Registry(
         native_assets={"dex": "DAI", "i": "ETH", "j": "ETH"},
         players=frozenset({"P", "whale"}),
         assets=frozenset({"ETH", "DAI"}),
         pool_ids=frozenset(p.id for p in pools),
     )
-    return WorldState(registry, balances or {}, {p.id: p for p in pools})
+    units = {key: amount.units for key, amount in (balances or {}).items()}
+    return WorldState(registry, units, {p.id: p for p in pools})
 
 
 class TestQuoteSwap:
@@ -356,7 +360,7 @@ def _ref_credit(state, domain, player, asset, amount):
         return state
     balances = dict(state.balances)
     key = (domain, player, asset)
-    balances[key] = state.balance(*key) + amount
+    balances[key] = (state.balance(*key) + amount).units
     return WorldState(state.registry, balances, state.pools, state.consumed)
 
 
@@ -373,7 +377,7 @@ def _ref_debit(state, domain, player, asset, amount):
     if (held - amount).units == 0:
         del balances[key]
     else:
-        balances[key] = held - amount
+        balances[key] = (held - amount).units
     return WorldState(state.registry, balances, state.pools, state.consumed)
 
 
@@ -568,6 +572,11 @@ def _starts(sc, player):
     return states
 
 
+def _assert_int_balances(state):
+    """Every stored balance is a nonzero int."""
+    assert all(type(v) is int and v != 0 for v in state.balances.values()), state.balances
+
+
 class TestFusedUpdateMatchesSingleSteps:
     @pytest.mark.parametrize("name", SCENARIOS)
     def test_every_action_from_initial_and_one_step_on(self, name):
@@ -582,7 +591,7 @@ class TestFusedUpdateMatchesSingleSteps:
                     assert fused == ref, (action.id, amount)
                     if isinstance(fused, WorldState):
                         assert hash(fused) == hash(ref)
-                        assert all(v.units != 0 for v in fused.balances.values())
+                        _assert_int_balances(fused)
                     outcomes.add(type(fused) if isinstance(fused, WorldState) else fused[0])
         assert WorldState in outcomes
 
@@ -605,11 +614,11 @@ class TestFusedUpdateMatchesSingleSteps:
     def test_single_moves(self, sign, amount):
         state = state_with([cp()], {("dex", "P", "DAI"): Amount("1")})
         ref = _ref_debit if sign == DEBIT else _ref_credit
-        move = (sign, "dex", "P", "DAI", Amount(amount))
+        move = (sign, "dex", "P", "DAI", Amount(amount).units)
         fused = _outcome(state.update, (move,))
-        assert fused == _outcome(ref, state, *move[1:])
+        assert fused == _outcome(ref, state, *move[1:4], Amount(amount))
         if isinstance(fused, WorldState):
-            assert all(v.units != 0 for v in fused.balances.values())
+            _assert_int_balances(fused)
 
 
 class TestOneStatePerApplication:
@@ -646,3 +655,41 @@ class TestOneStatePerApplication:
             "Bridge", "ExecutePendingTx", "StylizedArb",
             "Swap:ConstantProductPool", "Swap:StylizedMidpointPool",
         }
+
+
+# -- states own their maps ----------------------------------------------------
+#
+# ``WorldState.__init__`` keeps the dicts it is given, and ``update`` shares
+# every map it does not change with the parent. Nothing may write into a map
+# once a state holds it.
+
+
+def _snapshot(state):
+    """Copies of a state's maps, and the hash of a state rebuilt from them
+    (the state's own hash is cached, so it cannot show a later write)."""
+    balances, pools = dict(state.balances), dict(state.pools)
+    rebuilt = WorldState(state.registry, dict(balances), dict(pools), state.consumed)
+    return balances, pools, state.consumed, hash(rebuilt)
+
+
+class TestStatesOwnTheirMaps:
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_applications_and_oracle_leave_parents_unchanged(self, name):
+        sc = _scenario(name)
+        player = sc.defaults.player
+        starts = _starts(sc, player)
+        before = [_snapshot(start) for start in starts]
+        applied = 0
+        for start, snapshot in zip(starts, before):
+            _assert_int_balances(start)
+            for action in sc.space.for_player(player):
+                for amount in _trials(start, player, action):
+                    nxt = _outcome(apply_action, start, player, action, amount)
+                    if isinstance(nxt, WorldState):
+                        applied += 1
+                        _assert_int_balances(nxt)
+                    assert _snapshot(start) == snapshot, (action.id, amount)
+        assert applied > 0
+        initial = starts[0]
+        mev_oracle(sc.space, initial, sc.default_query(), grid_points=5)
+        assert [_snapshot(start) for start in starts] == before
