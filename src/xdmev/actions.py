@@ -5,6 +5,7 @@ and cross-domain rebalances carry a domain pair). Sequences never repeat
 an action id; pending transactions additionally mark the state's consumed
 set. Amounts come in three modes: fixed, parametric over a closed
 interval, or "all" (sweep the full input balance at execution time).
+Below a sequence step ``(id, Amount)``, amounts are int units (see ``model``).
 """
 
 from __future__ import annotations
@@ -126,37 +127,36 @@ def _input_units(state: WorldState, player: str, action: Action) -> Optional[int
     return None
 
 
-def resolve_amount(state: WorldState, player: str, action: Action) -> Optional[Amount]:
-    """Concrete amount for non-parametric actions (None when kind takes none)."""
+def resolve_amount(state: WorldState, player: str, action: Action) -> Optional[int]:
+    """Concrete amount units for non-parametric actions (None when kind takes none)."""
     if action.parametric:
         raise InvalidAmount(f"action {action.id!r} requires an explicit amount")
     if action.amount is not None:
-        return action.amount
+        return action.amount.units
     if action.sweep:
         held = _input_units(state, player, action)
         if held is None:
             raise InvalidAmount(f"action {action.id!r}: sweep needs a swap or bridge")
         if held <= 0:
             raise InvalidAmount(f"action {action.id!r}: nothing to sweep")
-        return Amount.from_units(held)
+        return held
     return None
 
 
 def apply_action(
-    state: WorldState, player: str, action: Action, amount: Optional[Amount] = None
+    state: WorldState, player: str, action: Action, amount: Optional[int] = None
 ) -> WorldState:
-    """Apply one action; ``amount`` is required iff the action is parametric."""
+    """Apply one action; ``amount`` (units) is required iff the action is parametric."""
     interval = action.interval
     if interval is not None:
         if amount is None:
             raise InvalidAmount(f"action {action.id!r} requires an amount")
-        units = amount.units
-        if units < interval.lo.units or units > interval.hi.units:
+        if amount < interval.lo.units or amount > interval.hi.units:
             raise InvalidAmount(
-                f"action {action.id!r}: amount {amount} outside "
+                f"action {action.id!r}: amount {Amount.from_units(amount)} outside "
                 f"[{interval.lo}, {interval.hi}]"
             )
-        if units <= 0:
+        if amount <= 0:
             raise InvalidAmount(f"action {action.id!r}: amount must be positive")
     else:
         if amount is not None:
@@ -179,11 +179,11 @@ def apply_action(
     raise XdmevError(f"action {action.id!r}: unknown kind {action.kind!r}")
 
 
-def max_feasible_amount(state: WorldState, player: str, action: Action) -> Amount:
-    """Largest in-interval amount the player can afford right now."""
-    hi = action.interval.hi
+def max_feasible_amount(state: WorldState, player: str, action: Action) -> int:
+    """Units of the largest in-interval amount the player can afford right now."""
+    hi = action.interval.hi.units
     held = _input_units(state, player, action)
-    return hi if held is None or held >= hi.units else Amount.from_units(held)
+    return hi if held is None or held >= hi else held
 
 
 # -- availability ----------------------------------------------------------------
@@ -214,13 +214,9 @@ def available_actions(
 
 def _single_application_works(state: WorldState, player: str, action: Action) -> bool:
     try:
-        if action.parametric:
-            trial = max_feasible_amount(state, player, action)
-            if trial < action.interval.lo or trial.units <= 0:
-                return False
-            apply_action(state, player, action, trial)
-        else:
-            apply_action(state, player, action, None)
+        trial = max_feasible_amount(state, player, action) if action.parametric else None
+        # ``apply_action`` rejects a trial below the interval or not positive
+        apply_action(state, player, action, trial)
     except XdmevError:
         return False
     return True
@@ -245,28 +241,13 @@ def validate_sequence(
     state: WorldState,
     seq: Sequence[SequenceStep],
 ) -> Optional[SequenceViolation]:
-    """None when the sequence is valid, else the first violation."""
+    """None when the sequence is valid, else ``apply_sequence``'s failing step."""
     state.registry.require_player(player)
     domains = frozenset(state.registry.require_domain(d) for d in domains)
-    seen: set[str] = set()
-    current = state
-    for index, (action_id, amount) in enumerate(seq):
-        if action_id in seen:
-            return SequenceViolation(index, action_id, "action id repeated")
-        seen.add(action_id)
-        try:
-            action = space.lookup(player, action_id)
-        except UnknownId as exc:
-            return SequenceViolation(index, action_id, str(exc))
-        if not action.domains <= domains:
-            missing = ", ".join(sorted(action.domains - domains))
-            return SequenceViolation(
-                index, action_id, f"requires domains outside the active set: {missing}"
-            )
-        try:
-            current = apply_action(current, player, action, amount)
-        except XdmevError as exc:
-            return SequenceViolation(index, action_id, str(exc))
+    try:
+        apply_sequence(space, state, player, seq, domains)
+    except SequenceStepError as exc:
+        return SequenceViolation(exc.index, exc.action_id, str(exc.cause))
     return None
 
 
@@ -275,17 +256,23 @@ def apply_sequence(
     state: WorldState,
     player: str,
     seq: Sequence[SequenceStep],
+    domains: Optional[frozenset[str]] = None,
 ) -> WorldState:
-    """Left-to-right fold; the first failing action raises with its index."""
+    """Left-to-right fold; each step is checked for a repeated id, looked up, checked
+    against ``domains`` when given, then applied; a failure raises ``SequenceStepError``."""
     seen: set[str] = set()
     current = state
     for index, (action_id, amount) in enumerate(seq):
-        action = space.lookup(player, action_id)
-        if action_id in seen:
-            raise SequenceStepError(index, action_id, InvalidAmount("action id repeated"))
-        seen.add(action_id)
         try:
-            current = apply_action(current, player, action, amount)
+            if action_id in seen:
+                raise InvalidAmount("action id repeated")
+            seen.add(action_id)
+            action = space.lookup(player, action_id)
+            if domains is not None and not action.domains <= domains:
+                missing = ", ".join(sorted(action.domains - domains))
+                raise XdmevError(f"requires domains outside the active set: {missing}")
+            units = None if amount is None else amount.units
+            current = apply_action(current, player, action, units)
         except XdmevError as exc:
             raise SequenceStepError(index, action_id, exc) from exc
     return current

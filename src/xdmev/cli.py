@@ -70,10 +70,12 @@ def _parse_alpha(text: str) -> Amount:
         raise ValidationError("--alpha", str(exc)) from None
 
 
-def _csv(text: str) -> tuple[str, ...]:
+def _csv(text: str | None, flag: str) -> tuple[str, ...] | None:
+    if not text:
+        return None
     parts = tuple(p.strip() for p in text.split(",") if p.strip())
     if not parts:
-        raise ValidationError("--domains", f"expected a csv of domain ids, got {text!r}")
+        raise ValidationError(flag, f"expected a csv of domain ids, got {text!r}")
     return parts
 
 
@@ -83,8 +85,8 @@ def _build_query(scenario: Scenario, args) -> MevQuery:
         base_domain, base_asset = _parse_base(args.base)
     return scenario.default_query(
         player=args.player,
-        action_domains=_csv(args.action_domains) if args.action_domains else None,
-        value_domains=_csv(args.value_domains) if args.value_domains else None,
+        action_domains=_csv(args.action_domains, "--action-domains"),
+        value_domains=_csv(args.value_domains, "--value-domains"),
         base_domain=base_domain,
         base_asset=base_asset,
         max_len=args.max_len,
@@ -122,28 +124,24 @@ def _action_params(scenario: Scenario, action) -> str:
     return action.kind
 
 
-def _signed(amount: Amount) -> str:
-    text = str(amount)
-    return f"+{text}" if amount.units > 0 else text
-
-
 def _witness_steps(scenario: Scenario, player: str, state, witness) -> list[dict]:
     steps = []
     current = state
     for index, (action_id, amount) in enumerate(witness, start=1):
         action = scenario.space.lookup(player, action_id)
-        resolved = amount
-        if resolved is None and action.kind in (KIND_SWAP, KIND_BRIDGE):
-            resolved = resolve_amount(current, player, action)
-        nxt = apply_action(current, player, action, amount)
+        units = None if amount is None else amount.units
+        resolved = resolve_amount(current, player, action) if units is None else units
+        nxt = apply_action(current, player, action, units)
         deltas: dict[str, dict[str, str]] = {}
         touched = set(current.balances) | set(nxt.balances)
-        for domain, owner, asset in sorted(touched):
+        for key in sorted(touched):
+            domain, owner, asset = key
             if owner != player:
                 continue
-            diff = nxt.balance(domain, owner, asset) - current.balance(domain, owner, asset)
-            if diff.units:
-                deltas.setdefault(domain, {})[asset] = _signed(diff)
+            diff = nxt.balances.get(key, 0) - current.balances.get(key, 0)
+            if diff:
+                text = str(Amount.from_units(diff))
+                deltas.setdefault(domain, {})[asset] = f"+{text}" if diff > 0 else text
         steps.append(
             {
                 "index": index,
@@ -151,7 +149,7 @@ def _witness_steps(scenario: Scenario, player: str, state, witness) -> list[dict
                 "kind": action.kind,
                 "domains": sorted(action.domains),
                 "amount": None if amount is None else str(amount),
-                "resolved_amount": None if resolved is None else str(resolved),
+                "resolved_amount": None if resolved is None else str(Amount.from_units(resolved)),
                 "params": _action_params(scenario, action),
                 "deltas": deltas,
             }
@@ -240,7 +238,7 @@ def cmd_mev(args) -> int:
 def cmd_collusion(args) -> int:
     scenario = _load(args.scenario)
     player = args.player or scenario.defaults.player
-    domains = _csv(args.domains) if args.domains else scenario.defaults.value_domains
+    domains = _csv(args.domains, "--domains") or scenario.defaults.value_domains
     alpha = scenario.defaults.alpha if args.alpha is None else _parse_alpha(args.alpha)
     max_len = scenario.defaults.max_sequence_length if args.max_len is None else args.max_len
     state = scenario.initial_state()

@@ -30,7 +30,7 @@ from .actions import (
     max_feasible_amount,
 )
 from .errors import ExplosionGuard, NoOpportunity, UnknownId, XdmevError
-from .fixedpoint import ZERO, Amount, div_half_even
+from .fixedpoint import ZERO, Amount, div_half_even, mul_fraction_units
 from .model import PriceMatrix, WorldState, balance_of
 from .model import convert  # noqa: F401  re-exported; perfbench/tracing.py wraps engine.convert
 from .venues import ConstantProductPool
@@ -82,8 +82,12 @@ class _Counter:
         self.cap = cap
 
     def bump(self) -> None:
+        self.check(1)
         self.count += 1
-        if self.count > self.cap:
+
+    def check(self, work: int) -> None:
+        """Raise ExplosionGuard when ``work`` more bumps would pass the cap."""
+        if self.count + work > self.cap:
             raise ExplosionGuard(f"search work exceeded the cap of {self.cap}")
 
 
@@ -127,11 +131,9 @@ def priced_balance_delta(query: MevQuery, initial: WorldState, final: WorldState
         asset = registry.native_asset(domain)
         key = (domain, player, asset)
         delta = after.get(key, 0) - before.get(key, 0)
-        if delta:
-            if asset != base:
-                rate = prices.rate(asset, base)
-                delta = div_half_even(delta * rate.numerator, rate.denominator)
-            total += delta
+        if delta and asset != base:
+            delta = mul_fraction_units(delta, prices.rate(asset, base))
+        total += delta
     return Amount.from_units(total)
 
 
@@ -295,9 +297,8 @@ class _Search:
 
         def score(units: Optional[int]) -> Optional[int]:
             nonlocal best
-            amount = None if units is None else Amount.from_units(units)
             try:
-                nxt = apply_action(state, player, action, amount)
+                nxt = apply_action(state, player, action, units)
             except XdmevError:
                 return None
             rest = self.realize(shape, idx + 1, nxt)
@@ -306,7 +307,7 @@ class _Search:
             value, tail = rest
             # a lower value loses the tie-break outright; build no candidate for it
             if best is None or value.units >= best[0].units:
-                step = action.step if amount is None else (action.id, amount)
+                step = action.step if units is None else (action.id, Amount.from_units(units))
                 candidate = (value, (step,) + tail)
                 if best is None or _candidate_better(candidate, best):
                     best = candidate
@@ -316,7 +317,7 @@ class _Search:
             score(None)
         else:
             lo_u = max(action.interval.lo.units, 1)
-            hi_u = max_feasible_amount(state, player, action).units
+            hi_u = max_feasible_amount(state, player, action)
             if hi_u >= lo_u:
                 _golden_section(lo_u, hi_u, score)
         return best
@@ -370,20 +371,23 @@ def mev_cross_two(
 # -- independent oracle -------------------------------------------------------
 
 
-def grid_amounts(interval, points: int) -> tuple[Amount, ...]:
-    """Evenly spaced amounts over [lo, hi], half-even to 18 digits, deduplicated."""
+def _grid_size(interval, points: int) -> int:
+    """Length of ``grid_amounts(interval, points)``, computed without building it."""
     if points < 2:
         raise XdmevError("grid needs at least 2 points")
+    return min(points, interval.hi.units - interval.lo.units + 1)
+
+
+def grid_amounts(interval, points: int) -> tuple[Amount, ...]:
+    """Evenly spaced amounts over [lo, hi], half-even to 18 digits, distinct: every
+    unit in [lo, hi] with a point per unit or more, else ``points`` amounts."""
     lo, hi = interval.lo.units, interval.hi.units
+    if _grid_size(interval, points) == hi - lo + 1:
+        return tuple(Amount.from_units(units) for units in range(lo, hi + 1))
     steps = points - 1
-    out: list[Amount] = []
-    prev: Optional[int] = None
-    for k in range(points):
-        units = div_half_even(lo * (steps - k) + hi * k, steps)
-        if units != prev:
-            out.append(Amount.from_units(units))
-            prev = units
-    return tuple(out)
+    return tuple(
+        Amount.from_units(div_half_even(lo * (steps - k) + hi * k, steps)) for k in range(points)
+    )
 
 
 def _grid_sequences(
@@ -398,14 +402,18 @@ def _grid_sequences(
     in action order, as (final state, steps); parametric amounts run over
     ``grid_amounts``. Each application tried bumps ``counter`` once.
 
-    The grids are built here, before the first sequence is drawn.
+    The grids are built here, before the first sequence is drawn, and only
+    after ``counter`` is checked to have room for every depth-1 application.
     """
+    # sized before the max_len test, so a grid of < 2 points is refused at any length
+    work = sum(_grid_size(a.interval, grid_points) if a.parametric else 1 for a in actions)
+    if max_len < 1:
+        return iter(())
+    counter.check(work)
     choices = tuple(
         (action, grid_amounts(action.interval, grid_points) if action.parametric else (None,))
         for action in actions
     )
-    if max_len < 1:
-        return iter(())
     return _grid_walk(choices, start, (), frozenset(), player, max_len, counter)
 
 
@@ -420,8 +428,9 @@ def _grid_walk(choices, current, steps, used, player, max_len, counter):
             continue
         for amount in amounts:
             counter.bump()
+            units = None if amount is None else amount.units
             try:
-                nxt = apply_action(current, player, action, amount)
+                nxt = apply_action(current, player, action, units)
             except XdmevError:
                 continue
             seq = steps + ((action.id, amount),)
@@ -522,14 +531,14 @@ def optimal_cp_arbitrage(
     keeps the highest profit, then the smallest amount.
     """
     if (pool_b.asset_x, pool_b.asset_y) == (pool_a.asset_x, pool_a.asset_y):
-        b_rx, b_ry = pool_b.reserve_x.units, pool_b.reserve_y.units
+        b_rx, b_ry = pool_b.reserve_x_units, pool_b.reserve_y_units
     elif (pool_b.asset_x, pool_b.asset_y) == (pool_a.asset_y, pool_a.asset_x):
-        b_rx, b_ry = pool_b.reserve_y.units, pool_b.reserve_x.units
+        b_rx, b_ry = pool_b.reserve_y_units, pool_b.reserve_x_units
     else:
         raise XdmevError(
             f"pools {pool_a.id} and {pool_b.id} do not share an asset pair"
         )
-    a_rx, a_ry = pool_a.reserve_x.units, pool_a.reserve_y.units
+    a_rx, a_ry = pool_a.reserve_x_units, pool_a.reserve_y_units
 
     # prices of X in Y, compared exactly by cross-multiplication
     lhs = a_ry * b_rx
@@ -538,14 +547,11 @@ def optimal_cp_arbitrage(
         raise NoOpportunity(
             f"pools {pool_a.id} and {pool_b.id} quote the same marginal price"
         )
-    if lhs < rhs:
-        cheap_rx, cheap_ry, cheap_fee = a_rx, a_ry, pool_a.fee_bps
-        dear_rx, dear_ry, dear_fee = b_rx, b_ry, pool_b.fee_bps
-        buy_pool, sell_pool = pool_a, pool_b
-    else:
-        cheap_rx, cheap_ry, cheap_fee = b_rx, b_ry, pool_b.fee_bps
-        dear_rx, dear_ry, dear_fee = a_rx, a_ry, pool_a.fee_bps
-        buy_pool, sell_pool = pool_b, pool_a
+    cheap, dear = (a_rx, a_ry, pool_a.fee_bps, pool_a), (b_rx, b_ry, pool_b.fee_bps, pool_b)
+    if lhs > rhs:
+        cheap, dear = dear, cheap
+    cheap_rx, cheap_ry, cheap_fee, buy_pool = cheap
+    dear_rx, dear_ry, dear_fee, sell_pool = dear
 
     best_amount = best_profit = 0
 

@@ -1,6 +1,6 @@
 """Exact fixed-point decimal amounts, 18 fractional digits.
 
-Every balance, reserve, price and profit in the engine is an ``Amount``.
+Values cross the engine's edges as ``Amount``s and are bare int units inside (see ``model``).
 Addition and subtraction are exact; multiplication and division round
 half-to-even at the 18th fractional digit. The backing integer is a plain
 Python int, so magnitudes are unbounded (well past 192 bits) and all
@@ -30,6 +30,11 @@ def div_half_even(numerator: int, denominator: int) -> int:
     if twice > denominator or (twice == denominator and q % 2):
         q += 1
     return q
+
+
+def mul_fraction_units(units: int, ratio: Fraction) -> int:
+    """``units`` times an exact rational, rounded half-even to whole units."""
+    return div_half_even(units * ratio.numerator, ratio.denominator)
 
 
 class Amount:
@@ -82,7 +87,7 @@ class Amount:
 
     def mul_fraction(self, ratio: Fraction) -> "Amount":
         """Multiply by an exact rational, rounding half-even at the 18th digit."""
-        return Amount.from_units(div_half_even(self.units * ratio.numerator, ratio.denominator))
+        return Amount.from_units(mul_fraction_units(self.units, ratio))
 
     # -- ordering -----------------------------------------------------
 

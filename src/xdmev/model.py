@@ -1,11 +1,13 @@
 """World state, identifiers, players, and the cross-domain pricing function.
 
 The world is monolithic: one balance map keyed by (domain, player, asset)
-covers every domain, and pool states live beside it. Balances are held as
-plain int fixed-point units (``Amount.units``); the reads hand out
-``Amount``s. ``WorldState`` is a value — applying anything yields a new
-state, prior states stay intact, and states are hashable so
-reachable-state sets deduplicate naturally.
+covers every domain, and pool states live beside it. Amounts at the edge
+only: every quantity a query computes or changes is int units
+(``Amount.units``); an ``Amount`` is built only where a value enters from a
+document or leaves the state layer (loading, ``quote_swap``, ``balance()``,
+witness steps, ``MevResult.value``, rendering, error messages). ``WorldState``
+is a value — applying anything yields a new state, prior states stay intact,
+and states are hashable so reachable-state sets deduplicate naturally.
 """
 
 from __future__ import annotations

@@ -395,9 +395,9 @@ def _from_object(doc) -> Scenario:
             fee = _expect_int(entry.get("fee_bps", 0), f"{path}.fee_bps")
             if not 0 <= fee < 10_000:
                 raise ValidationError(f"{path}.fee_bps", "fee_bps must lie in [0, 10000)")
-            reserves = [_amount_field(entry, f, path) for f in ("reserve_x", "reserve_y")]
+            reserves = [_amount_field(entry, f, path).units for f in ("reserve_x", "reserve_y")]
             for field, reserve in zip(("reserve_x", "reserve_y"), reserves):
-                if reserve.units <= 0:
+                if reserve <= 0:
                     raise ValidationError(f"{path}.{field}", "reserves must be positive")
             pools[pool_id] = ConstantProductPool(pool_id, domain, asset_x, asset_y, *reserves, fee)
         elif pool_type == "stylized_midpoint":

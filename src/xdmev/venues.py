@@ -5,6 +5,8 @@ continuous-amount arbitrage; stylized midpoint pools carry a single quoted
 price and exist to reproduce worked examples whose profits are stipulated
 rather than derived. Pending transactions are consumable third-party
 effects; executing one is itself an action.
+Amounts are int units (see ``model``); ``quote_swap`` and a pool's
+``reserve_x``/``reserve_y`` hand out ``Amount``s.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .errors import (
     UnknownPool,
     XdmevError,
 )
-from .fixedpoint import Amount
+from .fixedpoint import SCALE, Amount, div_half_even, mul_fraction_units
 from .model import CREDIT, DEBIT, BalanceMove, WorldState
 
 X_TO_Y = "x_to_y"
@@ -33,28 +35,36 @@ DIRECTIONS = (X_TO_Y, Y_TO_X)
 
 @dataclass(frozen=True)
 class ConstantProductPool:
-    """x*y = k pool; reserves are part of the value and change on swaps."""
+    """x*y = k pool; reserves (int units) are part of the value and change on swaps."""
 
     id: str
     domain: str
     asset_x: str
     asset_y: str
-    reserve_x: Amount
-    reserve_y: Amount
+    reserve_x_units: int
+    reserve_y_units: int
     fee_bps: int = 0
 
     def __post_init__(self):
-        if self.reserve_x.units <= 0 or self.reserve_y.units <= 0:
+        if self.reserve_x_units <= 0 or self.reserve_y_units <= 0:
             raise XdmevError(f"pool {self.id}: reserves must be strictly positive")
         if not 0 <= self.fee_bps < 10_000:
             raise XdmevError(f"pool {self.id}: fee_bps must lie in [0, 10000)")
 
-    def reserves(self, direction: str) -> tuple[Amount, Amount]:
-        """(reserve_in, reserve_out) for the given trade direction."""
+    @property
+    def reserve_x(self) -> Amount:
+        return Amount.from_units(self.reserve_x_units)
+
+    @property
+    def reserve_y(self) -> Amount:
+        return Amount.from_units(self.reserve_y_units)
+
+    def reserves(self, direction: str) -> tuple[int, int]:
+        """(reserve_in, reserve_out) units for the given trade direction."""
         if direction == X_TO_Y:
-            return self.reserve_x, self.reserve_y
+            return self.reserve_x_units, self.reserve_y_units
         if direction == Y_TO_X:
-            return self.reserve_y, self.reserve_x
+            return self.reserve_y_units, self.reserve_x_units
         raise InvalidAmount(f"unknown swap direction {direction!r}")
 
     def _with_reserves(self, reserve_x_units: int, reserve_y_units: int) -> "ConstantProductPool":
@@ -67,9 +77,7 @@ class ConstantProductPool:
             raise XdmevError(f"pool {self.id}: reserves must be strictly positive")
         moved = object.__new__(ConstantProductPool)
         moved.__dict__.update(
-            self.__dict__,
-            reserve_x=Amount.from_units(reserve_x_units),
-            reserve_y=Amount.from_units(reserve_y_units),
+            self.__dict__, reserve_x_units=reserve_x_units, reserve_y_units=reserve_y_units
         )
         return moved
 
@@ -184,50 +192,48 @@ class PendingTx:
 _Effects = tuple[tuple[BalanceMove, ...], tuple[tuple[str, object], ...]]
 
 
-def _quote_units(pool: ConstantProductPool, direction: str, amount_in: Amount) -> int:
+def _quote_units(pool: ConstantProductPool, direction: str, amount_in: int) -> int:
     """Output units of a swap, rounded down; ``quote_swap``'s checks and errors."""
-    if amount_in.units <= 0:
-        raise InvalidAmount(f"swap amount must be positive, got {amount_in}")
+    if amount_in <= 0:
+        raise InvalidAmount(f"swap amount must be positive, got {Amount.from_units(amount_in)}")
     reserve_in, reserve_out = pool.reserves(direction)
-    out_units = _kernels.swap_out(
-        reserve_in.units, reserve_out.units, amount_in.units, pool.fee_bps
-    )
+    out_units = _kernels.swap_out(reserve_in, reserve_out, amount_in, pool.fee_bps)
     if out_units <= 0:
         raise InsufficientLiquidity(
-            f"pool {pool.id}: input {amount_in} buys no output"
+            f"pool {pool.id}: input {Amount.from_units(amount_in)} buys no output"
         )
     return out_units
 
 
 def quote_swap(pool: ConstantProductPool, direction: str, amount_in: Amount) -> Amount:
     """Pure quote: output for ``amount_in``, pool untouched, rounded down."""
-    return Amount.from_units(_quote_units(pool, direction, amount_in))
+    return Amount.from_units(_quote_units(pool, direction, amount_in.units))
 
 
 def _swap_effects(
-    state: WorldState, player: str, pool_id: str, direction: str, amount_in: Amount
+    state: WorldState, player: str, pool_id: str, direction: str, amount_in: int
 ) -> _Effects:
     """Balance moves and pool replacement of a constant-product swap."""
     pool = state.pool(pool_id)
     if not isinstance(pool, ConstantProductPool):
         raise UnknownPool(f"pool {pool_id!r} is not a constant-product pool")
     out = _quote_units(pool, direction, amount_in)
-    rx, ry = pool.reserve_x.units, pool.reserve_y.units
+    rx, ry = pool.reserve_x_units, pool.reserve_y_units
     if direction == X_TO_Y:
         asset_in, asset_out = pool.asset_x, pool.asset_y
-        rx, ry = rx + amount_in.units, ry - out
+        rx, ry = rx + amount_in, ry - out
     else:
         asset_in, asset_out = pool.asset_y, pool.asset_x
-        rx, ry = rx - out, ry + amount_in.units
+        rx, ry = rx - out, ry + amount_in
     moves = (
-        (DEBIT, pool.domain, player, asset_in, amount_in.units),
+        (DEBIT, pool.domain, player, asset_in, amount_in),
         (CREDIT, pool.domain, player, asset_out, out),
     )
     return moves, ((pool_id, pool._with_reserves(rx, ry)),)
 
 
 def apply_swap(
-    state: WorldState, player: str, pool_id: str, direction: str, amount_in: Amount
+    state: WorldState, player: str, pool_id: str, direction: str, amount_in: int
 ) -> WorldState:
     """Swap against a constant-product pool, debiting and crediting the player."""
     return state.update(*_swap_effects(state, player, pool_id, direction, amount_in))
@@ -245,25 +251,25 @@ def _repriced(pool: StylizedMidpointPool, price: Amount) -> StylizedMidpointPool
 
 
 def apply_stylized_fill(
-    state: WorldState, player: str, pool_id: str, direction: str, amount_in: Amount
+    state: WorldState, player: str, pool_id: str, direction: str, amount_in: int
 ) -> WorldState:
-    """Trade at a stylized pool's quoted price; the quote does not move."""
+    """Trade at a stylized pool's quoted price, rounded half-even; the quote does not move."""
     pool = _stylized(state, pool_id)
-    if amount_in.units <= 0:
-        raise InvalidAmount(f"fill amount must be positive, got {amount_in}")
+    if amount_in <= 0:
+        raise InvalidAmount(f"fill amount must be positive, got {Amount.from_units(amount_in)}")
     if direction == X_TO_Y:
         asset_in, asset_out = pool.asset_x, pool.asset_y
-        out = amount_in * pool.price
+        out = div_half_even(amount_in * pool.price.units, SCALE)
     elif direction == Y_TO_X:
         asset_in, asset_out = pool.asset_y, pool.asset_x
-        out = amount_in / pool.price
+        out = div_half_even(amount_in * SCALE, pool.price.units)
     else:
         raise InvalidAmount(f"unknown swap direction {direction!r}")
-    if out.units <= 0:
+    if out <= 0:
         raise InsufficientLiquidity(f"pool {pool_id}: fill output rounds to zero")
     return state.update((
-        (DEBIT, pool.domain, player, asset_in, amount_in.units),
-        (CREDIT, pool.domain, player, asset_out, out.units),
+        (DEBIT, pool.domain, player, asset_in, amount_in),
+        (CREDIT, pool.domain, player, asset_out, out),
     ))
 
 
@@ -272,11 +278,8 @@ def apply_stylized_fill(
 
 def apply_stylized_arb(state: WorldState, player: str, spec: StylizedArbSpec) -> WorldState:
     """Move both pools to the arithmetic midpoint and credit the stipulated profit."""
-    pool_a = state.pool(spec.pool_a)
-    pool_b = state.pool(spec.pool_b)
-    for pool in (pool_a, pool_b):
-        if not isinstance(pool, StylizedMidpointPool):
-            raise UnknownPool(f"pool {pool.id!r} is not a stylized pool")
+    pool_a = _stylized(state, spec.pool_a)
+    pool_b = _stylized(state, spec.pool_b)
     if pool_a.price == pool_b.price:
         raise PricesEqual(
             f"{spec.pool_a} and {spec.pool_b} both quote {pool_a.price}"
@@ -302,7 +305,7 @@ def apply_pending_tx(state: WorldState, tx: PendingTx) -> WorldState:
         pools = ((effect.pool_id, _repriced(pool, effect.to_price)),)
     elif isinstance(effect, CpSwapEffect):
         moves, pools = _swap_effects(
-            state, effect.account, effect.pool_id, effect.direction, effect.amount_in
+            state, effect.account, effect.pool_id, effect.direction, effect.amount_in.units
         )
     elif isinstance(effect, TransferEffect):
         moves = (
@@ -336,24 +339,22 @@ def _arb_leg_effects(
 # -- bridges -----------------------------------------------------------------
 
 
-def bridge_output(bridge: BridgeSpec, quantity: Amount) -> Amount:
-    """Destination amount: quantity x rate - flat_fee, half-even on the product."""
-    gross = quantity.mul_fraction(bridge.rate)
-    return gross - bridge.flat_fee
+def bridge_output(bridge: BridgeSpec, quantity: int) -> int:
+    """Destination units: quantity x rate - flat_fee, half-even on the product."""
+    return mul_fraction_units(quantity, bridge.rate) - bridge.flat_fee.units
 
 
-def apply_bridge(
-    state: WorldState, player: str, bridge: BridgeSpec, quantity: Amount
-) -> WorldState:
+def apply_bridge(state: WorldState, player: str, bridge: BridgeSpec, quantity: int) -> WorldState:
     """Move quantity across the bridge, charging the flat fee on arrival."""
-    if quantity.units <= 0:
-        raise InvalidAmount(f"bridge quantity must be positive, got {quantity}")
+    if quantity <= 0:
+        raise InvalidAmount(f"bridge quantity must be positive, got {Amount.from_units(quantity)}")
     arriving = bridge_output(bridge, quantity)
-    if arriving.units < 0:
+    if arriving < 0:
         raise FeeExceedsOutput(
-            f"bridge {bridge.id}: fee {bridge.flat_fee} exceeds converted {quantity}"
+            f"bridge {bridge.id}: fee {bridge.flat_fee} exceeds converted "
+            f"{Amount.from_units(quantity)}"
         )
     return state.update((
-        (DEBIT, bridge.from_domain, player, bridge.from_asset, quantity.units),
-        (CREDIT, bridge.to_domain, player, bridge.to_asset, arriving.units),
+        (DEBIT, bridge.from_domain, player, bridge.from_asset, quantity),
+        (CREDIT, bridge.to_domain, player, bridge.to_asset, arriving),
     ))

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import xdmev
+from xdmev.fixedpoint import Amount
 from xdmev.scenario import Scenario, load_bundled, loads
 
 
@@ -67,3 +68,24 @@ def bundled():
         return cache[name]
 
     return get
+
+
+@pytest.fixture
+def amount_constructions(monkeypatch) -> list:
+    """A list that gains one entry per ``Amount`` built while the test runs,
+    through ``Amount(...)`` or ``Amount.from_units``."""
+    built: list = []
+    init = Amount.__init__
+    from_units = Amount.__dict__["from_units"].__func__
+
+    def counting_init(self, *args, **kwargs):
+        built.append("init")
+        init(self, *args, **kwargs)
+
+    def counting_from_units(cls, units):
+        built.append("from_units")
+        return from_units(cls, units)
+
+    monkeypatch.setattr(Amount, "__init__", counting_init)
+    monkeypatch.setattr(Amount, "from_units", classmethod(counting_from_units))
+    return built

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import one_domain_doc, scen
 from xdmev.actions import apply_sequence, available_actions, validate_sequence
-from xdmev.errors import SequenceStepError
+from xdmev.errors import SequenceStepError, UnknownId
 from xdmev.fixedpoint import Amount
 
 
@@ -161,3 +161,41 @@ class TestApplySequence:
             scenario.space, state, "P", [("tx_buy_eth", None), ("arb_uni_toro", None)]
         )
         assert final.consumed == frozenset({"tx_buy_eth"})
+
+
+# one bad step of each kind after a valid first step (index 1), or alone
+# (index 0); validate_sequence and apply_sequence share one fold
+BAD_STEPS = [
+    ({"i", "j"}, [("tx_buy_eth", None), ("tx_buy_eth", None)], 1, "action id repeated"),
+    ({"i", "j"}, [("tx_buy_eth", None), ("nope", None)], 1,
+     "action 'nope' is not in player 'P''s space"),
+    ({"i"}, [("tx_buy_eth", None), ("arb_uni_toro", None)], 1,
+     "requires domains outside the active set: j"),
+    ({"i", "j"}, [("arb_uni_toro", None)], 0, "uniswap and toroswap both quote 20"),
+]
+
+
+class TestOneFold:
+    @pytest.mark.parametrize(
+        "domains, seq, index, reason", BAD_STEPS,
+        ids=["repeated", "unknown", "out_of_domain", "failing_apply"],
+    )
+    def test_validate_and_apply_report_the_same_step(self, bundled, domains, seq, index, reason):
+        scenario = bundled("section3_2amm")
+        state = scenario.initial_state()
+        violation = validate_sequence(scenario.space, "P", domains, state, seq)
+        assert (violation.index, violation.action_id, violation.reason) == (
+            index, seq[index][0], reason
+        )
+        with pytest.raises(SequenceStepError) as err:
+            apply_sequence(scenario.space, state, "P", seq, frozenset(domains))
+        assert (err.value.index, err.value.action_id, str(err.value.cause)) == (
+            index, seq[index][0], reason
+        )
+
+    def test_unknown_id_keeps_its_index_and_type(self, bundled):
+        scenario = bundled("section3_2amm")
+        state = scenario.initial_state()
+        with pytest.raises(SequenceStepError) as err:
+            apply_sequence(scenario.space, state, "P", [("tx_buy_eth", None), ("nope", None)])
+        assert err.value.index == 1 and isinstance(err.value.cause, UnknownId)

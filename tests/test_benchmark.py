@@ -23,7 +23,18 @@ ORACLE_GRID_SEED1_COUNTS = {
     "actions.apply_calls": 48_618,
     "kernels.swap_out_calls": 48_600,
     "model.worldstate_new": 48_609,
-    "fixedpoint.amount_new": 193_809,
+    "fixedpoint.amount_new": 72_309,
+}
+
+# seed-1 counts of one traced cp_chain round (both swaps parametric): the
+# golden-section probes apply int units and build an Amount only for a step
+# that can still win
+CP_CHAIN_SEED1_COUNTS = {
+    "engine.explored": 48,
+    "actions.apply_calls": 46_872,
+    "kernels.swap_out_calls": 46_872,
+    "model.worldstate_new": 46_494,
+    "fixedpoint.amount_new": 48_235,
 }
 
 # seed-1 counts of one traced tips round (pending transfers, no parametric
@@ -62,6 +73,10 @@ def assert_counts(workload: str, counts: dict) -> None:
 
 def test_traced_oracle_grid_round_keeps_its_counts():
     assert_counts("oracle_grid", ORACLE_GRID_SEED1_COUNTS)
+
+
+def test_traced_cp_chain_round_keeps_its_counts():
+    assert_counts("cp_chain", CP_CHAIN_SEED1_COUNTS)
 
 
 def test_traced_tips_round_keeps_its_counts():

@@ -79,6 +79,21 @@ class TestMevCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, flag, text",
+        [
+            (("mev", "--action-domains", ","), "--action-domains", "','"),
+            (("mev", "--value-domains", " , "), "--value-domains", "' , '"),
+            (("collusion", "--domains", ","), "--domains", "','"),
+        ],
+        ids=["action_domains", "value_domains", "collusion_domains"],
+    )
+    def test_empty_csv_names_its_flag(self, capsys, argv, flag, text):
+        command, *flags = argv
+        code, out, err = run_cli(capsys, command, "--scenario", "section3_2amm", *flags)
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag}: expected a csv of domain ids, got {text}\n"
+
     def test_explosion_maps_to_exit_3(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise ExplosionGuard("too many candidates")

@@ -3,6 +3,7 @@
 import gc
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from xdmev.engine import (
 )
 from xdmev.actions import AmountInterval, apply_sequence
 from xdmev.errors import ExplosionGuard, NoOpportunity
-from xdmev.fixedpoint import SCALE, Amount
+from xdmev.fixedpoint import SCALE, Amount, div_half_even
 from xdmev.scenario import BUNDLED_NAMES
 from xdmev.venues import ConstantProductPool
 
@@ -254,10 +255,10 @@ class TestOptimalCpArbitrage:
     def pools(self, ry_b="3000", fee_a=0, fee_b=0):
         a = ConstantProductPool(
             id="pool_a", domain="dex", asset_x="ETH", asset_y="DAI",
-            reserve_x=Amount("100"), reserve_y=Amount("2000"), fee_bps=fee_a)
+            reserve_x_units=Amount("100").units, reserve_y_units=Amount("2000").units, fee_bps=fee_a)
         b = ConstantProductPool(
             id="pool_b", domain="dex", asset_x="ETH", asset_y="DAI",
-            reserve_x=Amount("100"), reserve_y=Amount(ry_b), fee_bps=fee_b)
+            reserve_x_units=Amount("100").units, reserve_y_units=Amount(ry_b).units, fee_bps=fee_b)
         return a, b
 
     def test_identical_pools_no_opportunity(self):
@@ -297,7 +298,7 @@ class TestOptimalCpArbitrage:
         a, _ = self.pools()
         flipped = ConstantProductPool(
             id="pool_b", domain="dex", asset_x="DAI", asset_y="ETH",
-            reserve_x=Amount("3000"), reserve_y=Amount("100"), fee_bps=0)
+            reserve_x_units=Amount("3000").units, reserve_y_units=Amount("100").units, fee_bps=0)
         plan = optimal_cp_arbitrage(a, flipped)
         assert plan.profit == optimal_cp_arbitrage(*self.pools()).profit
 
@@ -325,11 +326,11 @@ class TestOptimalCpArbitrage:
                 fee_a, fee_b = fee_b, fee_a
             a = ConstantProductPool(
                 id="pool_a", domain="dex", asset_x="ETH", asset_y="DAI",
-                reserve_x=Amount.from_units(a_rx), reserve_y=Amount.from_units(a_ry),
+                reserve_x_units=a_rx, reserve_y_units=a_ry,
                 fee_bps=fee_a)
             b = ConstantProductPool(
                 id="pool_b", domain="dex", asset_x="ETH", asset_y="DAI",
-                reserve_x=Amount.from_units(b_rx), reserve_y=Amount.from_units(b_ry),
+                reserve_x_units=b_rx, reserve_y_units=b_ry,
                 fee_bps=fee_b)
             if a_ry * b_rx < b_ry * a_rx:
                 expected = reference_fee_search(a_ry, a_rx, b_rx, b_ry, fee_a, fee_b)
@@ -353,7 +354,7 @@ class TestOptimalCpArbitrage:
         a, _ = self.pools()
         other = ConstantProductPool(
             id="x", domain="dex", asset_x="ETH", asset_y="USDC",
-            reserve_x=Amount("1"), reserve_y=Amount("1"), fee_bps=0)
+            reserve_x_units=Amount("1").units, reserve_y_units=Amount("1").units, fee_bps=0)
         with pytest.raises(Exception):
             optimal_cp_arbitrage(a, other)
 
@@ -397,6 +398,70 @@ class TestOracleAgreement:
         state = scenario.initial_state()
         result = mev_oracle(scenario.space, state, scenario.default_query(), grid_points=11)
         assert result.explored > 11
+
+
+def reference_grid(lo: int, hi: int, points: int) -> list[int]:
+    """Grid units as a loop that rounds every point and drops repeats builds them."""
+    steps = points - 1
+    out: list[int] = []
+    for k in range(points):
+        units = div_half_even(lo * (steps - k) + hi * k, steps)
+        if not out or out[-1] != units:
+            out.append(units)
+    return out
+
+
+class TestGridWork:
+    def test_grid_size_and_points_over_random_intervals(self):
+        rng = random.Random(20261018)
+        dense = 0
+        for i in range(4000):
+            lo = rng.randrange(0, 10 ** rng.randint(1, 22))
+            # odd draws give spans shorter than the grid, even draws longer ones
+            span = rng.randrange(1, 80) if i % 2 else rng.randrange(1, 10 ** rng.randint(1, 24))
+            points = rng.randint(2, 60)
+            grid = grid_amounts(
+                AmountInterval(Amount.from_units(lo), Amount.from_units(lo + span)), points
+            )
+            assert len(grid) == min(points, span + 1), (lo, span, points)
+            assert [a.units for a in grid] == reference_grid(lo, lo + span, points)
+            dense += points - 1 >= span
+        assert 500 < dense < 3500  # both kinds of grid are drawn often
+
+    @pytest.mark.parametrize("walker", ["mev_oracle", "reachable_states"])
+    def test_grid_past_the_cap_raises_before_it_is_built(
+        self, bundled, amount_constructions, walker
+    ):
+        scenario = bundled("cp_arbitrage_small")
+        state = scenario.initial_state()
+        query = replace(scenario.default_query(), candidate_cap=1000)
+        with pytest.raises(ExplosionGuard, match="^search work exceeded the cap of 1000$"):
+            if walker == "mev_oracle":
+                mev_oracle(scenario.space, state, query, grid_points=10**6)
+            else:
+                reachable_states(
+                    scenario.space, state, "P", query.action_domains, 2,
+                    grid_points=10**6, candidate_cap=1000,
+                )
+        assert len(amount_constructions) < 1000
+
+    @pytest.mark.parametrize("name", BUNDLED_NAMES)
+    @pytest.mark.parametrize("grid_points", [5, 101])
+    def test_oracle_finishes_exactly_up_to_its_own_count(self, bundled, name, grid_points):
+        # the early check never refuses a query the walk would finish
+        scenario = bundled(name)
+        state = scenario.initial_state()
+        query = scenario.default_query()
+        full = mev_oracle(scenario.space, state, query, grid_points)
+        capped = mev_oracle(
+            scenario.space, state, replace(query, candidate_cap=full.explored), grid_points
+        )
+        assert capped == full
+        with pytest.raises(ExplosionGuard):
+            mev_oracle(
+                scenario.space, state, replace(query, candidate_cap=full.explored - 1),
+                grid_points,
+            )
 
 
 class TestQueryMechanics:

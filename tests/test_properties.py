@@ -308,7 +308,9 @@ def test_available_actions_are_individually_performable():
         domains = frozenset(d.id for d in scenario.domains)
         for action in available_actions(scenario.space, "P", domains, state):
             amount = (
-                max_feasible_amount(state, "P", action) if action.parametric else None
+                Amount.from_units(max_feasible_amount(state, "P", action))
+                if action.parametric
+                else None
             )
             violation = validate_sequence(
                 scenario.space, "P", domains, state, [(action.id, amount)]

@@ -38,7 +38,6 @@ from xdmev.venues import (
     apply_stylized_arb,
     apply_stylized_fill,
     apply_swap,
-    bridge_output,
     quote_swap,
 )
 
@@ -46,7 +45,7 @@ from xdmev.venues import (
 def cp(pool_id="pool", rx="100", ry="2000", fee=0, domain="dex"):
     return ConstantProductPool(
         id=pool_id, domain=domain, asset_x="ETH", asset_y="DAI",
-        reserve_x=Amount(rx), reserve_y=Amount(ry), fee_bps=fee,
+        reserve_x_units=Amount(rx).units, reserve_y_units=Amount(ry).units, fee_bps=fee,
     )
 
 
@@ -79,7 +78,8 @@ class TestQuoteSwap:
         back = quote_swap(
             ConstantProductPool(
                 id="after", domain="dex", asset_x="ETH", asset_y="DAI",
-                reserve_x=pool.reserve_x + Amount("3"), reserve_y=pool.reserve_y - out,
+                reserve_x_units=(pool.reserve_x + Amount("3")).units,
+                reserve_y_units=(pool.reserve_y - out).units,
             ),
             "y_to_x",
             out,
@@ -117,27 +117,29 @@ class TestApplySwap:
     def test_zero_amount_rejected_state_unchanged(self):
         s = state_with([cp()], {("dex", "P", "ETH"): Amount("1")})
         with pytest.raises(InvalidAmount):
-            apply_swap(s, "P", "pool", "x_to_y", Amount("0"))
+            apply_swap(s, "P", "pool", "x_to_y", Amount("0").units)
         assert s.balance("dex", "P", "ETH") == Amount("1")
 
     def test_exact_balance_boundary(self):
         s = state_with([cp()], {("dex", "P", "ETH"): Amount("2")})
-        s2 = apply_swap(s, "P", "pool", "x_to_y", Amount("2"))
+        s2 = apply_swap(s, "P", "pool", "x_to_y", Amount("2").units)
         assert s2.balance("dex", "P", "ETH") == Amount("0")
         assert s2.balance("dex", "P", "DAI") > Amount("0")
 
     def test_insufficient_balance(self):
         s = state_with([cp()], {("dex", "P", "ETH"): Amount("1")})
         with pytest.raises(InsufficientBalance):
-            apply_swap(s, "P", "pool", "x_to_y", Amount("1.5"))
+            apply_swap(s, "P", "pool", "x_to_y", Amount("1.5").units)
 
     def test_path_independence_up_to_one_unit(self):
         # sequential a then b vs one swap of a+b, fee 0, checked exactly
         a, b = Amount("3"), Amount("4")
         balances = {("dex", "P", "ETH"): Amount("10")}
-        s_split = apply_swap(state_with([cp()], dict(balances)), "P", "pool", "x_to_y", a)
-        s_split = apply_swap(s_split, "P", "pool", "x_to_y", b)
-        s_once = apply_swap(state_with([cp()], dict(balances)), "P", "pool", "x_to_y", a + b)
+        s_split = apply_swap(state_with([cp()], dict(balances)), "P", "pool", "x_to_y", a.units)
+        s_split = apply_swap(s_split, "P", "pool", "x_to_y", b.units)
+        s_once = apply_swap(
+            state_with([cp()], dict(balances)), "P", "pool", "x_to_y", (a + b).units
+        )
         rx_split = s_split.pool("pool").reserve_x
         rx_once = s_once.pool("pool").reserve_x
         ry_split = s_split.pool("pool").reserve_y
@@ -148,7 +150,7 @@ class TestApplySwap:
     def test_invariant_preserved_within_one_unit_zero_fee(self):
         s = state_with([cp()], {("dex", "P", "ETH"): Amount("7")})
         before = s.pool("pool")
-        after = apply_swap(s, "P", "pool", "x_to_y", Amount("7")).pool("pool")
+        after = apply_swap(s, "P", "pool", "x_to_y", Amount("7").units).pool("pool")
         k_before = before.reserve_x.units * before.reserve_y.units
         k_after = after.reserve_x.units * after.reserve_y.units
         # the pool keeps the rounding remainder: k never decreases, and the
@@ -160,13 +162,13 @@ class TestApplySwap:
             [cp(), cp("other", "50", "900")],
             {("dex", "P", "ETH"): Amount("5"), ("dex", "whale", "DAI"): Amount("9")},
         )
-        s2 = apply_swap(s, "P", "pool", "x_to_y", Amount("5"))
+        s2 = apply_swap(s, "P", "pool", "x_to_y", Amount("5").units)
         assert s2.pool("other") == s.pool("other")
         assert s2.balance("dex", "whale", "DAI") == Amount("9")
 
     def test_moved_pool_equals_and_hashes_as_a_built_one(self):
         s = state_with([cp()], {("dex", "P", "ETH"): Amount("100")})
-        moved = apply_swap(s, "P", "pool", "x_to_y", Amount("100")).pool("pool")
+        moved = apply_swap(s, "P", "pool", "x_to_y", Amount("100").units).pool("pool")
         built = cp(rx="200", ry="1000")
         assert type(moved) is ConstantProductPool
         assert moved == built and hash(moved) == hash(built)
@@ -197,7 +199,7 @@ class TestApplySwapErrorsMatchQuote:
         s = state_with([pool], {("dex", "P", "ETH"): Amount("5"), ("dex", "P", "DAI"): Amount("5")})
         expected = _outcome(quote_swap, pool, direction, Amount(amount))
         assert isinstance(expected, tuple)
-        assert _outcome(apply_swap, s, "P", "pool", direction, Amount(amount)) == expected
+        assert _outcome(apply_swap, s, "P", "pool", direction, Amount(amount).units) == expected
         if (direction, amount) == ("sideways", "0"):
             assert expected == (InvalidAmount, "swap amount must be positive, got 0")
 
@@ -206,15 +208,15 @@ class TestStylizedFill:
     def test_fill_at_price_both_directions(self):
         pool = mid("m", "20", domain="i")
         s = state_with([pool], {("i", "P", "ETH"): Amount("2"), ("i", "P", "DAI"): Amount("100")})
-        s2 = apply_stylized_fill(s, "P", "m", "x_to_y", Amount("2"))
+        s2 = apply_stylized_fill(s, "P", "m", "x_to_y", Amount("2").units)
         assert s2.balance("i", "P", "DAI") == Amount("140")
-        s3 = apply_stylized_fill(s, "P", "m", "y_to_x", Amount("100"))
+        s3 = apply_stylized_fill(s, "P", "m", "y_to_x", Amount("100").units)
         assert s3.balance("i", "P", "ETH") == Amount("7")
 
     def test_fill_does_not_move_the_quote(self):
         pool = mid("m", "20")
         s = state_with([pool], {("i", "P", "ETH"): Amount("1")})
-        s2 = apply_stylized_fill(s, "P", "m", "x_to_y", Amount("1"))
+        s2 = apply_stylized_fill(s, "P", "m", "x_to_y", Amount("1").units)
         assert s2.pool("m").price == Amount("20")
 
 
@@ -320,28 +322,28 @@ class TestBridge:
 
     def test_identity_bridge(self):
         s = state_with([], {("i", "P", "ETH"): Amount("10")})
-        s2 = apply_bridge(s, "P", self.bridge(), Amount("10"))
+        s2 = apply_bridge(s, "P", self.bridge(), Amount("10").units)
         assert s2.balance("j", "P", "ETH") == Amount("10")
         assert s2.balance("i", "P", "ETH") == Amount("0")
 
     def test_discounted_rate(self):
         s = state_with([], {("i", "P", "ETH"): Amount("288033.14")})
-        s2 = apply_bridge(s, "P", self.bridge(rate=Fraction(9, 10)), Amount("288033.14"))
+        s2 = apply_bridge(s, "P", self.bridge(rate=Fraction(9, 10)), Amount("288033.14").units)
         assert s2.balance("j", "P", "ETH") == Amount("259229.826")
 
     def test_zero_quantity_rejected(self):
         s = state_with([], {("i", "P", "ETH"): Amount("1")})
         with pytest.raises(InvalidAmount):
-            apply_bridge(s, "P", self.bridge(), Amount("0"))
+            apply_bridge(s, "P", self.bridge(), Amount("0").units)
 
     def test_fee_exceeding_output_rejected(self):
         s = state_with([], {("i", "P", "ETH"): Amount("1")})
         with pytest.raises(FeeExceedsOutput):
-            apply_bridge(s, "P", self.bridge(fee="2"), Amount("1"))
+            apply_bridge(s, "P", self.bridge(fee="2"), Amount("1").units)
 
     def test_flat_fee_conservation(self):
         s = state_with([], {("i", "P", "ETH"): Amount("10")})
-        s2 = apply_bridge(s, "P", self.bridge(fee="0.25"), Amount("10"))
+        s2 = apply_bridge(s, "P", self.bridge(fee="0.25"), Amount("10").units)
         total_before = s.balance("i", "P", "ETH") + s.balance("j", "P", "ETH")
         total_after = s2.balance("i", "P", "ETH") + s2.balance("j", "P", "ETH")
         assert total_before - total_after == Amount("0.25")
@@ -401,12 +403,12 @@ def _ref_swap(state, player, pool_id, direction, amount_in):
     out = quote_swap(pool, direction, amount_in)
     if direction == "x_to_y":
         asset_in, asset_out = pool.asset_x, pool.asset_y
-        new_pool = replace(pool, reserve_x=pool.reserve_x + amount_in,
-                           reserve_y=pool.reserve_y - out)
+        new_pool = replace(pool, reserve_x_units=(pool.reserve_x + amount_in).units,
+                           reserve_y_units=(pool.reserve_y - out).units)
     else:
         asset_in, asset_out = pool.asset_y, pool.asset_x
-        new_pool = replace(pool, reserve_y=pool.reserve_y + amount_in,
-                           reserve_x=pool.reserve_x - out)
+        new_pool = replace(pool, reserve_y_units=(pool.reserve_y + amount_in).units,
+                           reserve_x_units=(pool.reserve_x - out).units)
     state = _ref_debit(state, pool.domain, player, asset_in, amount_in)
     state = _ref_credit(state, pool.domain, player, asset_out, out)
     return _ref_with_pool(state, pool_id, new_pool)
@@ -472,7 +474,7 @@ def _ref_pending(state, tx):
 def _ref_bridge(state, player, bridge, quantity):
     if quantity.units <= 0:
         raise InvalidAmount(f"bridge quantity must be positive, got {quantity}")
-    arriving = bridge_output(bridge, quantity)
+    arriving = quantity.mul_fraction(bridge.rate) - bridge.flat_fee
     if arriving.units < 0:
         raise FeeExceedsOutput(
             f"bridge {bridge.id}: fee {bridge.flat_fee} exceeds converted {quantity}"
@@ -483,9 +485,11 @@ def _ref_bridge(state, player, bridge, quantity):
 
 def _ref_apply(state, player, action, amount):
     """``apply_action``'s venue dispatch on the reference chain; parametric
-    amounts must already lie in the action's interval."""
+    amounts (units) must already lie in the action's interval."""
     if not action.parametric:
         amount = resolve_amount(state, player, action)
+    if amount is not None:
+        amount = Amount.from_units(amount)
     if action.kind == "ExecutePendingTx":
         return _ref_pending(state, action.tx)
     if action.kind == "StylizedArb":
@@ -556,8 +560,8 @@ def _trials(state, player, action):
     if not action.parametric:
         return [None]
     lo, hi = action.interval.lo.units, action.interval.hi.units
-    probes = {max(lo, 1), (lo + hi) // 2, hi, max_feasible_amount(state, player, action).units}
-    return [Amount.from_units(u) for u in sorted(probes) if max(lo, 1) <= u <= hi]
+    probes = {max(lo, 1), (lo + hi) // 2, hi, max_feasible_amount(state, player, action)}
+    return [u for u in sorted(probes) if max(lo, 1) <= u <= hi]
 
 
 def _starts(sc, player):
@@ -655,6 +659,27 @@ class TestOneStatePerApplication:
             "Bridge", "ExecutePendingTx", "StylizedArb",
             "Swap:ConstantProductPool", "Swap:StylizedMidpointPool",
         }
+
+
+class TestNoAmountBelowTheEdge:
+    def test_swap_sweep_and_bridge_build_no_amount(self, bundled, amount_constructions):
+        # every amount below the action boundary is int units, so applying
+        # an action builds an Amount only on its error path
+        cp = bundled("cp_arbitrage_small")
+        buy, sell = (cp.space.lookup("P", a) for a in ("buy_pool_a", "sell_pool_b"))
+        cp_state = cp.initial_state()
+        bought = apply_action(cp_state, "P", buy, 10 * SCALE)
+        fig = bundled("figure1_bridge")
+        swapped = apply_action(fig.initial_state(), "P", fig.space.lookup("P", "swap_uniswap"))
+        cases = [
+            (cp_state, buy, 10 * SCALE),
+            (bought, sell, None),
+            (swapped, fig.space.lookup("P", "move_weth"), None),
+        ]
+        amount_constructions.clear()
+        for state, action, units in cases:
+            apply_action(state, "P", action, units)
+        assert amount_constructions == []
 
 
 # -- states own their maps ----------------------------------------------------
