@@ -10,10 +10,9 @@ Below a sequence step ``(id, Amount)``, amounts are int units (see ``model``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
+from ._record import Record
 from .errors import InvalidAmount, SequenceStepError, UnknownId, XdmevError
 from .fixedpoint import Amount
 from .model import WorldState
@@ -37,8 +36,7 @@ KIND_ARB = "StylizedArb"
 KIND_SWAP = "Swap"
 
 
-@dataclass(frozen=True)
-class AmountInterval:
+class AmountInterval(Record):
     lo: Amount
     hi: Amount
 
@@ -47,8 +45,7 @@ class AmountInterval:
             raise XdmevError(f"interval [{self.lo}, {self.hi}] must satisfy lo >= 0 < hi")
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(Record):
     """One declared action template.
 
     Exactly one payload group is populated, matching ``kind``:
@@ -68,15 +65,15 @@ class Action:
     bridge: Optional[BridgeSpec] = None
     tx: Optional[PendingTx] = None
 
+    def __post_init__(self):
+        # ``step``: this action's witness step when it takes no amount, built
+        # once and shared by every result that contains it. It derives from
+        # ``id``, so equal actions have equal steps.
+        object.__setattr__(self, "step", (self.id, None))
+
     @property
     def parametric(self) -> bool:
         return self.interval is not None
-
-    @cached_property
-    def step(self) -> SequenceStep:
-        """This action's witness step when it takes no amount, built once
-        and shared by every result that contains it."""
-        return (self.id, None)
 
     def sort_key(self) -> str:
         return self.id
@@ -227,8 +224,7 @@ def _single_application_works(state: WorldState, player: str, action: Action) ->
 SequenceStep = tuple[str, Optional[Amount]]
 
 
-@dataclass(frozen=True)
-class SequenceViolation:
+class SequenceViolation(Record):
     index: int
     action_id: str
     reason: str

@@ -9,9 +9,9 @@ the sequencers do better alone. All comparisons are exact fixed point.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
 from typing import Mapping
 
+from ._record import Record
 from .actions import ActionSpaceSpec
 from .engine import DEFAULT_MAX_SEQUENCE_LENGTH, MevQuery, MevResult, mev
 from .errors import XdmevError
@@ -25,8 +25,7 @@ class Verdict(enum.Enum):
     UNPROFITABLE = "Unprofitable"
 
 
-@dataclass(frozen=True)
-class CollusionReport:
+class CollusionReport(Record):
     domains: tuple[str, ...]
     alpha: Amount
     solo_values: Mapping[str, Amount]
@@ -42,7 +41,7 @@ class CollusionReport:
 
 
 def _solo_query(joint_query: MevQuery, domain: str) -> MevQuery:
-    return replace(joint_query, action_domains=frozenset({domain}), value_domains=(domain,))
+    return joint_query.replace(action_domains=frozenset({domain}), value_domains=(domain,))
 
 
 def classify_collusion(

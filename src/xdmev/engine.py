@@ -18,9 +18,9 @@ query leaves no reference cycle and its states are freed when it returns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
+from ._record import Record
 from .actions import (
     Action,
     ActionSpaceSpec,
@@ -42,8 +42,7 @@ DEFAULT_MAX_SEQUENCE_LENGTH = 8
 DEFAULT_CANDIDATE_CAP = 10_000_000
 
 
-@dataclass(frozen=True)
-class MevQuery:
+class MevQuery(Record):
     """What to maximize: who acts where, where value is measured, in what."""
 
     player: str
@@ -56,15 +55,16 @@ class MevQuery:
     candidate_cap: int = DEFAULT_CANDIDATE_CAP
 
 
-@dataclass(frozen=True, slots=True)
-class MevResult:
+class MevResult(Record):
     """Best value and its witness; the final state is ``apply_sequence`` of the witness.
 
     ``explored`` counts the search's work: for ``mev``, nodes expanded
     (memo misses plus parametric shape evaluations); for ``mev_oracle``,
     1 for the empty sequence plus every grid application tried, failed
-    ones included.
+    ones included. Slotted, so a kept result carries no ``__dict__``.
     """
+
+    __slots__ = ("value", "witness", "explored", "method")
 
     value: Amount
     witness: tuple[SequenceStep, ...]

@@ -13,10 +13,10 @@ and states are hashable so reachable-state sets deduplicate naturally.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
+from ._record import Record
 from .errors import (
     InsufficientBalance,
     MissingRate,
@@ -37,8 +37,7 @@ def check_id(value: str, field: str) -> str:
     return value
 
 
-@dataclass(frozen=True)
-class Registry:
+class Registry(Record):
     """Declared identifier sets of a scenario; shared by all of its states."""
 
     native_assets: Mapping[str, str]  # domain id -> asset id

@@ -11,10 +11,10 @@ cross-references.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 from typing import Mapping, Optional
 
+from ._record import Record
 from .actions import (
     Action,
     ActionSpaceSpec,
@@ -60,28 +60,24 @@ _TOP_LEVEL_KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class DomainDecl:
+class DomainDecl(Record):
     id: str
     native_asset: str
 
 
-@dataclass(frozen=True)
-class BalanceDecl:
+class BalanceDecl(Record):
     domain: str
     asset: str
     amount: Amount
 
 
-@dataclass(frozen=True)
-class PlayerDecl:
+class PlayerDecl(Record):
     id: str
     balances: tuple[BalanceDecl, ...]
     capabilities: Mapping[str, frozenset[str]]
 
 
-@dataclass(frozen=True)
-class Defaults:
+class Defaults(Record):
     player: str
     base_domain: str
     base_asset: str
@@ -91,9 +87,9 @@ class Defaults:
     value_domains: tuple[str, ...]
 
 
-@dataclass(eq=False)
-class Scenario:
-    """A fully validated scenario; immutable after construction."""
+class Scenario(Record, eq=False):
+    """A fully validated scenario; immutable. Equality and hash are by
+    identity. ``registry`` and ``space`` are derived at construction."""
 
     schema_version: int
     domains: tuple[DomainDecl, ...]
@@ -107,17 +103,16 @@ class Scenario:
     player_actions: tuple[tuple[str, Action], ...]
     prices: PriceMatrix
     defaults: Defaults
-    registry: Registry = dataclass_field(init=False)
-    space: ActionSpaceSpec = dataclass_field(init=False)
 
     def __post_init__(self):
-        self.registry = Registry(
+        registry = Registry(
             native_assets={d.id: d.native_asset for d in self.domains},
             players=frozenset(p.id for p in self.players),
             assets=frozenset(self.assets),
             pool_ids=frozenset(p.id for p in self.pools),
         )
-        self.space = _build_space(self)
+        object.__setattr__(self, "registry", registry)
+        object.__setattr__(self, "space", _build_space(self))
 
     def initial_state(self) -> WorldState:
         """A fresh state owning fresh maps: declared balances summed per

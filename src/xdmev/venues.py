@@ -11,10 +11,10 @@ Amounts are int units (see ``model``); ``quote_swap`` and a pool's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _kernels
+from ._record import Record
 from .errors import (
     AlreadyConsumed,
     FeeExceedsOutput,
@@ -33,8 +33,7 @@ Y_TO_X = "y_to_x"
 DIRECTIONS = (X_TO_Y, Y_TO_X)
 
 
-@dataclass(frozen=True)
-class ConstantProductPool:
+class ConstantProductPool(Record):
     """x*y = k pool; reserves (int units) are part of the value and change on swaps."""
 
     id: str
@@ -82,8 +81,7 @@ class ConstantProductPool:
         return moved
 
 
-@dataclass(frozen=True)
-class StylizedMidpointPool:
+class StylizedMidpointPool(Record):
     """Infinitely deep market quoting one midpoint price (asset_y per asset_x)."""
 
     id: str
@@ -97,8 +95,7 @@ class StylizedMidpointPool:
             raise XdmevError(f"pool {self.id}: price must be positive")
 
 
-@dataclass(frozen=True)
-class StylizedArbSpec:
+class StylizedArbSpec(Record):
     """Pair rebalance: both pools move to the midpoint, profit is stipulated."""
 
     id: str
@@ -109,8 +106,7 @@ class StylizedArbSpec:
     profit_domain: str
 
 
-@dataclass(frozen=True)
-class BridgeSpec:
+class BridgeSpec(Record):
     """Linear-rate transfer between domains with an optional flat fee."""
 
     id: str
@@ -122,8 +118,7 @@ class BridgeSpec:
     flat_fee: Amount
 
 
-@dataclass(frozen=True)
-class LegOpportunity:
+class LegOpportunity(Record):
     """Stipulated-profit opportunity realized by executing all of its legs.
 
     The credit fires exactly once, when the final leg executes; partial
@@ -138,16 +133,14 @@ class LegOpportunity:
     leg_ids: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class PricePushEffect:
+class PricePushEffect(Record):
     """Third-party flow that moves a stylized pool to a new quoted price."""
 
     pool_id: str
     to_price: Amount
 
 
-@dataclass(frozen=True)
-class CpSwapEffect:
+class CpSwapEffect(Record):
     """Third-party swap on a constant-product pool, for the named account."""
 
     pool_id: str
@@ -156,8 +149,7 @@ class CpSwapEffect:
     account: str
 
 
-@dataclass(frozen=True)
-class TransferEffect:
+class TransferEffect(Record):
     """Third-party balance transfer within one domain."""
 
     domain: str
@@ -167,8 +159,7 @@ class TransferEffect:
     amount: Amount
 
 
-@dataclass(frozen=True)
-class ArbLegEffect:
+class ArbLegEffect(Record):
     """One leg of a declared rebalance: pool must sit at from_price, moves to to_price."""
 
     pool_id: str
@@ -177,8 +168,7 @@ class ArbLegEffect:
     opportunity: LegOpportunity
 
 
-@dataclass(frozen=True)
-class PendingTx:
+class PendingTx(Record):
     """A mempool entry: consumable exactly once per sequence."""
 
     id: str
@@ -284,7 +274,8 @@ def apply_stylized_arb(state: WorldState, player: str, spec: StylizedArbSpec) ->
         raise PricesEqual(
             f"{spec.pool_a} and {spec.pool_b} both quote {pool_a.price}"
         )
-    midpoint = (pool_a.price + pool_b.price) / Amount(2)
+    # (a + b) / Amount(2) as one Amount: div_half_even(s * SCALE, 2 * SCALE) == div_half_even(s, 2)
+    midpoint = Amount.from_units(div_half_even(pool_a.price.units + pool_b.price.units, 2))
     return state.update(
         ((CREDIT, spec.profit_domain, player, spec.profit_asset, spec.declared_profit.units),),
         ((spec.pool_a, _repriced(pool_a, midpoint)), (spec.pool_b, _repriced(pool_b, midpoint))),

@@ -3,7 +3,6 @@
 import gc
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -434,7 +433,7 @@ class TestGridWork:
     ):
         scenario = bundled("cp_arbitrage_small")
         state = scenario.initial_state()
-        query = replace(scenario.default_query(), candidate_cap=1000)
+        query = scenario.default_query().replace(candidate_cap=1000)
         with pytest.raises(ExplosionGuard, match="^search work exceeded the cap of 1000$"):
             if walker == "mev_oracle":
                 mev_oracle(scenario.space, state, query, grid_points=10**6)
@@ -454,12 +453,12 @@ class TestGridWork:
         query = scenario.default_query()
         full = mev_oracle(scenario.space, state, query, grid_points)
         capped = mev_oracle(
-            scenario.space, state, replace(query, candidate_cap=full.explored), grid_points
+            scenario.space, state, query.replace(candidate_cap=full.explored), grid_points
         )
         assert capped == full
         with pytest.raises(ExplosionGuard):
             mev_oracle(
-                scenario.space, state, replace(query, candidate_cap=full.explored - 1),
+                scenario.space, state, query.replace(candidate_cap=full.explored - 1),
                 grid_points,
             )
 

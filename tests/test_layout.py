@@ -1,5 +1,8 @@
-"""Source-tree hygiene: the package ships Python modules and scenario JSON only."""
+"""Source-tree hygiene: the package ships Python modules and scenario JSON
+only, and importing its CLI stays light."""
 
+import subprocess
+import sys
 from pathlib import Path
 
 import xdmev
@@ -19,3 +22,19 @@ def test_package_holds_only_python_and_bundled_scenarios():
             continue
         strays.append(rel.as_posix())
     assert strays == [], f"non-source files in src/xdmev: {strays}"
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # ``dataclasses`` execs generated methods for every class and imports
+    # ``inspect`` (with ``ast``, ``tokenize`` and ``dis``): once about two
+    # thirds of the import time every CLI call pays
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import xdmev.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, check=True
+    )
+    assert proc.stdout == "[]\n", proc.stdout + proc.stderr

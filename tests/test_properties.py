@@ -2,7 +2,9 @@
 
 Each property runs over at least 200 seeded random scenarios (up to 3
 domains, up to 5 actions), so failures reproduce from the seed in the
-assertion message.
+assertion message. The properties that hold for parametric action spaces
+also run over the parametric variant, which adds one action sized on an
+interval.
 """
 
 import json
@@ -16,6 +18,7 @@ from xdmev.errors import MissingRate, UnknownId, XdmevError
 from xdmev.fixedpoint import Amount
 from xdmev.model import PriceMatrix, Registry, WorldState, convert
 from xdmev.scenario import Scenario, loads
+from xdmev.venues import DIRECTIONS
 
 SCENARIO_RUNS = 200
 
@@ -24,9 +27,12 @@ PUSH_TARGETS = ("5", "15", "18", "30", "50")
 TIP_AMOUNTS = ("0.5", "1", "2.25", "3")
 PROFITS = ("0.1", "0.4", "1", "1.5")
 RATES = ("1/1", "1/2", "2/1", "3/2", "2/3")
+PARAM_INTERVALS = (("0", "2"), ("0.5", "5"), ("1", "15"), ("0", "40"), ("12", "40"))
 
 
-def random_doc(rng: random.Random, cross_domain: bool = True) -> dict:
+def random_doc(rng: random.Random, cross_domain: bool = True, parametric: bool = False) -> dict:
+    """A random scenario document; with ``parametric``, the same document plus
+    one interval-sized action (see ``add_parametric_action``)."""
     n_domains = rng.randint(1, 3) if cross_domain else 2
     domains = [f"d{k}" for k in range(n_domains)]
     natives = {d: f"N{k}" for k, d in enumerate(domains)}
@@ -97,7 +103,7 @@ def random_doc(rng: random.Random, cross_domain: bool = True) -> dict:
             )
 
     all_kinds = ["Bridge", "ExecutePendingTx", "StylizedArb", "Swap"]
-    return {
+    doc = {
         "schema_version": 1,
         "domains": [{"id": d, "native_asset": natives[d]} for d in domains],
         "assets": assets,
@@ -129,16 +135,59 @@ def random_doc(rng: random.Random, cross_domain: bool = True) -> dict:
             "action_domains": domains, "value_domains": domains,
         },
     }
+    if parametric:
+        add_parametric_action(rng, doc)
+    return doc
+
+
+def add_parametric_action(rng: random.Random, doc: dict) -> None:
+    """Add one action of P sized on an interval: half the time when there are
+    two domains a bridge between them, else a stylized fill, for which P
+    also gets PAIR and CASH. Some upper ends exceed what P holds, so the affordable part of the
+    interval is sometimes cut short by the balance. Sequences are capped at
+    two actions: a parametric action starts a branch of ordered shapes, each
+    sized by a golden-section search, and at length 5 the 200 scenarios of
+    one property take over 30 s to search."""
+    domains = [d["id"] for d in doc["domains"]]
+    natives = {d["id"]: d["native_asset"] for d in doc["domains"]}
+    lo, hi = rng.choice(PARAM_INTERVALS)
+    if len(domains) > 1 and rng.random() < 0.5:
+        da, db = rng.sample(domains, 2)
+        doc["bridges"].append(
+            {"id": "br_param", "from_domain": da, "to_domain": db,
+             "from_asset": natives[da], "to_asset": natives[db],
+             "rate": rng.choice(RATES), "flat_fee": rng.choice(("0", "0.1"))}
+        )
+        payload = {"kind": "Bridge", "bridge": "br_param"}
+    else:
+        pool = rng.choice(doc["pools"])
+        doc["players"][0]["balances"] += [
+            {"domain": pool["domain"], "asset": "PAIR", "amount": "3"},
+            {"domain": pool["domain"], "asset": "CASH", "amount": "30"},
+        ]
+        payload = {"kind": "Swap", "pool": pool["id"], "direction": rng.choice(DIRECTIONS)}
+    doc["actions"].append(
+        {"id": "act_param", "player": "P", "amount": {"interval": [lo, hi]}, **payload}
+    )
+    doc["defaults"]["max_sequence_length"] = 2
 
 
 @lru_cache(maxsize=None)
-def build(seed: int, cross_domain: bool = True) -> Scenario:
-    return loads(json.dumps(random_doc(random.Random(seed), cross_domain)))
+def build(seed: int, cross_domain: bool = True, parametric: bool = False) -> Scenario:
+    return loads(json.dumps(random_doc(random.Random(seed), cross_domain, parametric)))
+
+
+def both_variants():
+    """(seed, label for messages, scenario) for every seed of the plain
+    variant, then of the parametric one."""
+    for parametric in (False, True):
+        for seed in range(SCENARIO_RUNS):
+            label = f"parametric seed {seed}" if parametric else f"seed {seed}"
+            yield seed, label, build(seed, parametric=parametric)
 
 
 def test_mev_is_never_negative():
-    for seed in range(SCENARIO_RUNS):
-        scenario = build(seed)
+    for seed, label, scenario in both_variants():
         state = scenario.initial_state()
         rng = random.Random(10_000 + seed)
         domain_ids = [d.id for d in scenario.domains]
@@ -146,7 +195,7 @@ def test_mev_is_never_negative():
         valuing = rng.sample(domain_ids, rng.randint(1, len(domain_ids)))
         result = mev(scenario.space, state, scenario.default_query(
             action_domains=acting, value_domains=valuing))
-        assert result.value >= Amount(0), f"seed {seed}: {result.value} < 0"
+        assert result.value >= Amount(0), f"{label}: {result.value} < 0"
 
 
 def test_action_space_monotonicity():
@@ -181,13 +230,12 @@ def test_separability_without_cross_domain_actions():
 
 
 def test_witness_replay_reproduces_value_exactly():
-    for seed in range(SCENARIO_RUNS):
-        scenario = build(seed)
+    for _, label, scenario in both_variants():
         state = scenario.initial_state()
         query = scenario.default_query()
         result = mev(scenario.space, state, query)
         replayed = replay_witness(scenario.space, state, query, result.witness)
-        assert replayed == result.value, f"seed {seed}: replay {replayed} != {result.value}"
+        assert replayed == result.value, f"{label}: replay {replayed} != {result.value}"
 
 
 def test_verdict_monotone_in_alpha():
@@ -299,23 +347,67 @@ def test_engine_agrees_with_oracle_on_random_discrete_scenarios():
 
 def test_available_actions_are_individually_performable():
     # availability soundness: everything returned extends to a valid
-    # single-action sequence, with the max affordable amount if parametric
+    # single-action sequence, with the max affordable amount if parametric;
+    # one unit more than that amount, when still in the interval, fails
     from xdmev.actions import available_actions, max_feasible_amount, validate_sequence
 
-    for seed in range(SCENARIO_RUNS):
-        scenario = build(seed)
+    parametric_checked = 0
+    for _, label, scenario in both_variants():
         state = scenario.initial_state()
         domains = frozenset(d.id for d in scenario.domains)
+
+        def violation(action, amount):
+            return validate_sequence(scenario.space, "P", domains, state, [(action.id, amount)])
+
         for action in available_actions(scenario.space, "P", domains, state):
-            amount = (
-                Amount.from_units(max_feasible_amount(state, "P", action))
-                if action.parametric
-                else None
-            )
-            violation = validate_sequence(
-                scenario.space, "P", domains, state, [(action.id, amount)]
-            )
-            assert violation is None, f"seed {seed}: {action.id}: {violation}"
+            amount = None
+            if action.parametric:
+                parametric_checked += 1
+                amount = Amount.from_units(max_feasible_amount(state, "P", action))
+                above = Amount.from_units(amount.units + 1)
+                if above <= action.interval.hi:
+                    assert violation(action, above) is not None, (
+                        f"{label}: {action.id} also works at {above}"
+                    )
+            found = violation(action, amount)
+            assert found is None, f"{label}: {action.id}: {found}"
+    assert parametric_checked > 0
+
+
+def test_unavailable_parametric_actions_have_no_performable_amount():
+    # availability completeness, checked without ``max_feasible_amount``: a
+    # parametric action left out performs at no amount of an 11-point grid
+    # over its interval, nor at exactly the units P holds of its input
+    from xdmev.actions import available_actions, validate_sequence
+    from xdmev.engine import grid_amounts
+
+    left_out = 0
+    for seed in range(SCENARIO_RUNS):
+        scenario = build(seed, parametric=True)
+        state = scenario.initial_state()
+        domains = frozenset(d.id for d in scenario.domains)
+        available = available_actions(scenario.space, "P", domains, state)
+        for action in scenario.space.for_player("P"):
+            if not action.parametric or action in available:
+                continue
+            left_out += 1
+            held = state.balances.get(_input_key(scenario, action), 0)
+            tries = grid_amounts(action.interval, 11) + (Amount.from_units(held),)
+            for amount in tries:
+                violation = validate_sequence(
+                    scenario.space, "P", domains, state, [(action.id, amount)]
+                )
+                assert violation is not None, f"seed {seed}: {action.id} works at {amount}"
+    assert left_out > 0  # the variant leaves some parametric action unaffordable
+
+
+def _input_key(scenario: Scenario, action) -> tuple[str, str, str]:
+    """Balance key of the asset a parametric swap or bridge of P spends."""
+    if action.bridge is not None:
+        return action.bridge.from_domain, "P", action.bridge.from_asset
+    pool = next(p for p in scenario.pools if p.id == action.pool_id)
+    asset = pool.asset_x if action.direction == "x_to_y" else pool.asset_y
+    return pool.domain, "P", asset
 
 
 def test_breakeven_alpha_is_never_negative():

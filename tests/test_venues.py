@@ -1,6 +1,5 @@
 """Pool, bridge, and pending-transaction mechanics."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -403,12 +402,12 @@ def _ref_swap(state, player, pool_id, direction, amount_in):
     out = quote_swap(pool, direction, amount_in)
     if direction == "x_to_y":
         asset_in, asset_out = pool.asset_x, pool.asset_y
-        new_pool = replace(pool, reserve_x_units=(pool.reserve_x + amount_in).units,
-                           reserve_y_units=(pool.reserve_y - out).units)
+        new_pool = pool.replace(reserve_x_units=(pool.reserve_x + amount_in).units,
+                                reserve_y_units=(pool.reserve_y - out).units)
     else:
         asset_in, asset_out = pool.asset_y, pool.asset_x
-        new_pool = replace(pool, reserve_y_units=(pool.reserve_y + amount_in).units,
-                           reserve_x_units=(pool.reserve_x - out).units)
+        new_pool = pool.replace(reserve_y_units=(pool.reserve_y + amount_in).units,
+                                reserve_x_units=(pool.reserve_x - out).units)
     state = _ref_debit(state, pool.domain, player, asset_in, amount_in)
     state = _ref_credit(state, pool.domain, player, asset_out, out)
     return _ref_with_pool(state, pool_id, new_pool)
@@ -438,8 +437,8 @@ def _ref_stylized_arb(state, player, spec):
     if pool_a.price == pool_b.price:
         raise PricesEqual(f"{spec.pool_a} and {spec.pool_b} both quote {pool_a.price}")
     midpoint = (pool_a.price + pool_b.price) / Amount(2)
-    state = _ref_with_pool(state, spec.pool_a, replace(pool_a, price=midpoint))
-    state = _ref_with_pool(state, spec.pool_b, replace(pool_b, price=midpoint))
+    state = _ref_with_pool(state, spec.pool_a, pool_a.replace(price=midpoint))
+    state = _ref_with_pool(state, spec.pool_b, pool_b.replace(price=midpoint))
     return _ref_credit(state, spec.profit_domain, player, spec.profit_asset, spec.declared_profit)
 
 
@@ -449,7 +448,7 @@ def _ref_pending(state, tx):
     effect = tx.effect
     if isinstance(effect, PricePushEffect):
         pool = _ref_stylized(state, effect.pool_id)
-        state = _ref_with_pool(state, effect.pool_id, replace(pool, price=effect.to_price))
+        state = _ref_with_pool(state, effect.pool_id, pool.replace(price=effect.to_price))
     elif isinstance(effect, CpSwapEffect):
         state = _ref_swap(state, effect.account, effect.pool_id, effect.direction,
                           effect.amount_in)
@@ -463,7 +462,7 @@ def _ref_pending(state, tx):
                 f"leg {tx.id!r} expects {effect.pool_id} at {effect.from_price}, "
                 f"pool quotes {pool.price}"
             )
-        state = _ref_with_pool(state, effect.pool_id, replace(pool, price=effect.to_price))
+        state = _ref_with_pool(state, effect.pool_id, pool.replace(price=effect.to_price))
         opp = effect.opportunity
         if set(opp.leg_ids) - {tx.id} <= state.consumed:
             state = _ref_credit(state, opp.profit_domain, opp.beneficiary, opp.profit_asset,
