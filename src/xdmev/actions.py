@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from ._record import Record
 from .errors import InvalidAmount, SequenceStepError, UnknownId, XdmevError
-from .fixedpoint import Amount
+from .fixedpoint import Amount, format_units
 from .model import WorldState
 from .venues import (
     BridgeSpec,
@@ -150,7 +150,7 @@ def apply_action(
             raise InvalidAmount(f"action {action.id!r} requires an amount")
         if amount < interval.lo.units or amount > interval.hi.units:
             raise InvalidAmount(
-                f"action {action.id!r}: amount {Amount.from_units(amount)} outside "
+                f"action {action.id!r}: amount {format_units(amount)} outside "
                 f"[{interval.lo}, {interval.hi}]"
             )
         if amount <= 0:
@@ -160,19 +160,20 @@ def apply_action(
             raise InvalidAmount(f"action {action.id!r} takes no amount")
         amount = resolve_amount(state, player, action)
 
-    if action.kind == KIND_PENDING:
-        return apply_pending_tx(state, action.tx)
-    if action.kind == KIND_ARB:
-        return apply_stylized_arb(state, player, action.arb)
-    if action.kind == KIND_BRIDGE:
-        return apply_bridge(state, player, action.bridge, amount)
-    if action.kind == KIND_SWAP:
+    kind = action.kind
+    if kind == KIND_SWAP:
         pool = state.pool(action.pool_id)
         if isinstance(pool, ConstantProductPool):
             return apply_swap(state, player, action.pool_id, action.direction, amount)
         if isinstance(pool, StylizedMidpointPool):
             return apply_stylized_fill(state, player, action.pool_id, action.direction, amount)
         raise UnknownId(f"action {action.id!r}: unsupported pool type")
+    if kind == KIND_PENDING:
+        return apply_pending_tx(state, action.tx)
+    if kind == KIND_ARB:
+        return apply_stylized_arb(state, player, action.arb)
+    if kind == KIND_BRIDGE:
+        return apply_bridge(state, player, action.bridge, amount)
     raise XdmevError(f"action {action.id!r}: unknown kind {action.kind!r}")
 
 

@@ -34,7 +34,7 @@ from .actions import KIND_ARB, KIND_BRIDGE, KIND_PENDING, KIND_SWAP, apply_actio
 from .collusion import classify_collusion
 from .engine import MevQuery, _usable_actions, mev, mev_oracle
 from .errors import ExplosionGuard, ValidationError, XdmevError
-from .fixedpoint import Amount
+from .fixedpoint import Amount, format_units
 from .scenario import BUNDLED_NAMES, Scenario, bundled_path, load_path
 from .venues import ArbLegEffect, CpSwapEffect, PricePushEffect, TransferEffect
 
@@ -140,7 +140,7 @@ def _witness_steps(scenario: Scenario, player: str, state, witness) -> list[dict
                 continue
             diff = nxt.balances.get(key, 0) - current.balances.get(key, 0)
             if diff:
-                text = str(Amount.from_units(diff))
+                text = format_units(diff)
                 deltas.setdefault(domain, {})[asset] = f"+{text}" if diff > 0 else text
         steps.append(
             {
@@ -149,7 +149,7 @@ def _witness_steps(scenario: Scenario, player: str, state, witness) -> list[dict
                 "kind": action.kind,
                 "domains": sorted(action.domains),
                 "amount": None if amount is None else str(amount),
-                "resolved_amount": None if resolved is None else str(Amount.from_units(resolved)),
+                "resolved_amount": None if resolved is None else format_units(resolved),
                 "params": _action_params(scenario, action),
                 "deltas": deltas,
             }

@@ -8,6 +8,12 @@ schedule, ``_golden_section``, also serves ``optimal_cp_arbitrage``.
 amounts discretized on an even grid, sharing nothing with the search but
 the state semantics.
 
+Both compute on int units (see ``model``): ``priced_balance_delta``
+returns units, a candidate is (value units, steps) with steps
+(action id, amount units or None), and the oracle's grid is units. An
+answer's ``MevResult.value`` and its witness's ``(id, Amount)`` steps are
+built once, from the winning candidate.
+
 Everything here is a pure function over immutable values; the only
 mutable machinery (a work counter and the search memo) lives inside one
 call, so concurrent queries need no coordination. The searches are plain
@@ -30,7 +36,7 @@ from .actions import (
     max_feasible_amount,
 )
 from .errors import ExplosionGuard, NoOpportunity, UnknownId, XdmevError
-from .fixedpoint import ZERO, Amount, div_half_even, mul_fraction_units
+from .fixedpoint import Amount, div_half_even, mul_fraction_units
 from .model import PriceMatrix, WorldState, balance_of
 from .model import convert  # noqa: F401  re-exported; perfbench/tracing.py wraps engine.convert
 from .venues import ConstantProductPool
@@ -82,7 +88,9 @@ class _Counter:
         self.cap = cap
 
     def bump(self) -> None:
-        self.check(1)
+        """Count one unit of work; raise ExplosionGuard instead when it would pass the cap."""
+        if self.count >= self.cap:
+            raise ExplosionGuard(f"search work exceeded the cap of {self.cap}")
         self.count += 1
 
     def check(self, work: int) -> None:
@@ -91,7 +99,10 @@ class _Counter:
             raise ExplosionGuard(f"search work exceeded the cap of {self.cap}")
 
 
-_Candidate = tuple[Amount, tuple[SequenceStep, ...]]
+# a ``SequenceStep`` below the edge: (action id, amount units or None)
+_Steps = tuple[tuple[str, Optional[int]], ...]
+# (priced value units, steps)
+_Candidate = tuple[int, _Steps]
 
 
 def _candidate_better(a: _Candidate, b: _Candidate) -> bool:
@@ -104,8 +115,8 @@ def _candidate_better(a: _Candidate, b: _Candidate) -> bool:
     ids_b = tuple(step[0] for step in b[1])
     if ids_a != ids_b:
         return ids_a < ids_b
-    amounts_a = tuple(step[1].units if step[1] is not None else -1 for step in a[1])
-    amounts_b = tuple(step[1].units if step[1] is not None else -1 for step in b[1])
+    amounts_a = tuple(-1 if step[1] is None else step[1] for step in a[1])
+    amounts_b = tuple(-1 if step[1] is None else step[1] for step in b[1])
     return amounts_a < amounts_b
 
 
@@ -117,24 +128,39 @@ def _merge(a: Optional[_Candidate], b: Optional[_Candidate]) -> Optional[_Candid
     return b if _candidate_better(b, a) else a
 
 
-def priced_balance_delta(query: MevQuery, initial: WorldState, final: WorldState) -> Amount:
-    """Sum over value domains of the native-asset delta priced into the base.
+def _result(best: _Candidate, explored: int, method: str) -> MevResult:
+    """The answer of a search: its value and witness steps become ``Amount``s
+    here, once; a step with no amount keeps its ``(id, None)`` tuple."""
+    value, steps = best
+    witness = tuple(
+        step if step[1] is None else (step[0], Amount.from_units(step[1])) for step in steps
+    )
+    return MevResult(Amount.from_units(value), witness, explored, method)
+
+
+def priced_balance_delta(query: MevQuery, initial: WorldState, final: WorldState) -> int:
+    """Units of the sum over value domains of the native-asset delta priced
+    into the base.
 
     Each domain's delta is rounded half-even at the 18th digit on its own,
-    as ``convert`` rounds it, and the rounded deltas sum exactly.
+    as ``convert`` rounds it, and the rounded deltas sum exactly. The sum
+    stays int units: searches compare it as is, and only an answer's value
+    becomes an ``Amount``.
     """
     registry = initial.registry
+    native_assets = registry.native_assets
     prices, base, player = query.prices, query.base_asset, query.player
     before, after = initial.balances, final.balances
     total = 0
     for domain in query.value_domains:
-        asset = registry.native_asset(domain)
+        # ids are nonempty; ``native_asset`` raises UnknownId for an undeclared domain
+        asset = native_assets.get(domain) or registry.native_asset(domain)
         key = (domain, player, asset)
         delta = after.get(key, 0) - before.get(key, 0)
         if delta and asset != base:
             delta = mul_fraction_units(delta, prices.rate(asset, base))
         total += delta
-    return Amount.from_units(total)
+    return total
 
 
 def extractable_value(
@@ -306,12 +332,12 @@ class _Search:
                 return None
             value, tail = rest
             # a lower value loses the tie-break outright; build no candidate for it
-            if best is None or value.units >= best[0].units:
-                step = action.step if units is None else (action.id, Amount.from_units(units))
+            if best is None or value >= best[0]:
+                step = action.step if units is None else (action.id, units)
                 candidate = (value, (step,) + tail)
                 if best is None or _candidate_better(candidate, best):
                     best = candidate
-            return value.units
+            return value
 
         if not action.parametric:
             score(None)
@@ -339,10 +365,7 @@ def mev(space: ActionSpaceSpec, state: WorldState, query: MevQuery) -> MevResult
     """
     _validate_query(state, query)
     search = _Search(state, query, _usable_actions(space, query.player, query.action_domains))
-    value, witness = search.best_suffix(state, frozenset())
-    return MevResult(
-        value=value, witness=witness, explored=search.counter.count, method="exhaustive"
-    )
+    return _result(search.best_suffix(state, frozenset()), search.counter.count, "exhaustive")
 
 
 def mev_cross_two(
@@ -378,16 +401,15 @@ def _grid_size(interval, points: int) -> int:
     return min(points, interval.hi.units - interval.lo.units + 1)
 
 
-def grid_amounts(interval, points: int) -> tuple[Amount, ...]:
-    """Evenly spaced amounts over [lo, hi], half-even to 18 digits, distinct: every
-    unit in [lo, hi] with a point per unit or more, else ``points`` amounts."""
+def grid_amounts(interval, points: int) -> tuple[int, ...]:
+    """Evenly spaced amount units over [lo, hi], half-even to whole units,
+    distinct: every unit in [lo, hi] with a point per unit or more, else
+    ``points`` amounts."""
     lo, hi = interval.lo.units, interval.hi.units
     if _grid_size(interval, points) == hi - lo + 1:
-        return tuple(Amount.from_units(units) for units in range(lo, hi + 1))
+        return tuple(range(lo, hi + 1))
     steps = points - 1
-    return tuple(
-        Amount.from_units(div_half_even(lo * (steps - k) + hi * k, steps)) for k in range(points)
-    )
+    return tuple(div_half_even(lo * (steps - k) + hi * k, steps) for k in range(points))
 
 
 def _grid_sequences(
@@ -397,7 +419,7 @@ def _grid_sequences(
     max_len: int,
     grid_points: int,
     counter: _Counter,
-) -> Iterator[tuple[WorldState, tuple[SequenceStep, ...]]]:
+) -> Iterator[tuple[WorldState, _Steps]]:
     """Every valid sequence of length 1..max_len from ``start``, depth first
     in action order, as (final state, steps); parametric amounts run over
     ``grid_amounts``. Each application tried bumps ``counter`` once.
@@ -420,20 +442,19 @@ def _grid_sequences(
 def _grid_walk(choices, current, steps, used, player, max_len, counter):
     """``_grid_sequences`` below the prefix ``steps`` (ids ``used``) that
     reached ``current``, shorter than ``max_len``; ``choices`` pairs each
-    action with its amounts. A sequence of length ``max_len`` starts no walk
-    below it."""
+    action with its amount units. A sequence of length ``max_len`` starts no
+    walk below it."""
     deeper = len(steps) + 1 < max_len
     for action, amounts in choices:
         if action.id in used:
             continue
-        for amount in amounts:
+        for units in amounts:
             counter.bump()
-            units = None if amount is None else amount.units
             try:
                 nxt = apply_action(current, player, action, units)
             except XdmevError:
                 continue
-            seq = steps + ((action.id, amount),)
+            seq = steps + ((action.id, units),)
             yield nxt, seq
             if deeper:
                 yield from _grid_walk(
@@ -459,18 +480,13 @@ def mev_oracle(
         state, query.player, query.max_sequence_length, grid_points, counter,
     )
     counter.bump()  # the empty sequence
-    best: _Candidate = (ZERO, ())
+    best: _Candidate = (0, ())
     for final, steps in sequences:
         value = priced_balance_delta(query, state, final)
         # as in ``_Search.realize``: a lower value cannot win the tie-break
-        if value.units >= best[0].units and _candidate_better((value, steps), best):
+        if value >= best[0] and _candidate_better((value, steps), best):
             best = (value, steps)
-    return MevResult(
-        value=best[0],
-        witness=best[1],
-        explored=counter.count,
-        method="oracle",
-    )
+    return _result(best, counter.count, "oracle")
 
 
 def replay_witness(
@@ -478,7 +494,7 @@ def replay_witness(
 ) -> Amount:
     """Re-apply a witness and re-price it; must reproduce MevResult.value."""
     final = apply_sequence(space, state, query.player, witness)
-    return priced_balance_delta(query, state, final)
+    return Amount.from_units(priced_balance_delta(query, state, final))
 
 
 # -- reachable states ----------------------------------------------------------

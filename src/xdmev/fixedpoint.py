@@ -118,16 +118,21 @@ class Amount:
         return self.units / SCALE
 
     def __str__(self) -> str:
-        units = self.units
-        sign = "-" if units < 0 else ""
-        whole, frac = divmod(abs(units), SCALE)
-        if frac == 0:
-            return f"{sign}{whole}"
-        digits = f"{frac:018d}".rstrip("0")
-        return f"{sign}{whole}.{digits}"
+        return format_units(self.units)
 
     def __repr__(self) -> str:
         return f"Amount('{self}')"
+
+
+def format_units(units: int) -> str:
+    """``str`` of the ``Amount`` with these units, without building one; error
+    messages below the edge use it."""
+    sign = "-" if units < 0 else ""
+    whole, frac = divmod(abs(units), SCALE)
+    if frac == 0:
+        return f"{sign}{whole}"
+    digits = f"{frac:018d}".rstrip("0")
+    return f"{sign}{whole}.{digits}"
 
 
 def _units_of(other: object) -> int:

@@ -3,11 +3,14 @@
 The world is monolithic: one balance map keyed by (domain, player, asset)
 covers every domain, and pool states live beside it. Amounts at the edge
 only: every quantity a query computes or changes is int units
-(``Amount.units``); an ``Amount`` is built only where a value enters from a
-document or leaves the state layer (loading, ``quote_swap``, ``balance()``,
-witness steps, ``MevResult.value``, rendering, error messages). ``WorldState``
-is a value — applying anything yields a new state, prior states stay intact,
-and states are hashable so reachable-state sets deduplicate naturally.
+(``Amount.units``), the engine's priced deltas, search candidates, grid
+amounts and steps included; an ``Amount`` is built only where a value
+enters from a document or leaves the state layer (loading, ``quote_swap``,
+``balance()``, rendering, and an answer's ``MevResult.value`` and witness
+amounts, built once per answer). Error messages format units with
+``format_units``. ``WorldState`` is a value — applying anything yields a
+new state, prior states stay intact, and states are hashable so
+reachable-state sets deduplicate naturally.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .errors import (
     UnknownPool,
     ValidationError,
 )
-from .fixedpoint import ZERO, Amount
+from .fixedpoint import ZERO, Amount, format_units
 
 ID_RE = re.compile(r"^[A-Za-z0-9_.-]{1,64}$")
 
@@ -135,7 +138,7 @@ class WorldState:
                 if units < 0:
                     verb = "debit" if sign == DEBIT else "credit"
                     raise InsufficientBalance(
-                        f"cannot {verb} negative amount {Amount.from_units(units)}"
+                        f"cannot {verb} negative amount {format_units(units)}"
                     )
                 if units == 0:
                     continue
@@ -144,8 +147,8 @@ class WorldState:
                 if sign == DEBIT:
                     if held < units:
                         raise InsufficientBalance(
-                            f"{player} holds {Amount.from_units(held)} {asset} on {domain}, "
-                            f"needs {Amount.from_units(units)}"
+                            f"{player} holds {format_units(held)} {asset} on {domain}, "
+                            f"needs {format_units(units)}"
                         )
                     units = -units
                 units += held
@@ -264,6 +267,21 @@ class PriceMatrix:
 
     def entries(self) -> list[tuple[str, str, Fraction]]:
         return [(src, dst, rate) for (src, dst), rate in sorted(self._rates.items())]
+
+    # Value semantics over the declared rates (both directions of each pair),
+    # so queries over equal rates compare and hash equal. The hash reads the
+    # rates when it is taken: declare nothing more into a matrix once hashed.
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return self._rates == other._rates
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._rates.items()))
+
+    def __repr__(self) -> str:
+        return f"PriceMatrix({dict(sorted(self._rates.items()))!r})"
 
 
 def convert(prices: PriceMatrix, src: str, dst: str, amount: Amount) -> Amount:

@@ -25,7 +25,7 @@ from .errors import (
     UnknownPool,
     XdmevError,
 )
-from .fixedpoint import SCALE, Amount, div_half_even, mul_fraction_units
+from .fixedpoint import SCALE, Amount, div_half_even, format_units, mul_fraction_units
 from .model import CREDIT, DEBIT, BalanceMove, WorldState
 
 X_TO_Y = "x_to_y"
@@ -57,14 +57,6 @@ class ConstantProductPool(Record):
     @property
     def reserve_y(self) -> Amount:
         return Amount.from_units(self.reserve_y_units)
-
-    def reserves(self, direction: str) -> tuple[int, int]:
-        """(reserve_in, reserve_out) units for the given trade direction."""
-        if direction == X_TO_Y:
-            return self.reserve_x_units, self.reserve_y_units
-        if direction == Y_TO_X:
-            return self.reserve_y_units, self.reserve_x_units
-        raise InvalidAmount(f"unknown swap direction {direction!r}")
 
     def _with_reserves(self, reserve_x_units: int, reserve_y_units: int) -> "ConstantProductPool":
         """This pool with new reserves, without running ``__init__`` again.
@@ -182,44 +174,51 @@ class PendingTx(Record):
 _Effects = tuple[tuple[BalanceMove, ...], tuple[tuple[str, object], ...]]
 
 
-def _quote_units(pool: ConstantProductPool, direction: str, amount_in: int) -> int:
-    """Output units of a swap, rounded down; ``quote_swap``'s checks and errors."""
+def _quote_units(pool: ConstantProductPool, direction: str, amount_in: int) -> tuple[int, bool]:
+    """The one constant-product quote: (output units rounded down, whether
+    X is sold), with ``quote_swap``'s checks and errors in their order:
+    amount, direction, liquidity. The direction is compared here only."""
     if amount_in <= 0:
-        raise InvalidAmount(f"swap amount must be positive, got {Amount.from_units(amount_in)}")
-    reserve_in, reserve_out = pool.reserves(direction)
+        raise InvalidAmount(f"swap amount must be positive, got {format_units(amount_in)}")
+    if direction == X_TO_Y:
+        sells_x, reserve_in, reserve_out = True, pool.reserve_x_units, pool.reserve_y_units
+    elif direction == Y_TO_X:
+        sells_x, reserve_in, reserve_out = False, pool.reserve_y_units, pool.reserve_x_units
+    else:
+        raise InvalidAmount(f"unknown swap direction {direction!r}")
     out_units = _kernels.swap_out(reserve_in, reserve_out, amount_in, pool.fee_bps)
     if out_units <= 0:
         raise InsufficientLiquidity(
-            f"pool {pool.id}: input {Amount.from_units(amount_in)} buys no output"
+            f"pool {pool.id}: input {format_units(amount_in)} buys no output"
         )
-    return out_units
+    return out_units, sells_x
 
 
 def quote_swap(pool: ConstantProductPool, direction: str, amount_in: Amount) -> Amount:
     """Pure quote: output for ``amount_in``, pool untouched, rounded down."""
-    return Amount.from_units(_quote_units(pool, direction, amount_in.units))
+    return Amount.from_units(_quote_units(pool, direction, amount_in.units)[0])
 
 
 def _swap_effects(
     state: WorldState, player: str, pool_id: str, direction: str, amount_in: int
 ) -> _Effects:
-    """Balance moves and pool replacement of a constant-product swap."""
+    """Balance moves and pool replacement of a constant-product swap; the
+    pool is read once."""
     pool = state.pool(pool_id)
     if not isinstance(pool, ConstantProductPool):
         raise UnknownPool(f"pool {pool_id!r} is not a constant-product pool")
-    out = _quote_units(pool, direction, amount_in)
-    rx, ry = pool.reserve_x_units, pool.reserve_y_units
-    if direction == X_TO_Y:
+    out, sells_x = _quote_units(pool, direction, amount_in)
+    if sells_x:
         asset_in, asset_out = pool.asset_x, pool.asset_y
-        rx, ry = rx + amount_in, ry - out
+        moved = pool._with_reserves(pool.reserve_x_units + amount_in, pool.reserve_y_units - out)
     else:
         asset_in, asset_out = pool.asset_y, pool.asset_x
-        rx, ry = rx - out, ry + amount_in
+        moved = pool._with_reserves(pool.reserve_x_units - out, pool.reserve_y_units + amount_in)
     moves = (
         (DEBIT, pool.domain, player, asset_in, amount_in),
         (CREDIT, pool.domain, player, asset_out, out),
     )
-    return moves, ((pool_id, pool._with_reserves(rx, ry)),)
+    return moves, ((pool_id, moved),)
 
 
 def apply_swap(
@@ -246,7 +245,7 @@ def apply_stylized_fill(
     """Trade at a stylized pool's quoted price, rounded half-even; the quote does not move."""
     pool = _stylized(state, pool_id)
     if amount_in <= 0:
-        raise InvalidAmount(f"fill amount must be positive, got {Amount.from_units(amount_in)}")
+        raise InvalidAmount(f"fill amount must be positive, got {format_units(amount_in)}")
     if direction == X_TO_Y:
         asset_in, asset_out = pool.asset_x, pool.asset_y
         out = div_half_even(amount_in * pool.price.units, SCALE)
@@ -338,12 +337,12 @@ def bridge_output(bridge: BridgeSpec, quantity: int) -> int:
 def apply_bridge(state: WorldState, player: str, bridge: BridgeSpec, quantity: int) -> WorldState:
     """Move quantity across the bridge, charging the flat fee on arrival."""
     if quantity <= 0:
-        raise InvalidAmount(f"bridge quantity must be positive, got {Amount.from_units(quantity)}")
+        raise InvalidAmount(f"bridge quantity must be positive, got {format_units(quantity)}")
     arriving = bridge_output(bridge, quantity)
     if arriving < 0:
         raise FeeExceedsOutput(
             f"bridge {bridge.id}: fee {bridge.flat_fee} exceeds converted "
-            f"{Amount.from_units(quantity)}"
+            f"{format_units(quantity)}"
         )
     return state.update((
         (DEBIT, bridge.from_domain, player, bridge.from_asset, quantity),

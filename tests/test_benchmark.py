@@ -18,32 +18,34 @@ WRAPPED_COUNTERS = (
 
 
 # seed-1 counts of one traced oracle_grid round; a swap that goes around
-# the wrapped kernel, or builds an extra state or an extra Amount, changes them
+# the wrapped kernel, or builds an extra state or an extra Amount, changes them;
+# the grid, the priced deltas and the candidates are int units, so only each
+# answer's value and witness amounts are Amounts
 ORACLE_GRID_SEED1_COUNTS = {
     "actions.apply_calls": 48_618,
     "kernels.swap_out_calls": 48_600,
     "model.worldstate_new": 48_609,
-    "fixedpoint.amount_new": 72_309,
+    "fixedpoint.amount_new": 11,
 }
 
 # seed-1 counts of one traced cp_chain round (both swaps parametric): the
-# golden-section probes apply int units and build an Amount only for a step
-# that can still win
+# golden-section probes apply and score int units, and a failed probe's
+# message formats units: Amounts are built for the answers only
 CP_CHAIN_SEED1_COUNTS = {
     "engine.explored": 48,
     "actions.apply_calls": 46_872,
     "kernels.swap_out_calls": 46_872,
     "model.worldstate_new": 46_494,
-    "fixedpoint.amount_new": 48_235,
+    "fixedpoint.amount_new": 36,
 }
 
 # seed-1 counts of one traced tips round (pending transfers, no parametric
-# action): one Amount per priced node, none per balance move
+# action): one Amount per answer, none per priced node or balance move
 TIPS_SEED1_COUNTS = {
     "engine.explored": 448,
     "actions.apply_calls": 1_440,
     "model.worldstate_new": 1_446,
-    "fixedpoint.amount_new": 448,
+    "fixedpoint.amount_new": 6,
 }
 
 

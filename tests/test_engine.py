@@ -423,7 +423,7 @@ class TestGridWork:
                 AmountInterval(Amount.from_units(lo), Amount.from_units(lo + span)), points
             )
             assert len(grid) == min(points, span + 1), (lo, span, points)
-            assert [a.units for a in grid] == reference_grid(lo, lo + span, points)
+            assert list(grid) == reference_grid(lo, lo + span, points)
             dense += points - 1 >= span
         assert 500 < dense < 3500  # both kinds of grid are drawn often
 
@@ -463,11 +463,41 @@ class TestGridWork:
             )
 
 
+class TestAmountsAtTheEdge:
+    """Searches price, compare and step in int units; an ``Amount`` is built
+    only for an answer's value and its witness amounts."""
+
+    @pytest.fixture
+    def cp_query(self, bundled):
+        scenario = bundled("cp_arbitrage_small")
+        return scenario.space, scenario.initial_state(), scenario.default_query()
+
+    def test_oracle_builds_amounts_for_its_answer_only(self, cp_query, amount_constructions):
+        space, state, query = cp_query
+        amount_constructions.clear()
+        result = mev_oracle(space, state, query, grid_points=4001)
+        assert result.explored > 4001
+        assert len(amount_constructions) <= 1 + len(result.witness)
+
+    def test_search_builds_amounts_for_its_answer_only(self, cp_query, amount_constructions):
+        space, state, query = cp_query
+        amount_constructions.clear()
+        result = mev(space, state, query)
+        assert len(amount_constructions) <= 1 + len(result.witness)
+
+    def test_reachable_states_build_no_amount(self, cp_query, amount_constructions):
+        space, state, query = cp_query
+        amount_constructions.clear()
+        states = reachable_states(space, state, query.player, query.action_domains, 2, 101)
+        assert len(states) > 101
+        assert amount_constructions == []
+
+
 class TestQueryMechanics:
     def test_grid_amounts_cover_endpoints_exactly(self):
         interval = AmountInterval(Amount("0"), Amount("10"))
         amounts = grid_amounts(interval, 5)
-        assert amounts[0] == Amount("0") and amounts[-1] == Amount("10")
+        assert amounts[0] == Amount("0").units and amounts[-1] == Amount("10").units
         assert list(amounts) == sorted(amounts)
 
     def test_value_domain_order_does_not_change_value(self, bundled):
@@ -538,22 +568,32 @@ class TestQueryMechanics:
     @pytest.mark.parametrize("name", BUNDLED_NAMES)
     def test_grid_walker_applies_through_the_engine_binding(self, bundled, name, monkeypatch):
         # the benchmark counts the oracle's applications by wrapping this
-        # binding; a walker that bypasses it drops them from every count
+        # binding; a walker that bypasses it drops them from every count. The
+        # same holds for the pricer's binding and ``engine.priced_delta_*``.
         from xdmev import engine
 
-        calls = []
-        apply = engine.apply_action
+        calls, applied, priced = [], [], []
+        apply, price = engine.apply_action, engine.priced_balance_delta
 
         def counting_apply(*args, **kwargs):
             calls.append(args[2].id)
-            return apply(*args, **kwargs)
+            nxt = apply(*args, **kwargs)
+            applied.append(nxt)
+            return nxt
+
+        def counting_price(*args, **kwargs):
+            priced.append(args[2])
+            return price(*args, **kwargs)
 
         monkeypatch.setattr(engine, "apply_action", counting_apply)
+        monkeypatch.setattr(engine, "priced_balance_delta", counting_price)
         scenario = bundled(name)
         state = scenario.initial_state()
         query = scenario.default_query()
         result = mev_oracle(scenario.space, state, query, grid_points=11)
         assert len(calls) == result.explored - 1
+        # one pricing per sequence the walk yields, that is per application that succeeded
+        assert priced == applied
         calls.clear()
         states = reachable_states(scenario.space, state, query.player, query.action_domains, 2)
         assert len(calls) >= len(states) - 1

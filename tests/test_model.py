@@ -116,3 +116,19 @@ class TestPriceMatrix:
     def test_negative_amounts_convert(self):
         prices = PriceMatrix({("A", "B"): Fraction(9, 10)})
         assert convert(prices, "A", "B", Amount("-10")) == Amount("-9")
+
+    def test_equality_and_hash_follow_the_declared_rates(self):
+        forward = PriceMatrix({("A", "B"): Fraction(9, 10)})
+        backward = PriceMatrix()
+        backward.declare("B", "A", Fraction(10, 9))
+        assert forward == backward and hash(forward) == hash(backward)
+        assert forward != PriceMatrix({("A", "B"): Fraction(9, 11)})
+        assert forward != PriceMatrix({("A", "C"): Fraction(9, 10)})
+        assert PriceMatrix() == PriceMatrix()
+        assert forward != forward.entries()
+
+    def test_repr_lists_the_rates_and_rebuilds_the_matrix(self):
+        prices = PriceMatrix({("B", "A"): Fraction(2)})
+        text = repr(prices)
+        assert text == "PriceMatrix({('A', 'B'): Fraction(1, 2), ('B', 'A'): Fraction(2, 1)})"
+        assert eval(text, {"PriceMatrix": PriceMatrix, "Fraction": Fraction}) == prices

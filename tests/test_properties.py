@@ -271,9 +271,10 @@ def test_price_reciprocity_round_trip_within_one_unit():
         assert abs(back - x) <= one_unit, f"run {run}: rate {rate}, x {x}, back {back}"
 
 
-def priced_delta_reference(query: MevQuery, initial: WorldState, final: WorldState) -> Amount:
+def priced_delta_reference(query: MevQuery, initial: WorldState, final: WorldState) -> int:
     """The per-domain formula: each native-asset delta converted to the base
-    with ``convert``, then the converted amounts summed."""
+    with ``convert``, then the converted amounts summed; in units, as
+    ``priced_balance_delta`` returns it."""
     total = Amount(0)
     for domain in query.value_domains:
         asset = initial.registry.native_asset(domain)
@@ -282,7 +283,7 @@ def priced_delta_reference(query: MevQuery, initial: WorldState, final: WorldSta
         )
         if delta.units:
             total = total + convert(query.prices, asset, query.base_asset, delta)
-    return total
+    return total.units
 
 
 def test_priced_balance_delta_matches_per_domain_convert():
@@ -392,8 +393,8 @@ def test_unavailable_parametric_actions_have_no_performable_amount():
                 continue
             left_out += 1
             held = state.balances.get(_input_key(scenario, action), 0)
-            tries = grid_amounts(action.interval, 11) + (Amount.from_units(held),)
-            for amount in tries:
+            tries = grid_amounts(action.interval, 11) + (held,)
+            for amount in map(Amount.from_units, tries):
                 violation = validate_sequence(
                     scenario.space, "P", domains, state, [(action.id, amount)]
                 )

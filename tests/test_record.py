@@ -14,7 +14,16 @@ from xdmev.engine import MevQuery, MevResult, mev
 from xdmev.errors import XdmevError
 from xdmev.fixedpoint import Amount
 from xdmev.model import Registry
-from xdmev.scenario import BUNDLED_NAMES, BalanceDecl, Defaults, DomainDecl, PlayerDecl, Scenario
+from xdmev.scenario import (
+    BUNDLED_NAMES,
+    BalanceDecl,
+    Defaults,
+    DomainDecl,
+    PlayerDecl,
+    Scenario,
+    bundled_path,
+    loads,
+)
 from xdmev.venues import (
     ArbLegEffect,
     BridgeSpec,
@@ -259,7 +268,14 @@ REPRS = {
     ),
     ("section3_2amm", "query"): (
         "MevQuery(player='P', action_domains=frozenset({'i'}), value_domains=('i', 'j'), "
-        "base_domain='i', base_asset='ETH', prices=<PRICES>, max_sequence_length=8, "
+        "base_domain='i', base_asset='ETH', prices=PriceMatrix({}), max_sequence_length=8, "
+        "candidate_cap=10000000)"
+    ),
+    ("figure1_bridge_discounted", "query"): (
+        "MevQuery(player='P', action_domains=frozenset({'ethereum'}), "
+        "value_domains=('ethereum', 'polygon'), base_domain='ethereum', base_asset='MATIC', "
+        "prices=PriceMatrix({('MATIC', 'WMATIC'): Fraction(10, 9), "
+        "('WMATIC', 'MATIC'): Fraction(9, 10)}), max_sequence_length=8, "
         "candidate_cap=10000000)"
     ),
     ("section3_2amm", "result"): (
@@ -283,9 +299,17 @@ def test_repr_matches_the_dataclass_repr(bundled, name, what):
     elif what == "action":
         text = repr(next(a for a in scenario.space.for_player(player) if len(a.domains) == 1))
     elif what == "query":
-        query = scenario.default_query(action_domains=[scenario.defaults.action_domains[0]])
-        text = repr(query).replace(repr(query.prices), "<PRICES>")
+        text = repr(scenario.default_query(action_domains=[scenario.defaults.action_domains[0]]))
     else:
         text = repr(mev(scenario.space, scenario.initial_state(), scenario.default_query()))
     assert text == REPRS[name, what]
 
+
+@pytest.mark.parametrize("name", BUNDLED_NAMES)
+def test_queries_over_equal_rates_are_equal(name):
+    # each load declares its own price matrix; equal rates make equal queries
+    text = bundled_path(name).read_text(encoding="utf-8")
+    first, second = loads(text).default_query(), loads(text).default_query()
+    assert first.prices is not second.prices
+    assert first == second
+    assert hash(first) == hash(second)
