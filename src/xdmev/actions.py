@@ -115,7 +115,7 @@ class ActionSpaceSpec:
 def _input_units(state: WorldState, player: str, action: Action) -> Optional[int]:
     """Units the player holds of the asset a swap or bridge spends; None for other kinds."""
     if action.kind == KIND_SWAP:
-        pool = state.pool(action.pool_id)
+        pool = state.registry.pool(action.pool_id)
         asset = pool.asset_x if action.direction == X_TO_Y else pool.asset_y
         return state.balances.get((pool.domain, player, asset), 0)
     if action.kind == KIND_BRIDGE:
@@ -162,7 +162,7 @@ def apply_action(
 
     kind = action.kind
     if kind == KIND_SWAP:
-        pool = state.pool(action.pool_id)
+        pool = state.registry.pool(action.pool_id)
         if isinstance(pool, ConstantProductPool):
             return apply_swap(state, player, action.pool_id, action.direction, amount)
         if isinstance(pool, StylizedMidpointPool):

@@ -1,16 +1,23 @@
 """World state, identifiers, players, and the cross-domain pricing function.
 
 The world is monolithic: one balance map keyed by (domain, player, asset)
-covers every domain, and pool states live beside it. Amounts at the edge
-only: every quantity a query computes or changes is int units
-(``Amount.units``), the engine's priced deltas, search candidates, grid
-amounts and steps included; an ``Amount`` is built only where a value
-enters from a document or leaves the state layer (loading, ``quote_swap``,
-``balance()``, rendering, and an answer's ``MevResult.value`` and witness
-amounts, built once per answer). Error messages format units with
-``format_units``. ``WorldState`` is a value — applying anything yields a
-new state, prior states stay intact, and states are hashable so
-reachable-state sets deduplicate naturally.
+covers every domain, and pool states live beside it. A pool is split in
+two: its record as declared (ids, assets, fee) is a spec in the scenario's
+``Registry``, and the state holds only what swaps move, as ints (a
+constant-product pool's two reserves, a stylized pool's price units).
+Only the pool classes in ``venues`` convert between the two;
+``WorldState.pool`` joins them back into a record at the edge.
+
+Amounts at the edge only: every quantity a query computes or changes is
+int units (``Amount.units``), the engine's priced deltas, search
+candidates, grid amounts and steps included; an ``Amount`` is built only
+where a value enters from a document or leaves the state layer (loading,
+``quote_swap``, ``balance()``, ``pool()``, rendering, and an answer's
+``MevResult.value`` and witness amounts, built once per answer). Error
+messages format units with ``format_units``. ``WorldState`` is a value —
+applying anything yields a new state through the one primitive
+``WorldState.update``, prior states stay intact, and states are hashable
+so reachable-state sets deduplicate naturally.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from .errors import (
     UnknownId,
     UnknownPool,
     ValidationError,
+    XdmevError,
 )
 from .fixedpoint import ZERO, Amount, format_units
 
@@ -41,12 +49,14 @@ def check_id(value: str, field: str) -> str:
 
 
 class Registry(Record):
-    """Declared identifier sets of a scenario; shared by all of its states."""
+    """Declared identifier sets and pool specs of a scenario; shared by all
+    of its states. A spec is a pool's record as declared, starting reserves
+    or price included, so equal registries also start their pools alike."""
 
     native_assets: Mapping[str, str]  # domain id -> asset id
     players: frozenset[str]
     assets: frozenset[str]
-    pool_ids: frozenset[str]
+    pools: Mapping[str, object]  # pool id -> pool record as declared
 
     def require_domain(self, domain: str) -> str:
         if domain not in self.native_assets:
@@ -67,12 +77,15 @@ class Registry(Record):
         self.require_domain(domain)
         return self.native_assets[domain]
 
+    def pool(self, pool_id: str):
+        """The declared record of a pool (its spec)."""
+        try:
+            return self.pools[pool_id]
+        except KeyError:
+            raise UnknownPool(f"unknown pool {pool_id!r}") from None
+
 
 BalanceKey = tuple[str, str, str]  # (domain, player, asset)
-
-DEBIT = -1
-CREDIT = 1
-BalanceMove = tuple[int, str, str, str, int]  # (DEBIT or CREDIT, domain, player, asset, units)
 
 
 class WorldState:
@@ -80,10 +93,11 @@ class WorldState:
 
     ``balances`` maps (domain, player, asset) to nonzero int units; zero
     balances are never stored, so states that differ only by explicit
-    zeros compare equal. A state owns the dicts it is built from: the
-    constructor neither copies nor filters them, so a caller hands over
-    maps it will not change again, with no zero balance in them. All
-    updaters return fresh states.
+    zeros compare equal. ``pools`` maps each pool id to its state value
+    (see the module docstring); the static fields live in ``registry``. A
+    state owns the dicts it is built from: the constructor neither copies
+    nor filters them, so a caller hands over maps it will not change
+    again, with no zero balance in them. All updaters return fresh states.
     """
 
     __slots__ = ("registry", "balances", "pools", "consumed", "_key")
@@ -108,77 +122,86 @@ class WorldState:
         return ZERO if units is None else Amount.from_units(units)
 
     def pool(self, pool_id: str):
-        try:
-            return self.pools[pool_id]
-        except KeyError:
-            raise UnknownPool(f"unknown pool {pool_id!r}") from None
+        """The pool's record: its spec carrying this state's value."""
+        return self.registry.pool(pool_id).at(self.pools[pool_id])
 
     # -- functional updates ---------------------------------------------
 
     def update(
         self,
-        moves: Sequence[BalanceMove] = (),
+        debit: Optional[tuple[BalanceKey, int]] = None,
+        credit: Optional[tuple[BalanceKey, int]] = None,
         pools: Sequence[tuple[str, object]] = (),
         consumed: Optional[str] = None,
     ) -> "WorldState":
-        """One new state: ``moves`` applied in order, then ``pools``
-        replaced, then ``consumed`` marked executed.
+        """One new state: ``debit`` taken, then ``credit`` given, then
+        ``pools`` (id, state value) replaced, then ``consumed`` marked executed.
 
-        A move is ``(DEBIT or CREDIT, domain, player, asset, units)``. A
-        negative amount or a debit past the balance raises
-        ``InsufficientBalance``, checked in move order; a zero amount moves
-        nothing, and a balance that reaches zero is dropped. Nothing is
-        built when a check fails. Each changed map is copied once, and the
-        new state owns the copy; an unchanged map is shared with this state.
+        ``debit`` and ``credit`` are ``(key, units)``. A negative amount or
+        a debit past the balance raises ``InsufficientBalance``, the debit
+        checked first; a zero amount moves nothing, and a balance that
+        reaches zero is dropped. Nothing is built when a check fails. Each
+        changed map is copied once, and the new state owns the copy; an
+        unchanged map is shared with this state.
         """
         balances = self.balances
-        if moves:
+        if debit is not None or credit is not None:
             balances = dict(balances)
-            for sign, domain, player, asset, units in moves:
+            if debit is not None:
+                key, units = debit
                 if units < 0:
-                    verb = "debit" if sign == DEBIT else "credit"
                     raise InsufficientBalance(
-                        f"cannot {verb} negative amount {format_units(units)}"
+                        f"cannot debit negative amount {format_units(units)}"
                     )
-                if units == 0:
-                    continue
-                key = (domain, player, asset)
                 held = balances.get(key, 0)
-                if sign == DEBIT:
-                    if held < units:
-                        raise InsufficientBalance(
-                            f"{player} holds {format_units(held)} {asset} on {domain}, "
-                            f"needs {format_units(units)}"
-                        )
-                    units = -units
-                units += held
+                if held < units:
+                    domain, player, asset = key
+                    raise InsufficientBalance(
+                        f"{player} holds {format_units(held)} {asset} on {domain}, "
+                        f"needs {format_units(units)}"
+                    )
+                if held == units:
+                    balances.pop(key, None)
+                else:
+                    balances[key] = held - units
+            if credit is not None:
+                key, units = credit
+                if units < 0:
+                    raise InsufficientBalance(
+                        f"cannot credit negative amount {format_units(units)}"
+                    )
+                units += balances.get(key, 0)
                 if units:
                     balances[key] = units
                 else:
-                    del balances[key]
+                    balances.pop(key, None)
         if pools:
-            replaced, pools = pools, dict(self.pools)
-            pools.update(replaced)
+            replaced, pools = pools, self.pools.copy()
+            for pool_id, value in replaced:
+                pools[pool_id] = value
         else:
             pools = self.pools
         consumed = self.consumed if consumed is None else self.consumed | {consumed}
         return WorldState(self.registry, balances, pools, consumed)
 
     # Single-step forms of ``update``, kept as named entry points (the
-    # benchmark's tracer wraps them by name). Each converts its ``Amount``
-    # argument to units and builds one state through ``update``.
+    # benchmark's tracer wraps them by name). Each builds one state
+    # through ``update``.
 
     def credit(self, domain: str, player: str, asset: str, amount: Amount) -> "WorldState":
         """``update`` with one credit of ``amount`` (converted to units)."""
-        return self.update(((CREDIT, domain, player, asset, amount.units),))
+        return self.update(credit=((domain, player, asset), amount.units))
 
     def debit(self, domain: str, player: str, asset: str, amount: Amount) -> "WorldState":
         """``update`` with one debit of ``amount`` (converted to units)."""
-        return self.update(((DEBIT, domain, player, asset, amount.units),))
+        return self.update(((domain, player, asset), amount.units))
 
     def with_pool(self, pool_id: str, pool) -> "WorldState":
-        """``update`` replacing one pool."""
-        return self.update(pools=((pool_id, pool),))
+        """``update`` giving one pool the state of ``pool``: its spec, moved."""
+        spec = self.registry.pool(pool_id)
+        if type(pool) is not type(spec) or spec.at(pool.state()) != pool:
+            raise XdmevError(f"pool {pool_id}: record does not match its declared spec")
+        return self.update(pools=((pool_id, pool.state()),))
 
     def consume(self, action_id: str) -> "WorldState":
         """``update`` marking one action executed."""
@@ -190,13 +213,20 @@ class WorldState:
         if self._key is None:
             self._key = (
                 tuple(sorted(self.balances.items())),
-                tuple(sorted(self.pools.items(), key=lambda item: item[0])),
+                tuple(sorted(self.pools.items())),
                 tuple(sorted(self.consumed)),
             )
         return self._key
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, WorldState) and self._canonical_key() == other._canonical_key()
+        # the pools' static fields live in the registry (see ``Registry``), so
+        # equal states need equal registries; the hash leaves them out
+        if not isinstance(other, WorldState):
+            return False
+        registry = other.registry
+        return (
+            self.registry is registry or self.registry == registry
+        ) and self._canonical_key() == other._canonical_key()
 
     def __hash__(self) -> int:
         return hash(self._canonical_key())

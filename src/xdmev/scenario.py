@@ -109,7 +109,7 @@ class Scenario(Record, eq=False):
             native_assets={d.id: d.native_asset for d in self.domains},
             players=frozenset(p.id for p in self.players),
             assets=frozenset(self.assets),
-            pool_ids=frozenset(p.id for p in self.pools),
+            pools={p.id: p for p in self.pools},
         )
         object.__setattr__(self, "registry", registry)
         object.__setattr__(self, "space", _build_space(self))
@@ -123,7 +123,7 @@ class Scenario(Record, eq=False):
                 key = (bal.domain, player.id, bal.asset)
                 balances[key] = balances.get(key, 0) + bal.amount.units
         balances = {key: units for key, units in balances.items() if units}
-        pools = {pool.id: pool for pool in self.pools}
+        pools = {pool.id: pool.state() for pool in self.pools}
         return WorldState(self.registry, balances, pools)
 
     def default_query(

@@ -5,8 +5,17 @@ continuous-amount arbitrage; stylized midpoint pools carry a single quoted
 price and exist to reproduce worked examples whose profits are stipulated
 rather than derived. Pending transactions are consumable third-party
 effects; executing one is itself an action.
-Amounts are int units (see ``model``); ``quote_swap`` and a pool's
-``reserve_x``/``reserve_y`` hand out ``Amount``s.
+
+A pool record is a spec in the scenario's ``Registry`` and, as a state
+value in ``WorldState.pools``, only what swaps move: ``state()`` gives a
+record's value (a constant-product pool's ``(reserve_x_units,
+reserve_y_units)``, a stylized pool's price units) and ``spec.at(value)``
+the record back. Every venue reads the spec from the registry and the
+value from the state, and builds its one new state with one
+``WorldState.update`` call: at most one debit, one credit, the pools it
+moves and the pending tx it consumes. Amounts are int units (see
+``model``); ``quote_swap`` and a pool's ``reserve_x``/``reserve_y`` hand
+out ``Amount``s.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from .errors import (
     XdmevError,
 )
 from .fixedpoint import SCALE, Amount, div_half_even, format_units, mul_fraction_units
-from .model import CREDIT, DEBIT, BalanceMove, WorldState
+from .model import WorldState
 
 X_TO_Y = "x_to_y"
 Y_TO_X = "y_to_x"
@@ -58,19 +67,13 @@ class ConstantProductPool(Record):
     def reserve_y(self) -> Amount:
         return Amount.from_units(self.reserve_y_units)
 
-    def _with_reserves(self, reserve_x_units: int, reserve_y_units: int) -> "ConstantProductPool":
-        """This pool with new reserves, without running ``__init__`` again.
+    def state(self) -> tuple[int, int]:
+        """This pool's state value: its reserves."""
+        return self.reserve_x_units, self.reserve_y_units
 
-        Only the reserves change, so only their positivity is checked again;
-        a new field or invariant on this class must be carried over here.
-        """
-        if reserve_x_units <= 0 or reserve_y_units <= 0:
-            raise XdmevError(f"pool {self.id}: reserves must be strictly positive")
-        moved = object.__new__(ConstantProductPool)
-        moved.__dict__.update(
-            self.__dict__, reserve_x_units=reserve_x_units, reserve_y_units=reserve_y_units
-        )
-        return moved
+    def at(self, reserves: tuple[int, int]) -> "ConstantProductPool":
+        """This pool with the given reserves, validated again."""
+        return self.replace(reserve_x_units=reserves[0], reserve_y_units=reserves[1])
 
 
 class StylizedMidpointPool(Record):
@@ -85,6 +88,14 @@ class StylizedMidpointPool(Record):
     def __post_init__(self):
         if self.price.units <= 0:
             raise XdmevError(f"pool {self.id}: price must be positive")
+
+    def state(self) -> int:
+        """This pool's state value: its price units."""
+        return self.price.units
+
+    def at(self, price_units: int) -> "StylizedMidpointPool":
+        """This pool quoting ``price_units``."""
+        return self.replace(price=Amount.from_units(price_units))
 
 
 class StylizedArbSpec(Record):
@@ -170,96 +181,99 @@ class PendingTx(Record):
 
 # -- constant-product operations -----------------------------------------
 
-# what one application changes: balance moves, then (pool id, new pool) pairs
-_Effects = tuple[tuple[BalanceMove, ...], tuple[tuple[str, object], ...]]
 
-
-def _quote_units(pool: ConstantProductPool, direction: str, amount_in: int) -> tuple[int, bool]:
+def _quote_units(
+    pool_id: str, fee_bps: int, reserves: tuple[int, int], direction: str, amount_in: int
+) -> tuple[int, bool]:
     """The one constant-product quote: (output units rounded down, whether
     X is sold), with ``quote_swap``'s checks and errors in their order:
     amount, direction, liquidity. The direction is compared here only."""
     if amount_in <= 0:
         raise InvalidAmount(f"swap amount must be positive, got {format_units(amount_in)}")
     if direction == X_TO_Y:
-        sells_x, reserve_in, reserve_out = True, pool.reserve_x_units, pool.reserve_y_units
+        sells_x, (reserve_in, reserve_out) = True, reserves
     elif direction == Y_TO_X:
-        sells_x, reserve_in, reserve_out = False, pool.reserve_y_units, pool.reserve_x_units
+        sells_x, (reserve_out, reserve_in) = False, reserves
     else:
         raise InvalidAmount(f"unknown swap direction {direction!r}")
-    out_units = _kernels.swap_out(reserve_in, reserve_out, amount_in, pool.fee_bps)
+    out_units = _kernels.swap_out(reserve_in, reserve_out, amount_in, fee_bps)
     if out_units <= 0:
         raise InsufficientLiquidity(
-            f"pool {pool.id}: input {format_units(amount_in)} buys no output"
+            f"pool {pool_id}: input {format_units(amount_in)} buys no output"
         )
     return out_units, sells_x
 
 
 def quote_swap(pool: ConstantProductPool, direction: str, amount_in: Amount) -> Amount:
     """Pure quote: output for ``amount_in``, pool untouched, rounded down."""
-    return Amount.from_units(_quote_units(pool, direction, amount_in.units)[0])
-
-
-def _swap_effects(
-    state: WorldState, player: str, pool_id: str, direction: str, amount_in: int
-) -> _Effects:
-    """Balance moves and pool replacement of a constant-product swap; the
-    pool is read once."""
-    pool = state.pool(pool_id)
-    if not isinstance(pool, ConstantProductPool):
-        raise UnknownPool(f"pool {pool_id!r} is not a constant-product pool")
-    out, sells_x = _quote_units(pool, direction, amount_in)
-    if sells_x:
-        asset_in, asset_out = pool.asset_x, pool.asset_y
-        moved = pool._with_reserves(pool.reserve_x_units + amount_in, pool.reserve_y_units - out)
-    else:
-        asset_in, asset_out = pool.asset_y, pool.asset_x
-        moved = pool._with_reserves(pool.reserve_x_units - out, pool.reserve_y_units + amount_in)
-    moves = (
-        (DEBIT, pool.domain, player, asset_in, amount_in),
-        (CREDIT, pool.domain, player, asset_out, out),
-    )
-    return moves, ((pool_id, moved),)
+    out = _quote_units(pool.id, pool.fee_bps, pool.state(), direction, amount_in.units)[0]
+    return Amount.from_units(out)
 
 
 def apply_swap(
-    state: WorldState, player: str, pool_id: str, direction: str, amount_in: int
+    state: WorldState,
+    player: str,
+    pool_id: str,
+    direction: str,
+    amount_in: int,
+    consumed: str | None = None,
 ) -> WorldState:
-    """Swap against a constant-product pool, debiting and crediting the player."""
-    return state.update(*_swap_effects(state, player, pool_id, direction, amount_in))
+    """Swap against a constant-product pool, debiting and crediting the
+    player; a pending tx running the swap passes its id as ``consumed``.
+
+    The one swap body: the spec from the registry, the reserves from the
+    state, one quote and one ``update``."""
+    spec = state.registry.pool(pool_id)
+    if not isinstance(spec, ConstantProductPool):
+        raise UnknownPool(f"pool {pool_id!r} is not a constant-product pool")
+    reserve_x, reserve_y = reserves = state.pools[pool_id]
+    out, sells_x = _quote_units(pool_id, spec.fee_bps, reserves, direction, amount_in)
+    domain = spec.domain
+    if sells_x:
+        debit, credit = (domain, player, spec.asset_x), (domain, player, spec.asset_y)
+        reserves = (reserve_x + amount_in, reserve_y - out)
+    else:
+        debit, credit = (domain, player, spec.asset_y), (domain, player, spec.asset_x)
+        reserves = (reserve_x - out, reserve_y + amount_in)
+    return state.update((debit, amount_in), (credit, out), ((pool_id, reserves),), consumed)
 
 
-def _stylized(state: WorldState, pool_id: str) -> StylizedMidpointPool:
-    pool = state.pool(pool_id)
-    if not isinstance(pool, StylizedMidpointPool):
+def _stylized(state: WorldState, pool_id: str) -> tuple[StylizedMidpointPool, int]:
+    """A stylized pool's spec and price units."""
+    spec = state.registry.pool(pool_id)
+    if not isinstance(spec, StylizedMidpointPool):
         raise UnknownPool(f"pool {pool_id!r} is not a stylized pool")
-    return pool
+    return spec, state.pools[pool_id]
 
 
-def _repriced(pool: StylizedMidpointPool, price: Amount) -> StylizedMidpointPool:
-    return StylizedMidpointPool(pool.id, pool.domain, pool.asset_x, pool.asset_y, price)
+def _to_price(pool_id: str, price: Amount) -> int:
+    """Units of a price a pending tx moves a pool to, checked as declared."""
+    if price.units <= 0:
+        raise XdmevError(f"pool {pool_id}: price must be positive")
+    return price.units
 
 
 def apply_stylized_fill(
     state: WorldState, player: str, pool_id: str, direction: str, amount_in: int
 ) -> WorldState:
     """Trade at a stylized pool's quoted price, rounded half-even; the quote does not move."""
-    pool = _stylized(state, pool_id)
+    pool, price = _stylized(state, pool_id)
     if amount_in <= 0:
         raise InvalidAmount(f"fill amount must be positive, got {format_units(amount_in)}")
     if direction == X_TO_Y:
         asset_in, asset_out = pool.asset_x, pool.asset_y
-        out = div_half_even(amount_in * pool.price.units, SCALE)
+        out = div_half_even(amount_in * price, SCALE)
     elif direction == Y_TO_X:
         asset_in, asset_out = pool.asset_y, pool.asset_x
-        out = div_half_even(amount_in * SCALE, pool.price.units)
+        out = div_half_even(amount_in * SCALE, price)
     else:
         raise InvalidAmount(f"unknown swap direction {direction!r}")
     if out <= 0:
         raise InsufficientLiquidity(f"pool {pool_id}: fill output rounds to zero")
-    return state.update((
-        (DEBIT, pool.domain, player, asset_in, amount_in),
-        (CREDIT, pool.domain, player, asset_out, out),
-    ))
+    domain = pool.domain
+    return state.update(
+        ((domain, player, asset_in), amount_in), ((domain, player, asset_out), out)
+    )
 
 
 # -- stylized arbitrage ----------------------------------------------------
@@ -267,17 +281,17 @@ def apply_stylized_fill(
 
 def apply_stylized_arb(state: WorldState, player: str, spec: StylizedArbSpec) -> WorldState:
     """Move both pools to the arithmetic midpoint and credit the stipulated profit."""
-    pool_a = _stylized(state, spec.pool_a)
-    pool_b = _stylized(state, spec.pool_b)
-    if pool_a.price == pool_b.price:
+    price_a = _stylized(state, spec.pool_a)[1]
+    price_b = _stylized(state, spec.pool_b)[1]
+    if price_a == price_b:
         raise PricesEqual(
-            f"{spec.pool_a} and {spec.pool_b} both quote {pool_a.price}"
+            f"{spec.pool_a} and {spec.pool_b} both quote {format_units(price_a)}"
         )
-    # (a + b) / Amount(2) as one Amount: div_half_even(s * SCALE, 2 * SCALE) == div_half_even(s, 2)
-    midpoint = Amount.from_units(div_half_even(pool_a.price.units + pool_b.price.units, 2))
+    # (a + b) / Amount(2) on units: div_half_even(s * SCALE, 2 * SCALE) == div_half_even(s, 2)
+    midpoint = div_half_even(price_a + price_b, 2)
     return state.update(
-        ((CREDIT, spec.profit_domain, player, spec.profit_asset, spec.declared_profit.units),),
-        ((spec.pool_a, _repriced(pool_a, midpoint)), (spec.pool_b, _repriced(pool_b, midpoint))),
+        credit=((spec.profit_domain, player, spec.profit_asset), spec.declared_profit.units),
+        pools=((spec.pool_a, midpoint), (spec.pool_b, midpoint)),
     )
 
 
@@ -289,41 +303,34 @@ def apply_pending_tx(state: WorldState, tx: PendingTx) -> WorldState:
     if tx.id in state.consumed:
         raise AlreadyConsumed(f"pending tx {tx.id!r} already executed")
     effect = tx.effect
-    moves, pools = (), ()
+    if isinstance(effect, CpSwapEffect):
+        return apply_swap(
+            state, effect.account, effect.pool_id, effect.direction, effect.amount_in.units, tx.id
+        )
+    debit = credit = None
     if isinstance(effect, PricePushEffect):
-        pool = _stylized(state, effect.pool_id)
-        pools = ((effect.pool_id, _repriced(pool, effect.to_price)),)
-    elif isinstance(effect, CpSwapEffect):
-        moves, pools = _swap_effects(
-            state, effect.account, effect.pool_id, effect.direction, effect.amount_in.units
-        )
+        _stylized(state, effect.pool_id)
+        pools = ((effect.pool_id, _to_price(effect.pool_id, effect.to_price)),)
     elif isinstance(effect, TransferEffect):
-        moves = (
-            (DEBIT, effect.domain, effect.from_account, effect.asset, effect.amount.units),
-            (CREDIT, effect.domain, effect.to_account, effect.asset, effect.amount.units),
-        )
+        units = effect.amount.units
+        debit = ((effect.domain, effect.from_account, effect.asset), units)
+        credit = ((effect.domain, effect.to_account, effect.asset), units)
+        pools = ()
     elif isinstance(effect, ArbLegEffect):
-        moves, pools = _arb_leg_effects(state, tx.id, effect)
+        price = _stylized(state, effect.pool_id)[1]
+        if price != effect.from_price.units:
+            raise PriceMismatch(
+                f"leg {tx.id!r} expects {effect.pool_id} at {effect.from_price}, "
+                f"pool quotes {format_units(price)}"
+            )
+        opp = effect.opportunity
+        if set(opp.leg_ids) - {tx.id} <= state.consumed:
+            key = (opp.profit_domain, opp.beneficiary, opp.profit_asset)
+            credit = (key, opp.declared_profit.units)
+        pools = ((effect.pool_id, _to_price(effect.pool_id, effect.to_price)),)
     else:
         raise XdmevError(f"pending tx {tx.id!r}: unknown effect {type(effect).__name__}")
-    return state.update(moves, pools, tx.id)
-
-
-def _arb_leg_effects(
-    state: WorldState, tx_id: str, effect: ArbLegEffect
-) -> _Effects:
-    pool = _stylized(state, effect.pool_id)
-    if pool.price != effect.from_price:
-        raise PriceMismatch(
-            f"leg {tx_id!r} expects {effect.pool_id} at {effect.from_price}, "
-            f"pool quotes {pool.price}"
-        )
-    opp = effect.opportunity
-    moves = ()
-    if set(opp.leg_ids) - {tx_id} <= state.consumed:
-        profit = opp.declared_profit.units
-        moves = ((CREDIT, opp.profit_domain, opp.beneficiary, opp.profit_asset, profit),)
-    return moves, ((effect.pool_id, _repriced(pool, effect.to_price)),)
+    return state.update(debit, credit, pools, tx.id)
 
 
 # -- bridges -----------------------------------------------------------------
@@ -344,7 +351,7 @@ def apply_bridge(state: WorldState, player: str, bridge: BridgeSpec, quantity: i
             f"bridge {bridge.id}: fee {bridge.flat_fee} exceeds converted "
             f"{format_units(quantity)}"
         )
-    return state.update((
-        (DEBIT, bridge.from_domain, player, bridge.from_asset, quantity),
-        (CREDIT, bridge.to_domain, player, bridge.to_asset, arriving),
-    ))
+    return state.update(
+        ((bridge.from_domain, player, bridge.from_asset), quantity),
+        ((bridge.to_domain, player, bridge.to_asset), arriving),
+    )

@@ -127,14 +127,15 @@ def test_criterion_6_property_suite():
 
 def test_criterion_7_constant_product_checks(bundled):
     # zero-fee swaps keep x*y within one reserve unit of the exact curve
-    registry = Registry(
-        native_assets={"dex": "DAI"}, players=frozenset({"P"}),
-        assets=frozenset({"ETH", "DAI"}), pool_ids=frozenset({"pool"}))
     pool = ConstantProductPool(
         id="pool", domain="dex", asset_x="ETH", asset_y="DAI",
         reserve_x_units=Amount("100").units, reserve_y_units=Amount("2000").units, fee_bps=0)
+    registry = Registry(
+        native_assets={"dex": "DAI"}, players=frozenset({"P"}),
+        assets=frozenset({"ETH", "DAI"}), pools={"pool": pool})
     for amount in ("0.000000000000000123", "1", "7.5", "99.999999"):
-        state = WorldState(registry, {("dex", "P", "ETH"): Amount("100").units}, {"pool": pool})
+        state = WorldState(
+            registry, {("dex", "P", "ETH"): Amount("100").units}, {"pool": pool.state()})
         after = apply_swap(state, "P", "pool", "x_to_y", Amount(amount).units).pool("pool")
         drift = after.reserve_x.units * after.reserve_y.units - pool.reserve_x.units * pool.reserve_y.units
         assert 0 <= drift < after.reserve_x.units, amount

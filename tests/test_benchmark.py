@@ -1,9 +1,13 @@
 """The benchmark harness still runs and still sees every layer it measures."""
 
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+from xdmev.engine import reachable_states
+from xdmev.scenario import loads
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -83,3 +87,29 @@ def test_traced_cp_chain_round_keeps_its_counts():
 
 def test_traced_tips_round_keeps_its_counts():
     assert_counts("tips", TIPS_SEED1_COUNTS)
+
+
+# reachable_states counts (grid 101, max_len 2) of the seed-1 oracle_grid
+# pairs, as states holding pool records counted them; perfbench only checks
+# that each count repeats, so a state representation that merged or split
+# states would pass it unseen
+ORACLE_GRID_SEED1_REACHABLE = {f"pair{i}": 201 for i in range(6)}
+
+
+def test_oracle_grid_seed1_reachable_state_counts(monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # ``dataclass`` looks it up
+    spec.loader.exec_module(workloads)
+    counts = {}
+    for label, text in workloads.generate("oracle_grid", 1, ROOT):
+        sc = loads(text)
+        query = sc.default_query()
+        states = reachable_states(
+            sc.space, sc.initial_state(), query.player, query.action_domains,
+            max_len=2, grid_points=101,
+        )
+        counts[label] = len(states)
+    assert counts == ORACLE_GRID_SEED1_REACHABLE

@@ -1,6 +1,7 @@
 """Source-tree hygiene: the package ships Python modules and scenario JSON
-only, and importing its CLI stays light."""
+only, importing its CLI stays light, and states are built in one place."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -38,3 +39,16 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, check=True
     )
     assert proc.stdout == "[]\n", proc.stdout + proc.stderr
+
+
+def test_world_states_are_built_only_by_the_state_layer_and_the_loader():
+    # ``WorldState.update`` is the one path from a state to the next, and the
+    # loader builds each initial state; a venue building its own state would
+    # grow a second path beside ``update``
+    built = re.compile(r"\bWorldState\(|__new__\(\s*WorldState\b")
+    builders = {
+        path.name for path in PACKAGE.glob("*.py")
+        if built.search(path.read_text(encoding="utf-8"))
+    }
+    assert builders <= {"model.py", "scenario.py"}, sorted(builders)
+    assert "model.py" in builders

@@ -1,12 +1,22 @@
 """World state, balance reads, and the pricing function."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
-from xdmev.errors import InsufficientBalance, MissingRate, UnknownId, ValidationError
+from conftest import one_domain_doc, scen
+from xdmev.errors import (
+    InsufficientBalance,
+    MissingRate,
+    UnknownId,
+    UnknownPool,
+    ValidationError,
+    XdmevError,
+)
 from xdmev.fixedpoint import Amount
 from xdmev.model import PriceMatrix, Registry, WorldState, balance_of, convert
+from xdmev.scenario import loads
 
 
 def registry() -> Registry:
@@ -14,7 +24,7 @@ def registry() -> Registry:
         native_assets={"i": "MATIC", "j": "WMATIC"},
         players=frozenset({"P", "whale"}),
         assets=frozenset({"MATIC", "WMATIC", "WETH"}),
-        pool_ids=frozenset(),
+        pools={},
     )
 
 
@@ -72,6 +82,40 @@ class TestWorldStateValueSemantics:
     def test_consumed_set_is_empty_initially(self, bundled):
         state = bundled("section3_2amm").initial_state()
         assert state.consumed == frozenset()
+
+    def test_pool_specs_take_part_in_equality(self):
+        # a state holds only reserves, so equality also asks for equal
+        # registries, where the pools' static fields live; the hash does not
+        def doc(fee_bps):
+            doc = one_domain_doc()
+            doc["pools"] = [{"id": "cp", "type": "constant_product", "domain": "d0",
+                             "asset_x": "AAA", "asset_y": "GLD", "reserve_x": "100",
+                             "reserve_y": "200", "fee_bps": fee_bps}]
+            return doc
+
+        fee_30, fee_5 = scen(doc(30)).initial_state(), scen(doc(5)).initial_state()
+        assert fee_30.pools == fee_5.pools and fee_30 != fee_5
+        assert hash(fee_30) == hash(fee_5)
+        text = json.dumps(doc(30))
+        first, second = loads(text).initial_state(), loads(text).initial_state()
+        assert first.registry is not second.registry
+        assert first == second and hash(first) == hash(second)
+
+    def test_with_pool_takes_only_the_declared_pool_at_a_new_value(self, bundled):
+        state = bundled("cp_arbitrage_small").initial_state()
+        pool_id = sorted(state.pools)[0]
+        pool = state.pool(pool_id)
+        moved = pool.replace(reserve_x_units=pool.reserve_x_units + 1)
+        assert state.with_pool(pool_id, moved).pool(pool_id) == moved
+        stylized = bundled("section3_2amm").initial_state()
+        other_type = stylized.pool(sorted(stylized.pools)[0])
+        for record in (pool.replace(fee_bps=pool.fee_bps + 1), pool.replace(id="elsewhere"),
+                       other_type):
+            with pytest.raises(XdmevError) as err:
+                state.with_pool(pool_id, record)
+            assert str(err.value) == f"pool {pool_id}: record does not match its declared spec"
+        with pytest.raises(UnknownPool):
+            state.with_pool("nowhere", pool)
 
 
 class TestPriceMatrix:

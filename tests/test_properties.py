@@ -296,7 +296,7 @@ def test_priced_balance_delta_matches_per_domain_convert():
             native_assets={d: rng.choice(assets) for d in domains},
             players=frozenset({"P", "Q"}),
             assets=frozenset(assets),
-            pool_ids=frozenset(),
+            pools={},
         )
         base = rng.choice(assets)
         prices = PriceMatrix()

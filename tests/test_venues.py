@@ -1,12 +1,13 @@
 """Pool, bridge, and pending-transaction mechanics."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import one_domain_doc, scen
 from xdmev.actions import KIND_SWAP, apply_action, max_feasible_amount, resolve_amount
-from xdmev.engine import mev_oracle
+from xdmev.engine import mev, mev_oracle
 from xdmev.errors import (
     AlreadyConsumed,
     FeeExceedsOutput,
@@ -19,7 +20,7 @@ from xdmev.errors import (
     XdmevError,
 )
 from xdmev.fixedpoint import SCALE, Amount
-from xdmev.model import CREDIT, DEBIT, Registry, WorldState
+from xdmev.model import Registry, WorldState
 from xdmev.scenario import BUNDLED_NAMES, load_bundled
 from xdmev.venues import (
     ArbLegEffect,
@@ -61,10 +62,10 @@ def state_with(pools, balances=None):
         native_assets={"dex": "DAI", "i": "ETH", "j": "ETH"},
         players=frozenset({"P", "whale"}),
         assets=frozenset({"ETH", "DAI"}),
-        pool_ids=frozenset(p.id for p in pools),
+        pools={p.id: p for p in pools},
     )
     units = {key: amount.units for key, amount in (balances or {}).items()}
-    return WorldState(registry, units, {p.id: p for p in pools})
+    return WorldState(registry, units, {p.id: p.state() for p in pools})
 
 
 class TestQuoteSwap:
@@ -304,6 +305,41 @@ class TestPendingTx:
         assert s.balance("i", "P", "ETH") == Amount("1")
         assert s.pool("uni").price == s.pool("sushi").price == Amount("25")
 
+    @pytest.mark.parametrize("to_price", ["0", "-1"])
+    def test_push_or_leg_to_a_nonpositive_price_rejected(self, to_price):
+        opp = LegOpportunity("op", "P", Amount("1"), "ETH", "i", ("l1",))
+        s = state_with([mid("uni", "20", "i")])
+        for effect in (PricePushEffect("uni", Amount(to_price)),
+                       ArbLegEffect("uni", Amount("20"), Amount(to_price), opp)):
+            with pytest.raises(XdmevError) as err:
+                apply_pending_tx(s, PendingTx("l1", "i", effect))
+            assert type(err.value) is XdmevError
+            assert str(err.value) == "pool uni: price must be positive"
+
+    @pytest.mark.parametrize("to_price, value, witness, explored", [
+        ("0", "0.1", ("fill",), (2, 4)),
+        ("-1", "0.1", ("fill",), (2, 4)),
+        ("0.5", "2", ("push", "fill"), (5, 5)),
+    ])
+    def test_push_to_a_nonpositive_price_is_unavailable_to_mev(
+        self, to_price, value, witness, explored
+    ):
+        # selling AAA for the native GLD divides by the pushed price
+        doc = one_domain_doc()
+        doc["players"][0]["balances"] = [{"domain": "d0", "asset": "AAA", "amount": "10"}]
+        doc["pools"] = [{"id": "m0", "type": "stylized_midpoint", "domain": "d0",
+                         "asset_x": "GLD", "asset_y": "AAA", "price": "10"}]
+        doc["mempool"] = [{"id": "push", "domain": "d0", "effect": {
+            "type": "price_push", "pool": "m0", "to_price": to_price}}]
+        doc["actions"] = [{"id": "fill", "player": "P", "kind": "Swap", "pool": "m0",
+                           "direction": "y_to_x", "amount": {"fixed": "1"}}]
+        sc = scen(doc)
+        for search, count in zip((mev, mev_oracle), explored):
+            result = search(sc.space, sc.initial_state(), sc.default_query())
+            assert result.value == Amount(value)
+            assert tuple(step[0] for step in result.witness) == witness
+            assert result.explored == count
+
     def test_arb_leg_wrong_price_rejected(self):
         opp = LegOpportunity("op", "P", Amount("1"), "ETH", "i", ("l1", "l2"))
         leg = PendingTx("l2", "i", ArbLegEffect("uni", Amount("30"), Amount("25"), opp))
@@ -384,7 +420,7 @@ def _ref_debit(state, domain, player, asset, amount):
 
 def _ref_with_pool(state, pool_id, pool):
     pools = dict(state.pools)
-    pools[pool_id] = pool
+    pools[pool_id] = pool.state()
     return WorldState(state.registry, state.balances, pools, state.consumed)
 
 
@@ -396,6 +432,11 @@ def _ref_stylized(state, pool_id):
 
 
 def _ref_swap(state, player, pool_id, direction, amount_in):
+    return _ref_swap_and_pool(state, player, pool_id, direction, amount_in)[0]
+
+
+def _ref_swap_and_pool(state, player, pool_id, direction, amount_in):
+    """``_ref_swap``'s state and the moved pool record it stores."""
     pool = state.pool(pool_id)
     if not isinstance(pool, ConstantProductPool):
         raise UnknownPool(f"pool {pool_id!r} is not a constant-product pool")
@@ -410,7 +451,7 @@ def _ref_swap(state, player, pool_id, direction, amount_in):
                                 reserve_x_units=(pool.reserve_x - out).units)
     state = _ref_debit(state, pool.domain, player, asset_in, amount_in)
     state = _ref_credit(state, pool.domain, player, asset_out, out)
-    return _ref_with_pool(state, pool_id, new_pool)
+    return _ref_with_pool(state, pool_id, new_pool), new_pool
 
 
 def _ref_fill(state, player, pool_id, direction, amount_in):
@@ -500,9 +541,9 @@ def _ref_apply(state, player, action, amount):
     return _ref_fill(state, player, action.pool_id, action.direction, amount)
 
 
-def _outcome(fn, *args):
+def _outcome(fn, *args, **kwargs):
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except XdmevError as exc:
         return type(exc), str(exc)
 
@@ -612,16 +653,60 @@ class TestFusedUpdateMatchesSingleSteps:
         with pytest.raises(InsufficientBalance):
             apply_action(drained, "P", act["whale_swap"])
 
-    @pytest.mark.parametrize("sign", [DEBIT, CREDIT])
+    @pytest.mark.parametrize("sign", ["debit", "credit"])
     @pytest.mark.parametrize("amount", ["-1", "0", "0.5", "1", "1.5"])
     def test_single_moves(self, sign, amount):
         state = state_with([cp()], {("dex", "P", "DAI"): Amount("1")})
-        ref = _ref_debit if sign == DEBIT else _ref_credit
-        move = (sign, "dex", "P", "DAI", Amount(amount).units)
-        fused = _outcome(state.update, (move,))
-        assert fused == _outcome(ref, state, *move[1:4], Amount(amount))
+        ref = _ref_debit if sign == "debit" else _ref_credit
+        key = ("dex", "P", "DAI")
+        fused = _outcome(state.update, **{sign: (key, Amount(amount).units)})
+        assert fused == _outcome(ref, state, *key, Amount(amount))
         if isinstance(fused, WorldState):
             _assert_int_balances(fused)
+
+
+class TestOneSwapBodyMatchesReference:
+    # failures the random cases below must reach, by class and message start
+    FAILURES = {
+        (InvalidAmount, "swap amount must be positive"),
+        (InvalidAmount, "unknown swap direction"),
+        (InsufficientLiquidity, "pool pool: input"),
+        (InsufficientBalance, "P holds"),
+        (UnknownPool, "unknown pool"),
+        (UnknownPool, "pool 'm' is not a constant-product pool"),
+    }
+
+    def test_random_swaps_and_their_failures(self):
+        rng = random.Random(1414)
+        seen = set()
+        moved = 0
+        for _ in range(600):
+            pool = ConstantProductPool(
+                "pool", "dex", "ETH", "DAI", rng.randint(1, 10**24), rng.randint(1, 10**24),
+                rng.choice((0, 5, 30, 9_999)),
+            )
+            balances = {
+                ("dex", "P", asset): Amount.from_units(rng.randint(1, 10**24))
+                for asset in ("ETH", "DAI") if rng.random() < 0.8
+            }
+            state = state_with([pool, mid("m", "20", domain="dex")], balances)
+            pool_id = rng.choice(("pool",) * 6 + ("m", "nowhere"))
+            direction = rng.choice(("x_to_y",) * 4 + ("y_to_x",) * 4 + ("sideways",))
+            amount = rng.choice((0, -3, 1, rng.randint(1, 10**18), rng.randint(1, 10**24)))
+            got = _outcome(apply_swap, state, "P", pool_id, direction, amount)
+            ref = _outcome(
+                _ref_swap_and_pool, state, "P", pool_id, direction, Amount.from_units(amount)
+            )
+            if isinstance(got, WorldState):
+                ref_state, ref_pool = ref
+                assert got == ref_state and hash(got) == hash(ref_state)
+                assert got.pool(pool_id) == ref_pool
+                _assert_int_balances(got)
+                moved += 1
+            else:
+                assert got == ref
+                seen |= {f for f in self.FAILURES if got[0] is f[0] and got[1].startswith(f[1])}
+        assert seen == self.FAILURES and moved > 100
 
 
 class TestOneStatePerApplication:
