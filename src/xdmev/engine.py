@@ -256,7 +256,7 @@ class _Search:
     ``best_suffix`` solves discrete prefixes, ``best_shape`` enumerates the
     shapes a parametric action starts, ``realize`` sizes one shape."""
 
-    __slots__ = ("initial", "query", "actions", "counter", "memo")
+    __slots__ = ("initial", "query", "actions", "counter", "memo", "sized")
 
     def __init__(self, initial: WorldState, query: MevQuery, actions: tuple[Action, ...]):
         self.initial = initial
@@ -264,6 +264,7 @@ class _Search:
         self.actions = actions
         self.counter = _Counter(query.candidate_cap)
         self.memo: dict[tuple[WorldState, frozenset[str]], _Candidate] = {}
+        self.sized = False  # whether golden-section sized a parametric slot
 
     def best_suffix(self, current: WorldState, used: frozenset[str]) -> _Candidate:
         """Best continuation from a state reached by a discrete prefix of ``used``."""
@@ -345,6 +346,7 @@ class _Search:
             lo_u = max(action.interval.lo.units, 1)
             hi_u = max_feasible_amount(state, player, action)
             if hi_u >= lo_u:
+                self.sized = True
                 _golden_section(lo_u, hi_u, score)
         return best
 
@@ -361,11 +363,14 @@ def mev(space: ActionSpaceSpec, state: WorldState, query: MevQuery) -> MevResult
     sequences is the same order on suffixes. A discrete action applies once
     to its parent's state. A parametric action starts a branch of ordered
     shapes, each optimized by ``_Search.realize`` from the branch's start
-    and extended only while it stays valid.
+    and extended only while it stays valid. ``method`` is "golden-section"
+    when golden-section sized at least one parametric slot, so the answer
+    may be a heuristic, and "exhaustive" otherwise.
     """
     _validate_query(state, query)
     search = _Search(state, query, _usable_actions(space, query.player, query.action_domains))
-    return _result(search.best_suffix(state, frozenset()), search.counter.count, "exhaustive")
+    best = search.best_suffix(state, frozenset())
+    return _result(best, search.counter.count, "golden-section" if search.sized else "exhaustive")
 
 
 def mev_cross_two(

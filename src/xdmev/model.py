@@ -42,12 +42,6 @@ ID_RE = re.compile(r"^[A-Za-z0-9_.-]{1,64}$")
 ACTION_KINDS = ("Bridge", "ExecutePendingTx", "StylizedArb", "Swap")
 
 
-def check_id(value: str, field: str) -> str:
-    if not isinstance(value, str) or ID_RE.match(value) is None:
-        raise ValidationError(field, f"invalid identifier {value!r}")
-    return value
-
-
 class Registry(Record):
     """Declared identifier sets and pool specs of a scenario; shared by all
     of its states. A spec is a pool's record as declared, starting reserves

@@ -6,6 +6,11 @@ its natural key, sorts object keys, indents two spaces, and ends with a
 newline, so load -> serialize -> load is a byte-stable fixed point.
 Validation is complete at load time: the engine never re-checks
 cross-references.
+
+The field tables (``_DOCUMENT`` and the tables it nests) are the one
+statement of the schema: ``loads`` and ``serialize_scenario`` walk them, and
+``docs/scenario_format.md`` renders its field lists from them. A rule that
+spans fields or sections is the ``check`` of one table, stated once.
 """
 
 from __future__ import annotations
@@ -15,49 +20,17 @@ from pathlib import Path
 from typing import Mapping, Optional
 
 from ._record import Record
-from .actions import (
-    Action,
-    ActionSpaceSpec,
-    AmountInterval,
-    KIND_ARB,
-    KIND_BRIDGE,
-    KIND_PENDING,
-    KIND_SWAP,
-)
+from .actions import Action, ActionSpaceSpec, AmountInterval
+from .actions import KIND_ARB, KIND_BRIDGE, KIND_PENDING, KIND_SWAP
 from .engine import DEFAULT_MAX_SEQUENCE_LENGTH, MevQuery
 from .errors import ParseError, ValidationError
-from .fixedpoint import ZERO, Amount, format_fraction, parse_fraction
-from .model import ACTION_KINDS, PriceMatrix, Registry, WorldState, check_id
-from .venues import (
-    ArbLegEffect,
-    BridgeSpec,
-    ConstantProductPool,
-    CpSwapEffect,
-    DIRECTIONS,
-    LegOpportunity,
-    PendingTx,
-    PricePushEffect,
-    StylizedArbSpec,
-    StylizedMidpointPool,
-    TransferEffect,
-)
+from .fixedpoint import Amount, format_fraction, format_units, parse_fraction
+from .model import ACTION_KINDS, ID_RE, PriceMatrix, Registry, WorldState
+from .venues import DIRECTIONS, ArbLegEffect, BridgeSpec, ConstantProductPool, CpSwapEffect
+from .venues import LegOpportunity, PendingTx, PricePushEffect, StylizedArbSpec
+from .venues import StylizedMidpointPool, TransferEffect
 
 SCHEMA_VERSION = 1
-
-_TOP_LEVEL_KEYS = {
-    "schema_version",
-    "domains",
-    "assets",
-    "players",
-    "pools",
-    "bridges",
-    "mempool",
-    "opportunities",
-    "stylized_arbs",
-    "actions",
-    "prices",
-    "defaults",
-}
 
 
 class DomainDecl(Record):
@@ -112,11 +85,18 @@ class Scenario(Record, eq=False):
             pools={p.id: p for p in self.pools},
         )
         object.__setattr__(self, "registry", registry)
-        object.__setattr__(self, "space", _build_space(self))
+        by_player: dict[str, list[Action]] = {p.id: [] for p in self.players}
+        for owner, action in self.player_actions:
+            by_player[owner].append(action)
+        for tx in self.mempool:
+            for player in self.players:
+                if KIND_PENDING in player.capabilities.get(tx.domain, frozenset()):
+                    pending = Action(tx.id, KIND_PENDING, frozenset({tx.domain}), tx=tx)
+                    by_player[player.id].append(pending)
+        object.__setattr__(self, "space", ActionSpaceSpec(by_player))
 
     def initial_state(self) -> WorldState:
-        """A fresh state owning fresh maps: declared balances summed per
-        key as int units, zero sums dropped."""
+        """A fresh state: declared balances summed per key as int units, zero sums dropped."""
         balances: dict[tuple[str, str, str], int] = {}
         for player in self.players:
             for bal in player.balances:
@@ -126,15 +106,9 @@ class Scenario(Record, eq=False):
         pools = {pool.id: pool.state() for pool in self.pools}
         return WorldState(self.registry, balances, pools)
 
-    def default_query(
-        self,
-        player: Optional[str] = None,
-        action_domains=None,
-        value_domains=None,
-        base_domain: Optional[str] = None,
-        base_asset: Optional[str] = None,
-        max_len: Optional[int] = None,
-    ) -> MevQuery:
+    def default_query(self, player: Optional[str] = None, action_domains=None, value_domains=None,
+                      base_domain: Optional[str] = None, base_asset: Optional[str] = None,
+                      max_len: Optional[int] = None) -> MevQuery:
         d = self.defaults
         return MevQuery(
             player=player or d.player,
@@ -147,158 +121,477 @@ class Scenario(Record, eq=False):
         )
 
 
-# -- parsing helpers ------------------------------------------------------------
-#
-# Every field is named by its path in the document (``pools[0].reserve_x``);
-# ``path`` is the enclosing object's path, and "document" for the root.
+# -- field kinds -------------------------------------------------------------------
+# A kind is a tuple ``(loader, *arguments)``. ``loader(kind, value, path, name, ns,
+# minimum)`` checks field (or list index) ``name`` of the object at ``path`` and
+# returns what its record holds; ``ns`` maps namespaces to the ids declared so
+# far. A minimum is 0, or a message: the value is above zero (a list nonempty).
 
-
-def _require(obj: dict, field: str, path: str):
-    if field not in obj:
-        raise ValidationError(f"{path}.{field}", "missing required field")
-    return obj[field]
-
-
-def _expect_str(value, path: str) -> str:
-    if not isinstance(value, str):
-        raise ValidationError(path, f"expected string, got {type(value).__name__}")
-    return value
-
-
-def _expect_list(value, path: str) -> list:
-    if not isinstance(value, list):
-        raise ValidationError(path, f"expected list, got {type(value).__name__}")
-    return value
-
-
-def _expect_dict(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValidationError(path, f"expected object, got {type(value).__name__}")
-    return value
-
-
-def _expect_int(value, path: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValidationError(path, f"expected integer, got {type(value).__name__}")
-    return value
-
-
-def _str(obj: dict, field: str, path: str) -> str:
-    """A required string field."""
-    value = obj.get(field)
-    if isinstance(value, str):  # the common case builds no path
-        return value
-    return _expect_str(_require(obj, field, path), f"{path}.{field}")
-
-
-def _ref(obj: dict, field: str, path: str, declared: Mapping, what: str) -> str:
-    """A required string field naming a key of ``declared``."""
-    value = obj.get(field)
-    if isinstance(value, str) and value in declared:
-        return value
-    value = _str(obj, field, path)
-    if value not in declared:
-        raise ValidationError(f"{path}.{field}", f"undeclared {what} {value!r}")
-    return value
-
-
-def _new_id(obj, path: str, seen, what: str, field: Optional[str] = "id") -> str:
-    """``obj[field]`` (``obj`` itself when ``field`` is None) as a well-formed
-    identifier that is not yet in ``seen``."""
-    if field is not None:
-        obj, path = _require(obj, field, path), f"{path}.{field}"
-    value = check_id(_expect_str(obj, path), path)
-    if value in seen:
-        raise ValidationError(path, f"duplicate {what} {value!r}")
-    return value
-
-
-def _items(obj: dict, field: str, path: str, required: bool = False, objects: bool = False):
-    """(path, value) for each entry of the list field ``obj[field]``; with
-    ``objects``, every value must be an object."""
-    where = field if path == "document" else f"{path}.{field}"
-    raw = _require(obj, field, path) if required else obj.get(field, [])
-    for i, value in enumerate(_expect_list(raw, where)):
-        item = f"{where}[{i}]"
-        yield item, _expect_dict(value, item) if objects else value
-
-
-def _entries(obj: dict, field: str, path: str, required: bool = False):
-    """(path, object) for each entry of the list field ``obj[field]``."""
-    return _items(obj, field, path, required, objects=True)
-
-
+REQUIRED = object()
 _POOL_TYPE_NAMES = {ConstantProductPool: "constant-product", StylizedMidpointPool: "stylized"}
 
 
-def _pool(obj: dict, field: str, path: str, pools: Mapping, cls: type, domain=None):
-    """The pool named by ``obj[field]``: a ``cls`` pool, on ``domain`` when given."""
-    pool_id = _str(obj, field, path)
-    pool = pools.get(pool_id)
-    if not isinstance(pool, cls):
-        raise ValidationError(f"{path}.{field}", f"{pool_id!r} is not a {_POOL_TYPE_NAMES[cls]} pool")
-    if domain is not None and pool.domain != domain:
-        raise ValidationError(f"{path}.{field}", f"pool {pool_id!r} lives on {pool.domain!r}")
-    return pool
+def _at(path: str, name) -> str:
+    """The path of field or list index ``name`` inside ``path``; top-level fields are bare."""
+    if name.__class__ is int:
+        return f"{path}[{name}]"
+    return name if path == "document" else f"{path}.{name}"
 
 
-def _direction(obj: dict, path: str) -> str:
-    direction = _str(obj, "direction", path)
-    if direction not in DIRECTIONS:
-        raise ValidationError(f"{path}.direction", f"unknown direction {direction!r}")
-    return direction
+def _expected(what: str, value, path: str, name) -> ValidationError:
+    """The error of a value of the wrong type, or of a required field that is absent."""
+    if value is REQUIRED:
+        return ValidationError(f"{path}.{name}", "missing required field")
+    return ValidationError(_at(path, name), f"expected {what}, got {type(value).__name__}")
 
 
-def _amount(value, path: str, minimum: Optional[Amount] = None) -> Amount:
-    text = _expect_str(value, path)
+def _nullable(kind, value, path, name, ns, minimum):
+    """The loader of a row whose default is None: a null counts as absent."""
+    return None if value is None else kind[0](kind, value, path, name, ns, minimum)
+
+
+def _ref(kind, value, path, name, ns, minimum):
+    """``(_ref, namespace, link, cls)``: a declared id (of a ``cls`` pool), or its record."""
+    _, what, link, cls = kind
+    if value.__class__ is str and value in ns[what]:
+        record = ns[what][value]
+        if cls is None or record.__class__ is cls:
+            return record if link else value
+    if value.__class__ is not str:
+        raise _expected("string", value, path, name)
+    if cls is not None:
+        raise ValidationError(_at(path, name), f"{value!r} is not a {_POOL_TYPE_NAMES[cls]} pool")
+    raise ValidationError(_at(path, name), f"undeclared {what} {value!r}")
+
+
+def _id(kind, value, path, name, ns, minimum):
+    """``(_id, namespace)``: a well-formed identifier that is new in the namespace."""
+    if value.__class__ is not str:
+        raise _expected("string", value, path, name)
+    if ID_RE.match(value) is None:
+        raise ValidationError(_at(path, name), f"invalid identifier {value!r}")
+    if value in ns[kind[1]]:
+        raise ValidationError(_at(path, name), f"duplicate {kind[1]} {value!r}")
+    ns[kind[1]][value] = None
+    return value
+
+
+def _string(kind, value, path, name, ns, minimum):
+    """``(_string, choices, label)``: a string, one of ``choices`` when given."""
+    if value.__class__ is not str:
+        raise _expected("string", value, path, name)
+    if kind[1] is not None and value not in kind[1]:
+        raise ValidationError(_at(path, name), f"unknown {kind[2]} {value!r}")
+    return value
+
+
+def _number(kind, value, path, name, ns, minimum):
+    """``(_number, parse, write)``: a string ``parse`` reads: an amount, its units, or a rate."""
+    if value.__class__ is not str:
+        raise _expected("string", value, path, name)
     try:
-        amount = Amount(text)
+        number = kind[1](value)
     except ValueError as exc:
-        raise ValidationError(path, str(exc)) from None
-    if minimum is not None and amount < minimum:
-        raise ValidationError(path, f"amount {amount} below minimum {minimum}")
-    return amount
+        raise ValidationError(_at(path, name), str(exc)) from None
+    sign = number.units if number.__class__ is Amount else number
+    if minimum.__class__ is str and sign <= 0:
+        raise ValidationError(_at(path, name), minimum)
+    if minimum == 0 and sign < 0:
+        raise ValidationError(_at(path, name), f"amount {number} below minimum 0")
+    return number
 
 
-def _amount_field(obj: dict, field: str, path: str, minimum: Optional[Amount] = None) -> Amount:
-    return _amount(_require(obj, field, path), f"{path}.{field}", minimum)
+def _integer(kind, value, path, name, ns, minimum):
+    """``(_integer, below, only)``: an integer, below ``below`` or equal to ``only``."""
+    _, below, only = kind
+    if value.__class__ is not int:
+        raise _expected("integer", value, path, name)
+    if only is not None and value != only:
+        raise ValidationError(_at(path, name), f"unsupported version {value}")
+    if below is not None and not minimum <= value < below:
+        raise ValidationError(_at(path, name), f"{name} must lie in [{minimum}, {below})")
+    if minimum is not None and value < minimum:
+        raise ValidationError(_at(path, name), f"must be >= {minimum}")
+    return value
 
 
-def _fraction(obj: dict, field: str, path: str):
-    where = f"{path}.{field}"
-    try:
-        ratio = parse_fraction(_str(obj, field, path))
-    except ValueError as exc:
-        raise ValidationError(where, str(exc)) from None
-    if ratio <= 0:
-        raise ValidationError(where, "rate must be positive")
-    return ratio
+def _list(kind, value, path, name, ns, minimum):
+    """``(_list, item, sort, collect)``: a list of ``item``s, written sorted by the fields
+    ``sort`` names (``()``: the items; None: unsorted), held as ``collect = (hold, items)``."""
+    if value.__class__ is not list:
+        raise _expected("list", value, path, name)
+    where, item, items = _at(path, name), kind[1], []
+    if item[0] is _section:  # the commonest list, read without a loader call per entry
+        for i, entry in enumerate(value):
+            items.append(_read(entry, item[1], f"{where}[{i}]", ns))
+    else:
+        for i, entry in enumerate(value):
+            items.append(item[0](item, entry, where, i, ns, None))
+    if minimum is not None and not items:
+        raise ValidationError(where, minimum)
+    return tuple(items) if kind[3] is None else kind[3][0](items, where)
 
 
-def _amount_mode(value, path: str) -> Optional[dict]:
-    """The ``Action`` amount arguments an ``amount`` field asks for; None when absent."""
-    if value is None:
-        return None
+def _section(kind, value, path, name, ns, minimum):
+    """``(_section, table)``: a nested object."""
+    if value is REQUIRED:
+        raise _expected("object", value, path, name)
+    return _read(value, kind[1], _at(path, name), ns)
+
+
+def _mode(kind, value, path, name, ns, minimum):
+    """``(_mode,)``: an action amount, "all", {"fixed": amount above the minimum} or
+    {"interval": [lo, hi]}, held as the ``Action``'s (amount, interval, sweep)."""
+    where, keys = _at(path, name), list(value) if value.__class__ is dict else None
     if value == "all":
-        return {"sweep": True}
-    if isinstance(value, dict) and set(value) == {"fixed"}:
-        fixed = _amount(value["fixed"], f"{path}.fixed")
-        if fixed.units <= 0:
-            raise ValidationError(f"{path}.fixed", "fixed amount must be positive")
-        return {"amount": fixed}
-    if isinstance(value, dict) and set(value) == {"interval"}:
-        bounds = _expect_list(value["interval"], f"{path}.interval")
+        return None, None, True
+    if keys == ["fixed"]:
+        return _number(_AMOUNT, value["fixed"], where, "fixed", ns, minimum), None, False
+    if keys == ["interval"]:
+        bounds, span = value["interval"], f"{where}.interval"
+        if bounds.__class__ is not list:
+            raise _expected("list", bounds, where, "interval")
         if len(bounds) != 2:
-            raise ValidationError(f"{path}.interval", "interval needs [lo, hi]")
-        lo = _amount(bounds[0], f"{path}.interval[0]", ZERO)
-        hi = _amount(bounds[1], f"{path}.interval[1]")
+            raise ValidationError(span, "interval needs [lo, hi]")
+        lo = _number(_AMOUNT, bounds[0], span, 0, ns, 0)
+        hi = _number(_AMOUNT, bounds[1], span, 1, ns, None)
         if hi <= lo:
-            raise ValidationError(f"{path}.interval[1]", "hi must exceed lo")
-        return {"interval": AmountInterval(lo, hi)}
-    raise ValidationError(path, "expected \"all\", {\"fixed\": ...} or {\"interval\": [lo, hi]}")
+            raise ValidationError(f"{span}[1]", "hi must exceed lo")
+        return None, AmountInterval(lo, hi), False
+    raise ValidationError(where, 'expected "all", {"fixed": ...} or {"interval": [lo, hi]}')
 
 
-# -- loading ---------------------------------------------------------------------
+def _dump(kind, value):
+    """The JSON of a record's ``value`` for a field of ``kind``; None omits the field."""
+    code = kind[0]
+    if code is _section:
+        return _write(value, kind[1])
+    if code is _list:
+        _, item, sort, collect = kind
+        out = [_dump(item, v) for v in (value if collect is None else collect[1](value))]
+        if sort is not None:
+            out.sort(key=(lambda obj: [obj[field] for field in sort]) if sort else None)
+        return out
+    if code is _ref:
+        return value if value.__class__ is str else value.id
+    if code is _number:
+        return kind[2](value)
+    if code is _mode:
+        amount, interval, sweep = value
+        if sweep or amount is not None:
+            return "all" if sweep else {"fixed": str(amount)}
+        return None if interval is None else {"interval": [str(interval.lo), str(interval.hi)]}
+    return value
+
+
+def _field(record, attr):
+    """What a row's ``attr`` names: an attribute, a tuple index, or a tuple of attributes."""
+    if attr.__class__ is str:
+        return getattr(record, attr)
+    return record[attr] if attr.__class__ is int else tuple([getattr(record, a) for a in attr])
+
+
+class _Table:
+    """One section or variant. A row ``(name, kind, default, minimum, attr)`` gives a
+    field's name, kind, ``REQUIRED`` or else its default (None: a null counts as
+    absent), minimum and record attribute; a short row is required, with no minimum,
+    and maps to the attribute of its name. ``build(*values)`` makes the record (a
+    tuple when None); ``check(record, path, ns)`` applies cross-field rules and may
+    return the record to keep. ``pair`` names two fields that are strings before
+    either resolves. With ``variants``, the field ``tag = (name, label, attr)``
+    picks one, whose rows follow these; a string variant is the tag's error. The
+    writer reads a row by ``get``, and the tag at ``attr`` or by the variant's ``cls``."""
+
+    __slots__ = ("rows", "fields", "build", "check", "pair", "tag", "variants", "names", "required",
+                 "key", "get", "cls")
+
+    def __init__(self, rows, build=None, check=None, pair=(), tag=None, variants=None,
+                 get=_field, cls=None):
+        rows = [row + (REQUIRED, None, row[0])[len(row) - 2:] for row in rows]
+        self.rows, self.build, self.check, self.pair = tuple(rows), build, check, pair
+        self.tag, self.variants, self.get, self.cls = tag, variants, get, cls or build
+        self.names = frozenset(row[0] for row in rows)
+        self.fields = tuple((r[0], _nullable if r[2] is None else r[1][0]) + r[1:4] for r in rows)
+        self.required = sum(row[2] is REQUIRED for row in rows)
+        self.key = rows[0][1][1] if rows and rows[0][1][0] is _id else None
+        for variant in (variants or {}).values():
+            if variant.__class__ is _Table:
+                variant.rows = self.rows + variant.rows
+                variant.fields = self.fields + variant.fields
+                variant.names = variant.names | self.names | {tag[0]}
+                variant.required += self.required + 1
+
+
+def _read(obj, table: _Table, path: str, ns: dict):
+    """The record of the entry ``obj`` at ``path``."""
+    if obj.__class__ is not dict:
+        raise ValidationError(path, f"expected object, got {type(obj).__name__}")
+    check, key, pair, get = table.check, table.key, table.pair, obj.get
+    if table.variants is not None:
+        name, label, _ = table.tag
+        tag = _string(_STRING, get(name, REQUIRED), path, name, ns, None)
+        table = table.variants.get(tag)
+        if table.__class__ is not _Table:
+            raise ValidationError(f"{path}.{name}", table or f"unknown {label} {tag!r}")
+    for name in pair:  # both are strings before either resolves
+        _string(_STRING, get(name, REQUIRED), path, name, ns, None)
+    values = []
+    append = values.append
+    for name, load, kind, default, minimum in table.fields:
+        append(load(kind, get(name, default), path, name, ns, minimum))
+    # every required field is present, so only more fields can be unknown ones
+    if len(obj) > table.required and not table.names.issuperset(obj):
+        unknown, top = min(set(obj) - table.names), path == "document"
+        raise ValidationError(_at(path, unknown), f"unknown {'top-level ' if top else ''}field")
+    record = tuple(values) if table.build is None else table.build(*values)
+    if check is not None:
+        record = check(record, path, ns) or record
+    if key is not None:
+        ns[key][values[0]] = record
+    return record
+
+
+def _write(record, table: _Table) -> dict:
+    """The canonical object of ``record``."""
+    get, obj = table.get, {}
+    if table.variants is not None:
+        name, _, attr = table.tag
+        tags = (tag for tag, v in table.variants.items() if record.__class__ is v.cls)
+        obj[name] = get(record, attr) if attr else next(tags)
+        table = table.variants[obj[name]]
+    for name, kind, _, _, attr in table.rows:
+        value = _dump(kind, get(record, attr))
+        if value is not None:
+            obj[name] = value
+    return obj
+
+
+# -- cross-field rules ----------------------------------------------------------------
+
+
+def _capabilities(entries: list, where: str) -> dict:
+    out: dict[str, frozenset[str]] = {}
+    for i, (domain, kinds) in enumerate(entries):
+        if domain in out:
+            raise ValidationError(f"{where}[{i}].domain", f"duplicate capability domain {domain!r}")
+        out[domain] = frozenset(kinds)
+    return out
+
+
+def _price_matrix(entries: list, where: str) -> PriceMatrix:
+    """The price entries, declared in order: reciprocity holds pair by pair."""
+    prices = PriceMatrix()
+    for i, (src, dst, rate) in enumerate(entries):
+        try:
+            prices.declare(src, dst, rate)
+        except ValidationError as exc:
+            raise ValidationError(f"{where}[{i}].rate", str(exc)) from None
+    return prices
+
+
+def _pool_rules(pool, path: str, ns: dict) -> None:
+    if pool.asset_x == pool.asset_y:
+        raise ValidationError(f"{path}.asset_y", "pool assets must differ")
+
+
+def _pending_rules(entry: tuple, path: str, ns: dict) -> PendingTx:
+    """The PendingTx of a mempool entry: a transfer moves on its domain, any
+    other effect's pool lives there, and an arb leg is a declared leg."""
+    tid, domain, effect = entry
+    if effect.__class__ is tuple:  # a transfer's fields
+        return PendingTx(tid, domain, TransferEffect(domain, *effect))
+    pool = ns["pool"][effect.pool_id]
+    if pool.domain != domain:
+        raise ValidationError(f"{path}.effect.pool", f"pool {pool.id!r} lives on {pool.domain!r}")
+    if effect.__class__ is ArbLegEffect and tid not in effect.opportunity.leg_ids:
+        where, opp = f"{path}.effect.opportunity", effect.opportunity.id
+        raise ValidationError(where, f"tx {tid!r} is not a declared leg of {opp!r}")
+    return PendingTx(tid, domain, effect)
+
+
+def _opportunity_rules(opp: LegOpportunity, path: str, ns: dict) -> None:
+    if len(opp.leg_ids) < 2:
+        raise ValidationError(f"{path}.legs", "an opportunity needs at least two legs")
+    if len(set(opp.leg_ids)) != len(opp.leg_ids):
+        raise ValidationError(f"{path}.legs", "legs must be distinct")
+
+
+def _arb_rules(arb: StylizedArbSpec, path: str, ns: dict) -> None:
+    pa, pb = ns["pool"][arb.pool_a], ns["pool"][arb.pool_b]
+    if pa is pb:
+        raise ValidationError(f"{path}.pool_b", "pools must differ")
+    if (pa.asset_x, pa.asset_y) != (pb.asset_x, pb.asset_y):
+        raise ValidationError(f"{path}.pool_b", "pools must share the same asset pair")
+
+
+def _action_rules(entry: tuple, path: str, ns: dict) -> tuple[str, Action]:
+    """(owner, Action) of an action entry: the amount mode its kind asks
+    for, and the owner's capability on every domain it touches."""
+    kind, aid, owner, mode, target, *direction = entry
+    # Action fields: id, kind, domains, pool_id, direction, amount, interval, sweep, arb, bridge, tx
+    if kind == KIND_ARB:
+        if mode is not None:
+            raise ValidationError(f"{path}.amount", "stylized arbs take no amount")
+        pools = ns["pool"]
+        domains = frozenset({pools[target.pool_a].domain, pools[target.pool_b].domain})
+        action = Action(aid, kind, domains, None, None, None, None, False, target, None, None)
+    elif mode is None:
+        raise ValidationError(f"{path}.amount", f"{kind.lower()} actions need an amount mode")
+    elif kind == KIND_SWAP:
+        domains = frozenset({target.domain})
+        action = Action(aid, kind, domains, target.id, direction[0], *mode, None, None, None)
+    else:
+        domains = frozenset({target.from_domain, target.to_domain})
+        action = Action(aid, kind, domains, None, None, *mode, None, target, None)
+    capabilities = ns["player"][owner].capabilities
+    for domain in sorted(domains):
+        if kind not in capabilities.get(domain, ()):
+            message = f"player {owner!r} lacks {kind} capability on {domain!r}"
+            raise ValidationError(f"{path}.kind", message)
+    return owner, action
+
+
+def _defaults_rules(values: tuple, path: str, ns: dict) -> Defaults:
+    """The domain lists: every domain when absent, no domain twice."""
+    lists = [tuple(ns["domain"]) if domains is None else domains for domains in values[5:]]
+    for field, domains in zip(("action_domains", "value_domains"), lists):
+        for i, domain in enumerate(domains):
+            if domain in domains[:i]:
+                raise ValidationError(f"{path}.{field}[{i}]", f"repeated domain {domain!r}")
+    return Defaults(*values[:5], *lists)
+
+
+def _document_rules(scenario: Scenario, path: str, ns: dict) -> None:
+    """Every opportunity leg is an arb leg in the mempool, and every domain's
+    native asset prices into the default base."""
+    effects = ((tx.id, tx.effect) for tx in scenario.mempool)
+    arb_legs = {(e.opportunity.id, tid) for tid, e in effects if e.__class__ is ArbLegEffect}
+    for idx, opp in enumerate(scenario.opportunities):
+        missing = sorted(leg for leg in opp.leg_ids if (opp.id, leg) not in arb_legs)
+        if missing:
+            message = f"legs not present in the mempool: {missing}"
+            raise ValidationError(f"opportunities[{idx}].legs", message)
+    base = scenario.defaults.base_asset
+    for d in scenario.domains:
+        if not scenario.prices.has_rate(d.native_asset, base):
+            message = f"no rate from native asset {d.native_asset!r} of domain {d.id!r}"
+            raise ValidationError("prices", f"{message} to base asset {base!r}")
+
+
+# -- the schema -------------------------------------------------------------------------
+
+_STRING, _AMOUNT = (_string, None, None), (_number, Amount, str)
+_UNITS = (_number, lambda text: Amount(text).units, format_units)
+_RATE = (_number, parse_fraction, format_fraction)
+_ASSET, _DOMAIN, _PLAYER = ((_ref, what, False, None) for what in ("asset", "domain", "player"))
+_STYLIZED_POOL = (_ref, "pool", False, StylizedMidpointPool)
+_DIRECTION = (_string, DIRECTIONS, "direction")
+_POSITIVE_RESERVE, _POSITIVE_RATE = "reserves must be positive", "rate must be positive"
+
+
+def _entries(table: _Table, sort=("id",), collect=None) -> tuple:
+    return (_list, (_section, table), sort, collect)
+
+
+_POOL = _Table(
+    [("id", (_id, "pool")), ("domain", _DOMAIN), ("asset_x", _ASSET), ("asset_y", _ASSET)],
+    check=_pool_rules, pair=("asset_x", "asset_y"), tag=("type", "pool type", None), variants={
+        "constant_product": _Table([
+            ("reserve_x", _UNITS, REQUIRED, _POSITIVE_RESERVE, "reserve_x_units"),
+            ("reserve_y", _UNITS, REQUIRED, _POSITIVE_RESERVE, "reserve_y_units"),
+            ("fee_bps", (_integer, 10_000, None), 0, 0),
+        ], build=ConstantProductPool),
+        "stylized_midpoint": _Table(
+            [("price", _AMOUNT, REQUIRED, "price must be positive")], build=StylizedMidpointPool),
+    })
+
+_EFFECT = _Table([], tag=("type", "effect type", None), variants={
+    "price_push": _Table([("pool", _STYLIZED_POOL, REQUIRED, None, "pool_id"),
+                          ("to_price", _AMOUNT)], build=PricePushEffect),
+    "cp_swap": _Table([
+        ("pool", (_ref, "pool", False, ConstantProductPool), REQUIRED, None, "pool_id"),
+        ("direction", _DIRECTION), ("amount_in", _AMOUNT), ("account", _PLAYER),
+    ], build=CpSwapEffect),
+    "transfer": _Table([  # a TransferEffect on the tx's domain, built by the mempool rules
+        ("from_account", _PLAYER), ("to_account", _PLAYER), ("asset", _ASSET),
+        ("amount", _AMOUNT, REQUIRED, 0),
+    ], cls=TransferEffect),
+    "arb_leg": _Table([
+        ("pool", _STYLIZED_POOL, REQUIRED, None, "pool_id"), ("from_price", _AMOUNT),
+        ("to_price", _AMOUNT), ("opportunity", (_ref, "opportunity", True, None)),
+    ], build=ArbLegEffect),
+})
+
+_ACTION = _Table([
+    ("id", (_id, "action id")), ("player", _PLAYER, REQUIRED, None, "owner"),
+    ("amount", (_mode,), None, "fixed amount must be positive", ("amount", "interval", "sweep")),
+], check=_action_rules, tag=("kind", "action kind", "kind"), variants={
+    KIND_SWAP: _Table([("pool", (_ref, "pool", True, None), REQUIRED, None, "pool_id"),
+                       ("direction", _DIRECTION)], build=lambda *values: (KIND_SWAP, *values)),
+    KIND_BRIDGE: _Table(
+        [("bridge", (_ref, "bridge", True, None))], build=lambda *values: (KIND_BRIDGE, *values)),
+    KIND_ARB: _Table(
+        [("arb", (_ref, "stylized arb", True, None))], build=lambda *values: (KIND_ARB, *values)),
+    KIND_PENDING: "pending transactions belong in the mempool",
+}, get=lambda pair, attr: pair[0] if attr == "owner" else _field(pair[1], attr))
+
+# The top-level sections in dependency order: every reference resolves
+# against the sections read before it.
+_DOCUMENT = _Table([
+    ("schema_version", (_integer, None, SCHEMA_VERSION)),
+    ("assets", (_list, (_id, "asset"), (), None)),
+    ("domains", _entries(_Table([("id", (_id, "domain")), ("native_asset", _ASSET)],
+                                build=DomainDecl)), REQUIRED, "at least one domain is required"),
+    ("players", _entries(_Table([
+        ("id", (_id, "player")),
+        ("balances", _entries(_Table(
+            [("domain", _DOMAIN), ("asset", _ASSET), ("amount", _AMOUNT, REQUIRED, 0)],
+            build=BalanceDecl), sort=("domain", "asset")), []),
+        ("capabilities", _entries(_Table([
+            ("domain", _DOMAIN, REQUIRED, None, 0),
+            ("kinds", (_list, (_string, ACTION_KINDS, "action kind"), (), None), REQUIRED, None, 1),
+        ]), sort=("domain",), collect=(_capabilities, dict.items)), []),
+    ], build=PlayerDecl))),
+    ("pools", _entries(_POOL), []),
+    ("bridges", _entries(_Table([
+        ("id", (_id, "bridge")), ("from_domain", _DOMAIN), ("to_domain", _DOMAIN),
+        ("from_asset", _ASSET), ("to_asset", _ASSET), ("rate", _RATE, REQUIRED, _POSITIVE_RATE),
+        ("flat_fee", _AMOUNT, "0", 0),
+    ], build=BridgeSpec)), []),
+    ("opportunities", _entries(_Table([
+        ("id", (_id, "opportunity")), ("beneficiary", _PLAYER),
+        ("declared_profit", _AMOUNT, REQUIRED, 0), ("profit_asset", _ASSET),
+        ("profit_domain", _DOMAIN), ("legs", (_list, _STRING, (), None), REQUIRED, None, "leg_ids"),
+    ], build=LegOpportunity, check=_opportunity_rules)), []),
+    ("mempool", _entries(_Table(
+        [("id", (_id, "action id")), ("domain", _DOMAIN), ("effect", (_section, _EFFECT))],
+        check=_pending_rules)), []),
+    ("stylized_arbs", _entries(_Table([
+        ("id", (_id, "stylized arb")), ("pool_a", _STYLIZED_POOL), ("pool_b", _STYLIZED_POOL),
+        ("declared_profit", _AMOUNT, REQUIRED, 0), ("profit_asset", _ASSET),
+        ("profit_domain", _DOMAIN),
+    ], build=StylizedArbSpec, check=_arb_rules)), []),
+    ("actions", _entries(_ACTION), [], None, "player_actions"),
+    ("prices", _entries(_Table([
+        ("from", _ASSET, REQUIRED, None, 0), ("to", _ASSET, REQUIRED, None, 1),
+        ("rate", _RATE, REQUIRED, _POSITIVE_RATE, 2),
+    ], pair=("from", "to")), ("from", "to"), (
+        _price_matrix, lambda prices: [e for e in prices.entries() if e[0] < e[1]])), []),
+    ("defaults", (_section, _Table([
+        ("player", _PLAYER), ("base_domain", _DOMAIN), ("base_asset", _ASSET),
+        ("max_sequence_length", (_integer, None, None), DEFAULT_MAX_SEQUENCE_LENGTH, 0),
+        ("alpha", _AMOUNT, "0", 0),
+        ("action_domains", (_list, _DOMAIN, None, None), None, "must be nonempty"),
+        ("value_domains", (_list, _DOMAIN, None, None), None, "must be nonempty"),
+    ], check=_defaults_rules))),
+], build=lambda *values: Scenario(*[values[i] for i in _SCENARIO_ORDER]), check=_document_rules)
+
+_SCENARIO_ORDER = [[row[4] for row in _DOCUMENT.rows].index(f) for f in Scenario._fields]
+_NAMESPACES = ("asset", "domain", "player", "pool", "bridge", "opportunity", "stylized arb",
+               "action id")  # pending txs and actions share one namespace
+
+
+# -- loading and serialization ------------------------------------------------------
 
 
 def loads(text: str) -> Scenario:
@@ -306,10 +599,9 @@ def loads(text: str) -> Scenario:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"malformed document at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
-    return _from_object(doc)
+        where = f"line {exc.lineno}, column {exc.colno}"
+        raise ParseError(f"malformed document at {where}: {exc.msg}") from None
+    return _read(doc, _DOCUMENT, "document", {what: {} for what in _NAMESPACES})
 
 
 def load_path(path: str | Path) -> Scenario:
@@ -329,496 +621,16 @@ def load_scenario(source: str | Path) -> Scenario:
     return load_path(source)
 
 
-def _from_object(doc) -> Scenario:
-    root = _expect_dict(doc, "document")
-    unknown = set(root) - _TOP_LEVEL_KEYS
-    if unknown:
-        raise ValidationError(sorted(unknown)[0], "unknown top-level field")
-    version = _expect_int(_require(root, "schema_version", "document"), "schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValidationError("schema_version", f"unsupported version {version}")
-
-    # Each section becomes one id-keyed dict in document order. Sections are
-    # read in dependency order, so every reference resolves against the
-    # sections read before it.
-    assets: dict[str, None] = {}
-    for path, value in _items(root, "assets", "document", required=True):
-        assets[_new_id(value, path, assets, "asset", field=None)] = None
-
-    domains: dict[str, DomainDecl] = {}
-    for path, entry in _entries(root, "domains", "document", required=True):
-        did = _new_id(entry, path, domains, "domain")
-        domains[did] = DomainDecl(did, _ref(entry, "native_asset", path, assets, "asset"))
-    if not domains:
-        raise ValidationError("domains", "at least one domain is required")
-
-    players: dict[str, PlayerDecl] = {}
-    for path, entry in _entries(root, "players", "document", required=True):
-        pid = _new_id(entry, path, players, "player")
-        balances = tuple(
-            BalanceDecl(
-                _ref(bal, "domain", b_path, domains, "domain"),
-                _ref(bal, "asset", b_path, assets, "asset"),
-                _amount_field(bal, "amount", b_path, ZERO),
-            )
-            for b_path, bal in _entries(entry, "balances", path)
-        )
-        capabilities: dict[str, frozenset[str]] = {}
-        for c_path, cap in _entries(entry, "capabilities", path):
-            _ref(cap, "domain", c_path, domains, "domain")
-            domain = _new_id(cap, c_path, capabilities, "capability domain", field="domain")
-            kinds = []
-            for k_path, kind in _items(cap, "kinds", c_path, required=True):
-                if _expect_str(kind, k_path) not in ACTION_KINDS:
-                    raise ValidationError(k_path, f"unknown action kind {kind!r}")
-                kinds.append(kind)
-            capabilities[domain] = frozenset(kinds)
-        players[pid] = PlayerDecl(pid, balances, capabilities)
-
-    pools: dict[str, object] = {}
-    for path, entry in _entries(root, "pools", "document"):
-        pool_id = _new_id(entry, path, pools, "pool")
-        domain = _ref(entry, "domain", path, domains, "domain")
-        for field in ("asset_x", "asset_y"):  # both are strings before either resolves
-            _str(entry, field, path)
-        asset_x = _ref(entry, "asset_x", path, assets, "asset")
-        asset_y = _ref(entry, "asset_y", path, assets, "asset")
-        if asset_x == asset_y:
-            raise ValidationError(f"{path}.asset_y", "pool assets must differ")
-        pool_type = _str(entry, "type", path)
-        if pool_type == "constant_product":
-            fee = _expect_int(entry.get("fee_bps", 0), f"{path}.fee_bps")
-            if not 0 <= fee < 10_000:
-                raise ValidationError(f"{path}.fee_bps", "fee_bps must lie in [0, 10000)")
-            reserves = [_amount_field(entry, f, path).units for f in ("reserve_x", "reserve_y")]
-            for field, reserve in zip(("reserve_x", "reserve_y"), reserves):
-                if reserve <= 0:
-                    raise ValidationError(f"{path}.{field}", "reserves must be positive")
-            pools[pool_id] = ConstantProductPool(pool_id, domain, asset_x, asset_y, *reserves, fee)
-        elif pool_type == "stylized_midpoint":
-            price = _amount_field(entry, "price", path)
-            if price.units <= 0:
-                raise ValidationError(f"{path}.price", "price must be positive")
-            pools[pool_id] = StylizedMidpointPool(pool_id, domain, asset_x, asset_y, price)
-        else:
-            raise ValidationError(f"{path}.type", f"unknown pool type {pool_type!r}")
-
-    bridges: dict[str, BridgeSpec] = {}
-    for path, entry in _entries(root, "bridges", "document"):
-        bid = _new_id(entry, path, bridges, "bridge")
-        bridges[bid] = BridgeSpec(
-            id=bid,
-            from_domain=_ref(entry, "from_domain", path, domains, "domain"),
-            to_domain=_ref(entry, "to_domain", path, domains, "domain"),
-            from_asset=_ref(entry, "from_asset", path, assets, "asset"),
-            to_asset=_ref(entry, "to_asset", path, assets, "asset"),
-            rate=_fraction(entry, "rate", path),
-            flat_fee=_amount(entry.get("flat_fee", "0"), f"{path}.flat_fee", ZERO),
-        )
-
-    # opportunities come before the mempool so that legs can resolve
-    opportunities: dict[str, LegOpportunity] = {}
-    for path, entry in _entries(root, "opportunities", "document"):
-        oid = _new_id(entry, path, opportunities, "opportunity")
-        beneficiary = _ref(entry, "beneficiary", path, players, "player")
-        profit_domain = _ref(entry, "profit_domain", path, domains, "domain")
-        profit_asset = _ref(entry, "profit_asset", path, assets, "asset")
-        legs = tuple(
-            _expect_str(leg, l_path) for l_path, leg in _items(entry, "legs", path, required=True)
-        )
-        if len(legs) < 2:
-            raise ValidationError(f"{path}.legs", "an opportunity needs at least two legs")
-        if len(set(legs)) != len(legs):
-            raise ValidationError(f"{path}.legs", "legs must be distinct")
-        opportunities[oid] = LegOpportunity(
-            id=oid,
-            beneficiary=beneficiary,
-            declared_profit=_amount_field(entry, "declared_profit", path, ZERO),
-            profit_asset=profit_asset,
-            profit_domain=profit_domain,
-            leg_ids=legs,
-        )
-
-    mempool: dict[str, PendingTx] = {}
-    for path, entry in _entries(root, "mempool", "document"):
-        tid = _new_id(entry, path, mempool, "action id")
-        domain = _ref(entry, "domain", path, domains, "domain")
-        e_path = f"{path}.effect"
-        obj = _expect_dict(_require(entry, "effect", path), e_path)
-        e_type = _str(obj, "type", e_path)
-        if e_type == "price_push":
-            pool = _pool(obj, "pool", e_path, pools, StylizedMidpointPool, domain)
-            effect = PricePushEffect(pool.id, _amount_field(obj, "to_price", e_path))
-        elif e_type == "cp_swap":
-            pool = _pool(obj, "pool", e_path, pools, ConstantProductPool, domain)
-            effect = CpSwapEffect(
-                pool_id=pool.id,
-                direction=_direction(obj, e_path),
-                account=_ref(obj, "account", e_path, players, "player"),
-                amount_in=_amount_field(obj, "amount_in", e_path),
-            )
-        elif e_type == "transfer":
-            effect = TransferEffect(
-                domain=domain,
-                from_account=_ref(obj, "from_account", e_path, players, "player"),
-                to_account=_ref(obj, "to_account", e_path, players, "player"),
-                asset=_ref(obj, "asset", e_path, assets, "asset"),
-                amount=_amount_field(obj, "amount", e_path, ZERO),
-            )
-        elif e_type == "arb_leg":
-            pool = _pool(obj, "pool", e_path, pools, StylizedMidpointPool, domain)
-            opp = opportunities[_ref(obj, "opportunity", e_path, opportunities, "opportunity")]
-            if tid not in opp.leg_ids:
-                raise ValidationError(
-                    f"{e_path}.opportunity", f"tx {tid!r} is not a declared leg of {opp.id!r}"
-                )
-            effect = ArbLegEffect(
-                pool_id=pool.id,
-                from_price=_amount_field(obj, "from_price", e_path),
-                to_price=_amount_field(obj, "to_price", e_path),
-                opportunity=opp,
-            )
-        else:
-            raise ValidationError(f"{e_path}.type", f"unknown effect type {e_type!r}")
-        mempool[tid] = PendingTx(id=tid, domain=domain, effect=effect)
-
-    arb_legs = {
-        (tx.effect.opportunity.id, tx.id)
-        for tx in mempool.values()
-        if isinstance(tx.effect, ArbLegEffect)
-    }
-    for idx, opp in enumerate(opportunities.values()):
-        missing = sorted(leg for leg in opp.leg_ids if (opp.id, leg) not in arb_legs)
-        if missing:
-            raise ValidationError(
-                f"opportunities[{idx}].legs", f"legs not present in the mempool: {missing}"
-            )
-
-    arbs: dict[str, StylizedArbSpec] = {}
-    for path, entry in _entries(root, "stylized_arbs", "document"):
-        aid = _new_id(entry, path, arbs, "stylized arb")
-        pa = _pool(entry, "pool_a", path, pools, StylizedMidpointPool)
-        pb = _pool(entry, "pool_b", path, pools, StylizedMidpointPool)
-        if pa.id == pb.id:
-            raise ValidationError(f"{path}.pool_b", "pools must differ")
-        if (pa.asset_x, pa.asset_y) != (pb.asset_x, pb.asset_y):
-            raise ValidationError(f"{path}.pool_b", "pools must share the same asset pair")
-        arbs[aid] = StylizedArbSpec(
-            id=aid,
-            pool_a=pa.id,
-            pool_b=pb.id,
-            profit_domain=_ref(entry, "profit_domain", path, domains, "domain"),
-            profit_asset=_ref(entry, "profit_asset", path, assets, "asset"),
-            declared_profit=_amount_field(entry, "declared_profit", path, ZERO),
-        )
-
-    actions: dict[str, tuple[str, Action]] = {}
-    action_ids = set(mempool)  # pending txs and actions share one namespace
-    for path, entry in _entries(root, "actions", "document"):
-        aid = _new_id(entry, path, action_ids, "action id")
-        action_ids.add(aid)
-        owner = _ref(entry, "player", path, players, "player")
-        kind = _str(entry, "kind", path)
-        if kind == KIND_PENDING:
-            raise ValidationError(f"{path}.kind", "pending transactions belong in the mempool")
-        if kind not in ACTION_KINDS:
-            raise ValidationError(f"{path}.kind", f"unknown action kind {kind!r}")
-        mode = _amount_mode(entry.get("amount"), f"{path}.amount")
-        if kind == KIND_ARB:
-            if mode is not None:
-                raise ValidationError(f"{path}.amount", "stylized arbs take no amount")
-            arb = arbs[_ref(entry, "arb", path, arbs, "stylized arb")]
-            domains_touched = {pools[arb.pool_a].domain, pools[arb.pool_b].domain}
-            payload = {"arb": arb}
-        else:
-            if kind == KIND_SWAP:
-                pool = pools[_ref(entry, "pool", path, pools, "pool")]
-                domains_touched = {pool.domain}
-                payload = {"pool_id": pool.id, "direction": _direction(entry, path)}
-            else:
-                bridge = bridges[_ref(entry, "bridge", path, bridges, "bridge")]
-                domains_touched = {bridge.from_domain, bridge.to_domain}
-                payload = {"bridge": bridge}
-            if mode is None:
-                raise ValidationError(f"{path}.amount", f"{kind.lower()} actions need an amount mode")
-            payload.update(mode)
-        capabilities = players[owner].capabilities
-        for domain in sorted(domains_touched):
-            if kind not in capabilities.get(domain, frozenset()):
-                raise ValidationError(
-                    f"{path}.kind", f"player {owner!r} lacks {kind} capability on {domain!r}"
-                )
-        actions[aid] = (owner, Action(aid, kind, frozenset(domains_touched), **payload))
-
-    prices = PriceMatrix()
-    for path, entry in _entries(root, "prices", "document"):
-        for field in ("from", "to"):  # both are strings before either resolves
-            _str(entry, field, path)
-        src = _ref(entry, "from", path, assets, "asset")
-        dst = _ref(entry, "to", path, assets, "asset")
-        rate = _fraction(entry, "rate", path)
-        try:
-            prices.declare(src, dst, rate)
-        except ValidationError as exc:
-            raise ValidationError(f"{path}.rate", str(exc)) from None
-
-    defaults_obj = _expect_dict(_require(root, "defaults", "document"), "defaults")
-    d_player = _ref(defaults_obj, "player", "defaults", players, "player")
-    d_base_domain = _ref(defaults_obj, "base_domain", "defaults", domains, "domain")
-    d_base_asset = _ref(defaults_obj, "base_asset", "defaults", assets, "asset")
-    max_len = _expect_int(
-        defaults_obj.get("max_sequence_length", DEFAULT_MAX_SEQUENCE_LENGTH),
-        "defaults.max_sequence_length",
-    )
-    if max_len < 0:
-        raise ValidationError("defaults.max_sequence_length", "must be >= 0")
-
-    def domain_list(field: str) -> tuple[str, ...]:
-        if defaults_obj.get(field) is None:
-            return tuple(domains)
-        values = []
-        for where, value in _items(defaults_obj, field, "defaults"):
-            if _expect_str(value, where) not in domains:
-                raise ValidationError(where, f"undeclared domain {value!r}")
-            if value in values:
-                raise ValidationError(where, f"repeated domain {value!r}")
-            values.append(value)
-        if not values:
-            raise ValidationError(f"defaults.{field}", "must be nonempty")
-        return tuple(values)
-
-    defaults = Defaults(
-        player=d_player,
-        base_domain=d_base_domain,
-        base_asset=d_base_asset,
-        max_sequence_length=max_len,
-        alpha=_amount(defaults_obj.get("alpha", "0"), "defaults.alpha", ZERO),
-        action_domains=domain_list("action_domains"),
-        value_domains=domain_list("value_domains"),
-    )
-
-    # every domain's measurement asset must price into the default base
-    for domain in domains.values():
-        if not prices.has_rate(domain.native_asset, defaults.base_asset):
-            raise ValidationError(
-                "prices",
-                f"no rate from native asset {domain.native_asset!r} of domain "
-                f"{domain.id!r} to base asset {defaults.base_asset!r}",
-            )
-
-    return Scenario(
-        schema_version=version,
-        domains=tuple(domains.values()),
-        assets=tuple(assets),
-        players=tuple(players.values()),
-        pools=tuple(pools.values()),
-        bridges=tuple(bridges.values()),
-        mempool=tuple(mempool.values()),
-        opportunities=tuple(opportunities.values()),
-        stylized_arbs=tuple(arbs.values()),
-        player_actions=tuple(actions.values()),
-        prices=prices,
-        defaults=defaults,
-    )
-
-
-def _build_space(scenario: Scenario) -> ActionSpaceSpec:
-    by_player: dict[str, list[Action]] = {p.id: [] for p in scenario.players}
-    for owner, action in scenario.player_actions:
-        by_player[owner].append(action)
-    for tx in scenario.mempool:
-        for player in scenario.players:
-            if KIND_PENDING in player.capabilities.get(tx.domain, frozenset()):
-                by_player[player.id].append(
-                    Action(
-                        id=tx.id,
-                        kind=KIND_PENDING,
-                        domains=frozenset({tx.domain}),
-                        tx=tx,
-                    )
-                )
-    return ActionSpaceSpec(by_player)
-
-
-# -- canonical serialization -------------------------------------------------------
-
-
-def _amount_mode_obj(action: Action):
-    if action.sweep:
-        return "all"
-    if action.amount is not None:
-        return {"fixed": str(action.amount)}
-    if action.interval is not None:
-        return {"interval": [str(action.interval.lo), str(action.interval.hi)]}
-    return None
-
-
-def _effect_obj(effect) -> dict:
-    if isinstance(effect, PricePushEffect):
-        return {"type": "price_push", "pool": effect.pool_id, "to_price": str(effect.to_price)}
-    if isinstance(effect, CpSwapEffect):
-        return {
-            "type": "cp_swap",
-            "pool": effect.pool_id,
-            "direction": effect.direction,
-            "amount_in": str(effect.amount_in),
-            "account": effect.account,
-        }
-    if isinstance(effect, TransferEffect):
-        return {
-            "type": "transfer",
-            "from_account": effect.from_account,
-            "to_account": effect.to_account,
-            "asset": effect.asset,
-            "amount": str(effect.amount),
-        }
-    if isinstance(effect, ArbLegEffect):
-        return {
-            "type": "arb_leg",
-            "pool": effect.pool_id,
-            "from_price": str(effect.from_price),
-            "to_price": str(effect.to_price),
-            "opportunity": effect.opportunity.id,
-        }
-    raise TypeError(f"unknown effect {type(effect).__name__}")
-
-
-def to_canonical_object(scenario: Scenario) -> dict:
-    pools = []
-    for pool in sorted(scenario.pools, key=lambda p: p.id):
-        if isinstance(pool, ConstantProductPool):
-            pools.append(
-                {
-                    "id": pool.id,
-                    "type": "constant_product",
-                    "domain": pool.domain,
-                    "asset_x": pool.asset_x,
-                    "asset_y": pool.asset_y,
-                    "reserve_x": str(pool.reserve_x),
-                    "reserve_y": str(pool.reserve_y),
-                    "fee_bps": pool.fee_bps,
-                }
-            )
-        else:
-            pools.append(
-                {
-                    "id": pool.id,
-                    "type": "stylized_midpoint",
-                    "domain": pool.domain,
-                    "asset_x": pool.asset_x,
-                    "asset_y": pool.asset_y,
-                    "price": str(pool.price),
-                }
-            )
-
-    actions = []
-    for owner, action in sorted(scenario.player_actions, key=lambda pair: pair[1].id):
-        obj: dict = {"id": action.id, "player": owner, "kind": action.kind}
-        mode = _amount_mode_obj(action)
-        if mode is not None:
-            obj["amount"] = mode
-        if action.kind == KIND_SWAP:
-            obj["pool"] = action.pool_id
-            obj["direction"] = action.direction
-        elif action.kind == KIND_BRIDGE:
-            obj["bridge"] = action.bridge.id
-        elif action.kind == KIND_ARB:
-            obj["arb"] = action.arb.id
-        actions.append(obj)
-
-    return {
-        "schema_version": scenario.schema_version,
-        "domains": [
-            {"id": d.id, "native_asset": d.native_asset}
-            for d in sorted(scenario.domains, key=lambda d: d.id)
-        ],
-        "assets": sorted(scenario.assets),
-        "players": [
-            {
-                "id": p.id,
-                "balances": [
-                    {"domain": b.domain, "asset": b.asset, "amount": str(b.amount)}
-                    for b in sorted(p.balances, key=lambda b: (b.domain, b.asset))
-                ],
-                "capabilities": [
-                    {"domain": domain, "kinds": sorted(kinds)}
-                    for domain, kinds in sorted(p.capabilities.items())
-                ],
-            }
-            for p in sorted(scenario.players, key=lambda p: p.id)
-        ],
-        "pools": pools,
-        "bridges": [
-            {
-                "id": b.id,
-                "from_domain": b.from_domain,
-                "to_domain": b.to_domain,
-                "from_asset": b.from_asset,
-                "to_asset": b.to_asset,
-                "rate": format_fraction(b.rate),
-                "flat_fee": str(b.flat_fee),
-            }
-            for b in sorted(scenario.bridges, key=lambda b: b.id)
-        ],
-        "mempool": [
-            {"id": tx.id, "domain": tx.domain, "effect": _effect_obj(tx.effect)}
-            for tx in sorted(scenario.mempool, key=lambda tx: tx.id)
-        ],
-        "opportunities": [
-            {
-                "id": o.id,
-                "beneficiary": o.beneficiary,
-                "declared_profit": str(o.declared_profit),
-                "profit_asset": o.profit_asset,
-                "profit_domain": o.profit_domain,
-                "legs": sorted(o.leg_ids),
-            }
-            for o in sorted(scenario.opportunities, key=lambda o: o.id)
-        ],
-        "stylized_arbs": [
-            {
-                "id": a.id,
-                "pool_a": a.pool_a,
-                "pool_b": a.pool_b,
-                "declared_profit": str(a.declared_profit),
-                "profit_asset": a.profit_asset,
-                "profit_domain": a.profit_domain,
-            }
-            for a in sorted(scenario.stylized_arbs, key=lambda a: a.id)
-        ],
-        "actions": actions,
-        "prices": [
-            {"from": src, "to": dst, "rate": format_fraction(rate)}
-            for src, dst, rate in scenario.prices.entries()
-            if src < dst
-        ],
-        "defaults": {
-            "player": scenario.defaults.player,
-            "base_domain": scenario.defaults.base_domain,
-            "base_asset": scenario.defaults.base_asset,
-            "max_sequence_length": scenario.defaults.max_sequence_length,
-            "alpha": str(scenario.defaults.alpha),
-            "action_domains": list(scenario.defaults.action_domains),
-            "value_domains": list(scenario.defaults.value_domains),
-        },
-    }
-
-
 def serialize_scenario(scenario: Scenario) -> str:
     """Canonical document: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(to_canonical_object(scenario), sort_keys=True, indent=2) + "\n"
+    return json.dumps(_write(scenario, _DOCUMENT), sort_keys=True, indent=2) + "\n"
 
 
 # -- bundled scenarios ------------------------------------------------------------
 
 BUNDLED_NAMES = (
-    "appendix_b_4amm",
-    "cp_arbitrage_small",
-    "figure1_bridge",
-    "figure1_bridge_discounted",
-    "figure2_3domain",
-    "section3_2amm",
-    "separable_pair",
+    "appendix_b_4amm", "cp_arbitrage_small", "figure1_bridge", "figure1_bridge_discounted",
+    "figure2_3domain", "section3_2amm", "separable_pair",
 )
 
 

@@ -105,6 +105,15 @@ class TestMevOnWorkedExamples:
             "tx1_i", "tx1_j", "tx2_i", "tx2_j", "tx3_i", "tx4_i", "tx5_i"
         ]
 
+    @pytest.mark.parametrize("name, method", [
+        ("cp_arbitrage_small", "golden-section"),  # sizes its parametric buy
+        ("section3_2amm", "exhaustive"),  # every action is discrete
+    ])
+    def test_method_names_a_golden_section_answer(self, bundled, name, method):
+        scenario = bundled(name)
+        result = mev(scenario.space, scenario.initial_state(), scenario.default_query())
+        assert result.method == method
+
     def test_joint_final_state_has_all_pools_rebalanced(self, bundled):
         scenario = bundled("appendix_b_4amm")
         state = scenario.initial_state()

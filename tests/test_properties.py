@@ -17,7 +17,7 @@ from xdmev.engine import MevQuery, mev, mev_oracle, priced_balance_delta, replay
 from xdmev.errors import MissingRate, UnknownId, XdmevError
 from xdmev.fixedpoint import Amount
 from xdmev.model import PriceMatrix, Registry, WorldState, convert
-from xdmev.scenario import Scenario, loads
+from xdmev.scenario import Scenario, loads, serialize_scenario
 from xdmev.venues import DIRECTIONS
 
 SCENARIO_RUNS = 200
@@ -458,3 +458,14 @@ def test_rate_scaling_preserves_single_domain_witness():
         )
         scaled = mev(scenario.space, state, scaled_query)
         assert plain.witness == scaled.witness, f"seed {seed}"
+
+
+def test_serialization_round_trips_random_documents():
+    # the loader and the serializer walk one field table: writing a loaded
+    # scenario and loading it back gives the same bytes, state and query
+    for _, label, scenario in both_variants():
+        text = serialize_scenario(scenario)
+        reloaded = loads(text)
+        assert serialize_scenario(reloaded) == text, label
+        assert reloaded.initial_state() == scenario.initial_state(), label
+        assert reloaded.default_query() == scenario.default_query(), label

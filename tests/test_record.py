@@ -285,7 +285,7 @@ REPRS = {
     ("cp_arbitrage_small", "result"): (
         "MevResult(value=Amount('50.510257216821901796'), witness=(('buy_pool_a', "
         "Amount('224.744871301607227392')), ('sell_pool_b', None)), explored=3, "
-        "method='exhaustive')"
+        "method='golden-section')"
     ),
 }
 

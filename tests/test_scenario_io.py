@@ -5,6 +5,7 @@ import json
 import pytest
 
 from conftest import one_domain_doc, scen
+from xdmev import scenario as schema
 from xdmev.errors import ParseError, ValidationError
 from xdmev.fixedpoint import Amount
 from xdmev.scenario import (
@@ -413,6 +414,8 @@ REJECTIONS = [
      "undeclared asset 'XYZ'"),
     ("pool_assets_equal", ("pools", 0, "asset_y"), "AAA", "pools[0].asset_y",
      "pool assets must differ"),
+    ("pool_assets_both_strings", ("pools", 0), dict(_copy_of("pools", 0), asset_x="XYZ", asset_y=5),
+     "pools[0].asset_y", "expected string, got int"),
     ("pool_type_missing", ("pools", 0, "type"), DROP, "pools[0].type", MISSING),
     ("pool_type_unknown", ("pools", 0, "type"), "curve", "pools[0].type",
      "unknown pool type 'curve'"),
@@ -614,6 +617,8 @@ REJECTIONS = [
      "undeclared asset 'XYZ'"),
     ("price_to_undeclared", ("prices", 0, "to"), "XYZ", "prices[0].to",
      "undeclared asset 'XYZ'"),
+    ("price_pair_both_strings", ("prices", 0), {"from": "XYZ", "to": 1, "rate": "2/1"},
+     "prices[0].to", "expected string, got int"),
     ("price_rate_missing", ("prices", 0, "rate"), DROP, "prices[0].rate",
      "missing required field"),
     ("price_rate_malformed", ("prices", 0, "rate"), "2", "prices[0].rate",
@@ -655,6 +660,17 @@ REJECTIONS = [
      "defaults.value_domains[1]", "repeated domain 'd0'"),
     ("defaults_value_domains_empty", ("defaults", "value_domains"), [],
      "defaults.value_domains", "must be nonempty"),
+    # unknown fields, in every section and variant
+    ("pool_field_typo", ("pools", 0, "fee_bsp"), 30, "pools[0].fee_bsp", "unknown field"),
+    ("stylized_pool_fee_bps", ("pools", 1, "fee_bps"), 30, "pools[1].fee_bps", "unknown field"),
+    ("pool_unknown_fields_sorted", ("pools", 1), dict(_copy_of("pools", 1), zeta=1, alpha=2),
+     "pools[1].alpha", "unknown field"),
+    ("effect_extra_field", ("mempool", 0, "effect", "amount_in"), "1",
+     "mempool[0].effect.amount_in", "unknown field"),
+    ("arb_action_pool", ("actions", 3, "pool"), "cp", "actions[3].pool", "unknown field"),
+    ("balance_extra_field", ("players", 0, "balances", 0, "note"), "x",
+     "players[0].balances[0].note", "unknown field"),
+    ("defaults_extra_field", ("defaults", "base"), "d0", "defaults.base", "unknown field"),
 ]
 
 
@@ -678,3 +694,77 @@ class TestRejections:
             loads(json.dumps(_mutated(path, value)))
         assert err.value.field == field
         assert str(err.value) == f"{field}: {message}"
+
+
+# -- rejections generated from the schema tables ------------------------------------
+
+_POOL_TYPES = {ConstantProductPool: "constant-product", StylizedMidpointPool: "stylized"}
+
+
+def _objects(value, table, path: str, keys: tuple):
+    """(keys, path, table, tag) of every object of the document ``value`` that
+    the schema reads: ``keys`` reach it, ``path`` names it in errors, and
+    ``tag`` is the field that picked its variant."""
+    tag = None
+    if table.variants is not None:
+        tag = table.tag[0]
+        table = table.variants[value[tag]]
+    yield keys, path, table, tag
+    for name, kind, _, _, _ in table.rows:
+        where = name if path == "document" else f"{path}.{name}"
+        if name not in value:
+            continue
+        if kind[0] is schema._section:
+            yield from _objects(value[name], kind[1], where, keys + (name,))
+        elif kind[0] is schema._list and kind[1][0] is schema._section:
+            for i, entry in enumerate(value[name]):
+                yield from _objects(entry, kind[1][1], f"{where}[{i}]", keys + (name, i))
+
+
+def generated_rejections() -> list:
+    """(case id, path, new value, field, message) for every required field of
+    ``full_doc()`` dropped, every amount or rate field given as a JSON number,
+    and every reference field naming an undeclared id."""
+    doc, cases = full_doc(), []
+    for keys, path, table, tag in _objects(doc, schema._DOCUMENT, "document", ()):
+        obj = doc
+        for key in keys:
+            obj = obj[key]
+        for name, kind, default, _, _ in table.rows + ((tag, None, schema.REQUIRED, None, None),):
+            if name is None or name not in obj:
+                continue
+            where = name if path == "document" else f"{path}.{name}"
+            if default is schema.REQUIRED:
+                cases.append((f"missing:{where}", keys + (name,), DROP, f"{path}.{name}", MISSING))
+            if kind and kind[0] is schema._number:
+                cases.append((f"number:{where}", keys + (name,), 5, where,
+                              "expected string, got int"))
+            refs = [(keys + (name,), where, kind)] if kind and kind[0] is schema._ref else []
+            if kind and kind[0] is schema._list and kind[1][0] is schema._ref:
+                refs.append((keys + (name, 0), f"{where}[0]", kind[1]))
+            for ref_keys, ref_where, ref in refs:
+                message = f"undeclared {ref[1]} 'ghost'"
+                if ref[3] is not None:
+                    message = f"'ghost' is not a {_POOL_TYPES[ref[3]]} pool"
+                cases.append((f"undeclared:{ref_where}", ref_keys, "ghost", ref_where, message))
+    return cases
+
+
+GENERATED = generated_rejections()
+
+
+def test_generated_rejections_cover_every_kind():
+    kinds = {case[0].split(":")[0] for case in GENERATED}
+    assert kinds == {"missing", "number", "undeclared"}
+    assert len(GENERATED) == len({case[0] for case in GENERATED})
+
+
+@pytest.mark.parametrize(
+    "path, value, field, message", [case[1:] for case in GENERATED],
+    ids=[case[0] for case in GENERATED],
+)
+def test_generated_rejection(path, value, field, message):
+    with pytest.raises(ValidationError) as err:
+        loads(json.dumps(_mutated(path, value)))
+    assert err.value.field == field
+    assert str(err.value) == f"{field}: {message}"
