@@ -6,6 +6,8 @@ an action id; pending transactions additionally mark the state's consumed
 set. Amounts come in three modes: fixed, parametric over a closed
 interval, or "all" (sweep the full input balance at execution time).
 Below a sequence step ``(id, Amount)``, amounts are int units (see ``model``).
+``apply_action`` takes one pass: a swap reads its pool's spec from the
+registry once, sweeps the balance that spec names, and gives the venue the spec.
 """
 
 from __future__ import annotations
@@ -155,19 +157,27 @@ def apply_action(
             )
         if amount <= 0:
             raise InvalidAmount(f"action {action.id!r}: amount must be positive")
-    else:
-        if amount is not None:
-            raise InvalidAmount(f"action {action.id!r} takes no amount")
-        amount = resolve_amount(state, player, action)
+    elif amount is not None:
+        raise InvalidAmount(f"action {action.id!r} takes no amount")
+    elif action.amount is not None:
+        amount = action.amount.units
 
     kind = action.kind
     if kind == KIND_SWAP:
-        pool = state.registry.pool(action.pool_id)
-        if isinstance(pool, ConstantProductPool):
-            return apply_swap(state, player, action.pool_id, action.direction, amount)
-        if isinstance(pool, StylizedMidpointPool):
-            return apply_stylized_fill(state, player, action.pool_id, action.direction, amount)
+        pool_id, direction = action.pool_id, action.direction
+        spec = state.registry.pool(pool_id)
+        if amount is None and action.sweep:
+            asset = spec.asset_x if direction == X_TO_Y else spec.asset_y
+            amount = state.balances.get((spec.domain, player, asset), 0)
+            if amount <= 0:
+                raise InvalidAmount(f"action {action.id!r}: nothing to sweep")
+        if spec.__class__ is ConstantProductPool:
+            return apply_swap(state, player, pool_id, direction, amount, None, spec)
+        if spec.__class__ is StylizedMidpointPool:
+            return apply_stylized_fill(state, player, pool_id, direction, amount, spec)
         raise UnknownId(f"action {action.id!r}: unsupported pool type")
+    if amount is None and action.sweep:
+        amount = resolve_amount(state, player, action)
     if kind == KIND_PENDING:
         return apply_pending_tx(state, action.tx)
     if kind == KIND_ARB:

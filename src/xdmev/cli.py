@@ -70,9 +70,9 @@ def _parse_alpha(text: str) -> Amount:
         raise ValidationError("--alpha", str(exc)) from None
 
 
-def _csv(text: str | None, flag: str) -> tuple[str, ...] | None:
-    if not text:
-        return None
+def _csv(text: str | None, flag: str, default=None) -> tuple[str, ...] | None:
+    if text is None:
+        return default
     parts = tuple(p.strip() for p in text.split(",") if p.strip())
     if not parts:
         raise ValidationError(flag, f"expected a csv of domain ids, got {text!r}")
@@ -81,7 +81,7 @@ def _csv(text: str | None, flag: str) -> tuple[str, ...] | None:
 
 def _build_query(scenario: Scenario, args) -> MevQuery:
     base_domain = base_asset = None
-    if args.base:
+    if args.base is not None:
         base_domain, base_asset = _parse_base(args.base)
     return scenario.default_query(
         player=args.player,
@@ -237,8 +237,8 @@ def cmd_mev(args) -> int:
 
 def cmd_collusion(args) -> int:
     scenario = _load(args.scenario)
-    player = args.player or scenario.defaults.player
-    domains = _csv(args.domains, "--domains") or scenario.defaults.value_domains
+    player = scenario.defaults.player if args.player is None else args.player
+    domains = _csv(args.domains, "--domains", scenario.defaults.value_domains)
     alpha = scenario.defaults.alpha if args.alpha is None else _parse_alpha(args.alpha)
     max_len = scenario.defaults.max_sequence_length if args.max_len is None else args.max_len
     state = scenario.initial_state()

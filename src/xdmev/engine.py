@@ -450,11 +450,13 @@ def _grid_walk(choices, current, steps, used, player, max_len, counter):
     action with its amount units. A sequence of length ``max_len`` starts no
     walk below it."""
     deeper = len(steps) + 1 < max_len
+    bump = counter.bump
     for action, amounts in choices:
         if action.id in used:
             continue
+        below = used | {action.id} if deeper else used
         for units in amounts:
-            counter.bump()
+            bump()
             try:
                 nxt = apply_action(current, player, action, units)
             except XdmevError:
@@ -462,9 +464,7 @@ def _grid_walk(choices, current, steps, used, player, max_len, counter):
             seq = steps + ((action.id, units),)
             yield nxt, seq
             if deeper:
-                yield from _grid_walk(
-                    choices, nxt, seq, used | {action.id}, player, max_len, counter
-                )
+                yield from _grid_walk(choices, nxt, seq, below, player, max_len, counter)
 
 
 def mev_oracle(

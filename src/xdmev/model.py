@@ -140,7 +140,7 @@ class WorldState:
         """
         balances = self.balances
         if debit is not None or credit is not None:
-            balances = dict(balances)
+            balances = balances.copy()
             if debit is not None:
                 key, units = debit
                 if units < 0:
@@ -148,16 +148,16 @@ class WorldState:
                         f"cannot debit negative amount {format_units(units)}"
                     )
                 held = balances.get(key, 0)
-                if held < units:
+                if held > units:
+                    balances[key] = held - units
+                elif held < units:
                     domain, player, asset = key
                     raise InsufficientBalance(
                         f"{player} holds {format_units(held)} {asset} on {domain}, "
                         f"needs {format_units(units)}"
                     )
-                if held == units:
-                    balances.pop(key, None)
-                else:
-                    balances[key] = held - units
+                elif units:  # a zero debit of an absent key moves nothing
+                    del balances[key]
             if credit is not None:
                 key, units = credit
                 if units < 0:

@@ -111,11 +111,13 @@ class Scenario(Record, eq=False):
                       max_len: Optional[int] = None) -> MevQuery:
         d = self.defaults
         return MevQuery(
-            player=player or d.player,
-            action_domains=frozenset(action_domains or d.action_domains),
-            value_domains=tuple(value_domains or d.value_domains),
-            base_domain=base_domain or d.base_domain,
-            base_asset=base_asset or d.base_asset,
+            player=d.player if player is None else player,
+            action_domains=frozenset(
+                d.action_domains if action_domains is None else action_domains
+            ),
+            value_domains=tuple(d.value_domains if value_domains is None else value_domains),
+            base_domain=d.base_domain if base_domain is None else base_domain,
+            base_asset=d.base_asset if base_asset is None else base_asset,
             prices=self.prices,
             max_sequence_length=d.max_sequence_length if max_len is None else max_len,
         )

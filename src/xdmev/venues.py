@@ -10,12 +10,12 @@ A pool record is a spec in the scenario's ``Registry`` and, as a state
 value in ``WorldState.pools``, only what swaps move: ``state()`` gives a
 record's value (a constant-product pool's ``(reserve_x_units,
 reserve_y_units)``, a stylized pool's price units) and ``spec.at(value)``
-the record back. Every venue reads the spec from the registry and the
-value from the state, and builds its one new state with one
-``WorldState.update`` call: at most one debit, one credit, the pools it
-moves and the pending tx it consumes. Amounts are int units (see
-``model``); ``quote_swap`` and a pool's ``reserve_x``/``reserve_y`` hand
-out ``Amount``s.
+the record back. A swap venue takes the spec its caller read (once per
+swap in ``apply_action``), else reads it from the registry; every venue
+reads the value from the state and builds one new state with one
+``WorldState.update``: at most one debit, one credit, the pools it moves
+and the pending tx it consumes. Amounts are int units (see ``model``);
+``quote_swap`` and ``reserve_x``/``reserve_y`` hand out ``Amount``s.
 """
 
 from __future__ import annotations
@@ -178,35 +178,30 @@ class PendingTx(Record):
     domain: str
     effect: object
 
+    def __post_init__(self):
+        # ``other_legs``: an arbitrage leg's other leg ids, derived from the fields
+        if self.effect.__class__ is ArbLegEffect:
+            others = frozenset(self.effect.opportunity.leg_ids) - {self.id}
+            object.__setattr__(self, "other_legs", others)
+
 
 # -- constant-product operations -----------------------------------------
 
 
-def _quote_units(
-    pool_id: str, fee_bps: int, reserves: tuple[int, int], direction: str, amount_in: int
-) -> tuple[int, bool]:
-    """The one constant-product quote: (output units rounded down, whether
-    X is sold), with ``quote_swap``'s checks and errors in their order:
-    amount, direction, liquidity. The direction is compared here only."""
-    if amount_in <= 0:
-        raise InvalidAmount(f"swap amount must be positive, got {format_units(amount_in)}")
-    if direction == X_TO_Y:
-        sells_x, (reserve_in, reserve_out) = True, reserves
-    elif direction == Y_TO_X:
-        sells_x, (reserve_out, reserve_in) = False, reserves
-    else:
-        raise InvalidAmount(f"unknown swap direction {direction!r}")
-    out_units = _kernels.swap_out(reserve_in, reserve_out, amount_in, fee_bps)
-    if out_units <= 0:
-        raise InsufficientLiquidity(
-            f"pool {pool_id}: input {format_units(amount_in)} buys no output"
-        )
-    return out_units, sells_x
+class _QuoteState:
+    """What ``apply_swap`` reads of a state: one pool's reserves, and an ``update``."""
+
+    def __init__(self, pool: ConstantProductPool):
+        self.pools = {pool.id: pool.state()}
+
+    def update(self, debit, credit, pools, consumed) -> int:
+        return credit[1]
 
 
 def quote_swap(pool: ConstantProductPool, direction: str, amount_in: Amount) -> Amount:
-    """Pure quote: output for ``amount_in``, pool untouched, rounded down."""
-    out = _quote_units(pool.id, pool.fee_bps, pool.state(), direction, amount_in.units)[0]
+    """Pure quote: output for ``amount_in``, pool untouched, rounded down;
+    ``apply_swap`` run on a stand-in state whose ``update`` returns the output."""
+    out = apply_swap(_QuoteState(pool), None, pool.id, direction, amount_in.units, None, pool)
     return Amount.from_units(out)
 
 
@@ -217,24 +212,36 @@ def apply_swap(
     direction: str,
     amount_in: int,
     consumed: str | None = None,
+    spec: ConstantProductPool | None = None,
 ) -> WorldState:
     """Swap against a constant-product pool, debiting and crediting the
-    player; a pending tx running the swap passes its id as ``consumed``.
+    player; a pending tx running the swap passes its id as ``consumed``, a
+    caller that read the pool's spec passes it as ``spec``.
 
-    The one swap body: the spec from the registry, the reserves from the
-    state, one quote and one ``update``."""
-    spec = state.registry.pool(pool_id)
-    if not isinstance(spec, ConstantProductPool):
-        raise UnknownPool(f"pool {pool_id!r} is not a constant-product pool")
-    reserve_x, reserve_y = reserves = state.pools[pool_id]
-    out, sells_x = _quote_units(pool_id, spec.fee_bps, reserves, direction, amount_in)
+    The one swap body and quote: checks in their order (amount, direction,
+    liquidity), one ``_kernels.swap_out`` call (rounded down), one ``update``."""
+    if spec is None:
+        spec = state.registry.pool(pool_id)
+        if not isinstance(spec, ConstantProductPool):
+            raise UnknownPool(f"pool {pool_id!r} is not a constant-product pool")
+    if amount_in <= 0:
+        raise InvalidAmount(f"swap amount must be positive, got {format_units(amount_in)}")
+    reserve_x, reserve_y = state.pools[pool_id]
     domain = spec.domain
-    if sells_x:
+    if direction == X_TO_Y:
+        out = _kernels.swap_out(reserve_x, reserve_y, amount_in, spec.fee_bps)
         debit, credit = (domain, player, spec.asset_x), (domain, player, spec.asset_y)
         reserves = (reserve_x + amount_in, reserve_y - out)
-    else:
+    elif direction == Y_TO_X:
+        out = _kernels.swap_out(reserve_y, reserve_x, amount_in, spec.fee_bps)
         debit, credit = (domain, player, spec.asset_y), (domain, player, spec.asset_x)
         reserves = (reserve_x - out, reserve_y + amount_in)
+    else:
+        raise InvalidAmount(f"unknown swap direction {direction!r}")
+    if out <= 0:
+        raise InsufficientLiquidity(
+            f"pool {pool_id}: input {format_units(amount_in)} buys no output"
+        )
     return state.update((debit, amount_in), (credit, out), ((pool_id, reserves),), consumed)
 
 
@@ -254,10 +261,11 @@ def _to_price(pool_id: str, price: Amount) -> int:
 
 
 def apply_stylized_fill(
-    state: WorldState, player: str, pool_id: str, direction: str, amount_in: int
+    state: WorldState, player: str, pool_id: str, direction: str, amount_in: int,
+    spec: StylizedMidpointPool | None = None,
 ) -> WorldState:
     """Trade at a stylized pool's quoted price, rounded half-even; the quote does not move."""
-    pool, price = _stylized(state, pool_id)
+    pool, price = _stylized(state, pool_id) if spec is None else (spec, state.pools[pool_id])
     if amount_in <= 0:
         raise InvalidAmount(f"fill amount must be positive, got {format_units(amount_in)}")
     if direction == X_TO_Y:
@@ -324,7 +332,7 @@ def apply_pending_tx(state: WorldState, tx: PendingTx) -> WorldState:
                 f"pool quotes {format_units(price)}"
             )
         opp = effect.opportunity
-        if set(opp.leg_ids) - {tx.id} <= state.consumed:
+        if tx.other_legs <= state.consumed:
             key = (opp.profit_domain, opp.beneficiary, opp.profit_asset)
             credit = (key, opp.declared_profit.units)
         pools = ((effect.pool_id, _to_price(effect.pool_id, effect.to_price)),)

@@ -85,14 +85,35 @@ class TestMevCommand:
             (("mev", "--action-domains", ","), "--action-domains", "','"),
             (("mev", "--value-domains", " , "), "--value-domains", "' , '"),
             (("collusion", "--domains", ","), "--domains", "','"),
+            (("mev", "--action-domains", ""), "--action-domains", "''"),
+            (("mev", "--value-domains", ""), "--value-domains", "''"),
+            (("collusion", "--domains", ""), "--domains", "''"),
         ],
-        ids=["action_domains", "value_domains", "collusion_domains"],
+        ids=[
+            "action_domains", "value_domains", "collusion_domains",
+            "action_domains_empty", "value_domains_empty", "collusion_domains_empty",
+        ],
     )
     def test_empty_csv_names_its_flag(self, capsys, argv, flag, text):
         command, *flags = argv
         code, out, err = run_cli(capsys, command, "--scenario", "section3_2amm", *flags)
         assert (code, out) == (2, "")
         assert err == f"error: {flag}: expected a csv of domain ids, got {text}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("mev", "--player", ""), "unknown player ''"),
+            (("mev", "--base", ""), "--base: expected domain:asset, got ''"),
+            (("collusion", "--player", ""), "unknown player ''"),
+        ],
+        ids=["mev_player", "mev_base", "collusion_player"],
+    )
+    def test_empty_value_is_not_the_default(self, capsys, argv, message):
+        # an empty flag value is a value: it is rejected, not read as absent
+        command, *flags = argv
+        code, out, err = run_cli(capsys, command, "--scenario", "section3_2amm", *flags)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_explosion_maps_to_exit_3(self, capsys, monkeypatch):
         def boom(*args, **kwargs):

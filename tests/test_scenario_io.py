@@ -81,6 +81,20 @@ class TestInitialState:
         assert scenario.initial_state() == reloaded.initial_state()
 
 
+class TestDefaultQuery:
+    def test_only_absent_arguments_take_the_defaults(self, bundled):
+        scenario = bundled("section3_2amm")
+        d = scenario.defaults
+        query = scenario.default_query()
+        assert (query.player, query.action_domains, query.value_domains) == (
+            d.player, frozenset(d.action_domains), tuple(d.value_domains))
+        assert (query.base_domain, query.base_asset) == (d.base_domain, d.base_asset)
+        empty = scenario.default_query(
+            player="", action_domains=[], value_domains=[], base_domain="", base_asset="")
+        assert (empty.player, empty.action_domains, empty.value_domains) == ("", frozenset(), ())
+        assert (empty.base_domain, empty.base_asset) == ("", "")
+
+
 class TestValidation:
     def test_reciprocity_violation_names_the_pair(self):
         doc = one_domain_doc()

@@ -1,12 +1,20 @@
 """Pool, bridge, and pending-transaction mechanics."""
 
 import random
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
 
 from conftest import one_domain_doc, scen
-from xdmev.actions import KIND_SWAP, apply_action, max_feasible_amount, resolve_amount
+from xdmev.actions import (
+    KIND_SWAP,
+    Action,
+    AmountInterval,
+    apply_action,
+    max_feasible_amount,
+    resolve_amount,
+)
 from xdmev.engine import mev, mev_oracle
 from xdmev.errors import (
     AlreadyConsumed,
@@ -743,6 +751,87 @@ class TestOneStatePerApplication:
             "Bridge", "ExecutePendingTx", "StylizedArb",
             "Swap:ConstantProductPool", "Swap:StylizedMidpointPool",
         }
+
+
+class TestDispatchErrorsMatchReference:
+    # ``apply_action`` resolves a swap's spec, a sweep's held amount and the
+    # venue in one pass; each failure must still be the reference chain's
+    def test_sweeps_directions_and_unknown_pools(self):
+        sc = scen(edge_doc())
+        s0 = sc.initial_state()
+        sweep = sc.space.lookup("P", "sweep")  # y_to_x on cp: spends all of P's GLD
+        emptied = apply_action(s0, "P", sweep)
+
+        def swap(pool_id, direction, **mode):
+            return Action(f"{pool_id}:{direction}:{sorted(mode)}", KIND_SWAP,
+                          frozenset({"d0"}), pool_id=pool_id, direction=direction, **mode)
+
+        one = Amount("1")
+        cases = [
+            (emptied, sweep, None),
+            (s0, swap("m0", "y_to_x", sweep=True), None),
+            (emptied, swap("m0", "y_to_x", sweep=True), None),
+            (s0, swap("cp", "sideways", amount=one), None),
+            (s0, swap("cp", "sideways", sweep=True), None),
+            (emptied, swap("cp", "sideways", sweep=True), None),
+            (s0, swap("m0", "sideways", amount=one), None),
+            (s0, swap("m0", "sideways", sweep=True), None),
+            (s0, swap("nowhere", "x_to_y", amount=one), None),
+            (s0, swap("nowhere", "x_to_y", sweep=True), None),
+            (s0, swap("nowhere", "x_to_y", interval=AmountInterval(Amount(0), one)), SCALE),
+        ]
+        outcomes = set()
+        for state, action, amount in cases:
+            got = _outcome(apply_action, state, "P", action, amount)
+            assert got == _outcome(_ref_apply, state, "P", action, amount), action.id
+            outcomes.add(got if isinstance(got, tuple) else WorldState)
+        assert outcomes == {
+            WorldState,
+            (InvalidAmount, "action 'sweep': nothing to sweep"),
+            (InvalidAmount, "action \"m0:y_to_x:['sweep']\": nothing to sweep"),
+            (InvalidAmount, "action \"cp:sideways:['sweep']\": nothing to sweep"),
+            (InvalidAmount, "unknown swap direction 'sideways'"),
+            (UnknownPool, "unknown pool 'nowhere'"),
+        }
+
+
+class _CountingPools(Mapping):
+    """A ``Registry.pools`` that counts its spec reads; every ``Mapping``
+    read (``[]``, ``get``, ``in``) goes through ``__getitem__``."""
+
+    def __init__(self, pools):
+        self._pools = dict(pools)
+        self.reads = 0
+
+    def __getitem__(self, pool_id):
+        self.reads += 1
+        return self._pools[pool_id]
+
+    def __iter__(self):
+        return iter(self._pools)
+
+    def __len__(self):
+        return len(self._pools)
+
+
+class TestOneSpecReadPerSwap:
+    def test_parametric_fixed_sweep_fill_and_pending_swap(self):
+        sc = scen(edge_doc())
+        s0 = sc.initial_state()
+        pools = _CountingPools(sc.registry.pools)
+        balances = {**s0.balances, ("d0", "P", "AAA"): SCALE}  # for the x_to_y fill
+        state = WorldState(sc.registry.replace(pools=pools), balances, dict(s0.pools))
+        fixed = Action("fixed", KIND_SWAP, frozenset({"d0"}), pool_id="cp",
+                       direction="y_to_x", amount=Amount("1"))
+        cases = [
+            ("buy", SCALE), ("sweep", None), ("fill", None), ("whale_swap", None), (fixed, None)
+        ]
+        for action, amount in cases:
+            if isinstance(action, str):
+                action = sc.space.lookup("P", action)
+            pools.reads = 0
+            assert isinstance(apply_action(state, "P", action, amount), WorldState)
+            assert pools.reads == 1, action.id
 
 
 class TestNoAmountBelowTheEdge:
