@@ -1,13 +1,17 @@
 """Action templates, availability, and sequence validation/application.
 
 An action is a named one-shot state mapping owned by one domain (bridges
-and cross-domain rebalances carry a domain pair). Sequences never repeat
-an action id; pending transactions additionally mark the state's consumed
-set. Amounts come in three modes: fixed, parametric over a closed
-interval, or "all" (sweep the full input balance at execution time).
-Below a sequence step ``(id, Amount)``, amounts are int units (see ``model``).
-``apply_action`` takes one pass: a swap reads its pool's spec from the
-registry once, sweeps the balance that spec names, and gives the venue the spec.
+and cross-domain rebalances carry a domain pair). It acts on one
+``target``, the record the loader resolved: a pool spec (the very object
+in ``Registry.pools``) for a swap, a ``BridgeSpec``, a ``StylizedArbSpec``
+or a ``PendingTx``. Sequences never repeat an action id; pending
+transactions additionally mark the state's consumed set. Its one
+``amount`` mode is a fixed ``Amount``, an ``AmountInterval`` (parametric)
+or "all" (sweep the full input balance at execution time); an arb or a
+pending tx takes none. Below a sequence step ``(id, Amount)``, amounts are
+int units (see ``model``). ``apply_action`` takes one pass: it resolves the
+amount, then dispatches once on the target's class and hands the target
+to its venue, reading no ``Registry.pools`` entry.
 """
 
 from __future__ import annotations
@@ -48,24 +52,16 @@ class AmountInterval(Record):
 
 
 class Action(Record):
-    """One declared action template.
-
-    Exactly one payload group is populated, matching ``kind``:
-    swap -> pool_id/direction, arb -> arb, bridge -> bridge, pending -> tx.
-    ``amount``/``interval``/``sweep`` are mutually exclusive amount modes.
-    """
+    """One declared action template: ``target`` is what it acts on, ``direction``
+    a swap's (else None), ``amount`` its one amount mode (None for an arb or a
+    pending tx)."""
 
     id: str
     kind: str
     domains: frozenset[str]
-    pool_id: Optional[str] = None
+    target: object  # a pool spec, BridgeSpec, StylizedArbSpec or PendingTx
     direction: Optional[str] = None
-    amount: Optional[Amount] = None
-    interval: Optional[AmountInterval] = None
-    sweep: bool = False
-    arb: Optional[StylizedArbSpec] = None
-    bridge: Optional[BridgeSpec] = None
-    tx: Optional[PendingTx] = None
+    amount: Amount | AmountInterval | str | None = None
 
     def __post_init__(self):
         # ``step``: this action's witness step when it takes no amount, built
@@ -75,7 +71,7 @@ class Action(Record):
 
     @property
     def parametric(self) -> bool:
-        return self.interval is not None
+        return self.amount.__class__ is AmountInterval
 
     def sort_key(self) -> str:
         return self.id
@@ -115,81 +111,72 @@ class ActionSpaceSpec:
 
 
 def _input_units(state: WorldState, player: str, action: Action) -> Optional[int]:
-    """Units the player holds of the asset a swap or bridge spends; None for other kinds."""
-    if action.kind == KIND_SWAP:
-        pool = state.registry.pool(action.pool_id)
-        asset = pool.asset_x if action.direction == X_TO_Y else pool.asset_y
-        return state.balances.get((pool.domain, player, asset), 0)
-    if action.kind == KIND_BRIDGE:
-        bridge = action.bridge
-        return state.balances.get((bridge.from_domain, player, bridge.from_asset), 0)
+    """Units the player holds of the asset a swap or bridge spends; None for other targets."""
+    target = action.target
+    cls = target.__class__
+    if cls is ConstantProductPool or cls is StylizedMidpointPool:
+        asset = target.asset_x if action.direction == X_TO_Y else target.asset_y
+        return state.balances.get((target.domain, player, asset), 0)
+    if cls is BridgeSpec:
+        return state.balances.get((target.from_domain, player, target.from_asset), 0)
     return None
 
 
 def resolve_amount(state: WorldState, player: str, action: Action) -> Optional[int]:
-    """Concrete amount units for non-parametric actions (None when kind takes none)."""
-    if action.parametric:
+    """Concrete amount units for non-parametric actions (None when the action takes none)."""
+    mode = action.amount
+    if mode.__class__ is Amount:
+        return mode.units
+    if mode is None:
+        return None
+    if mode.__class__ is AmountInterval:
         raise InvalidAmount(f"action {action.id!r} requires an explicit amount")
-    if action.amount is not None:
-        return action.amount.units
-    if action.sweep:
-        held = _input_units(state, player, action)
-        if held is None:
-            raise InvalidAmount(f"action {action.id!r}: sweep needs a swap or bridge")
-        if held <= 0:
-            raise InvalidAmount(f"action {action.id!r}: nothing to sweep")
-        return held
-    return None
+    held = _input_units(state, player, action)
+    if held is None:
+        raise InvalidAmount(f"action {action.id!r}: sweep needs a swap or bridge")
+    if held <= 0:
+        raise InvalidAmount(f"action {action.id!r}: nothing to sweep")
+    return held
 
 
 def apply_action(
     state: WorldState, player: str, action: Action, amount: Optional[int] = None
 ) -> WorldState:
     """Apply one action; ``amount`` (units) is required iff the action is parametric."""
-    interval = action.interval
-    if interval is not None:
+    mode = action.amount
+    if mode.__class__ is AmountInterval:
         if amount is None:
             raise InvalidAmount(f"action {action.id!r} requires an amount")
-        if amount < interval.lo.units or amount > interval.hi.units:
+        if amount < mode.lo.units or amount > mode.hi.units:
             raise InvalidAmount(
                 f"action {action.id!r}: amount {format_units(amount)} outside "
-                f"[{interval.lo}, {interval.hi}]"
+                f"[{mode.lo}, {mode.hi}]"
             )
         if amount <= 0:
             raise InvalidAmount(f"action {action.id!r}: amount must be positive")
     elif amount is not None:
         raise InvalidAmount(f"action {action.id!r} takes no amount")
-    elif action.amount is not None:
-        amount = action.amount.units
-
-    kind = action.kind
-    if kind == KIND_SWAP:
-        pool_id, direction = action.pool_id, action.direction
-        spec = state.registry.pool(pool_id)
-        if amount is None and action.sweep:
-            asset = spec.asset_x if direction == X_TO_Y else spec.asset_y
-            amount = state.balances.get((spec.domain, player, asset), 0)
-            if amount <= 0:
-                raise InvalidAmount(f"action {action.id!r}: nothing to sweep")
-        if spec.__class__ is ConstantProductPool:
-            return apply_swap(state, player, pool_id, direction, amount, None, spec)
-        if spec.__class__ is StylizedMidpointPool:
-            return apply_stylized_fill(state, player, pool_id, direction, amount, spec)
-        raise UnknownId(f"action {action.id!r}: unsupported pool type")
-    if amount is None and action.sweep:
+    elif mode is not None:
         amount = resolve_amount(state, player, action)
-    if kind == KIND_PENDING:
-        return apply_pending_tx(state, action.tx)
-    if kind == KIND_ARB:
-        return apply_stylized_arb(state, player, action.arb)
-    if kind == KIND_BRIDGE:
-        return apply_bridge(state, player, action.bridge, amount)
-    raise XdmevError(f"action {action.id!r}: unknown kind {action.kind!r}")
+
+    target = action.target
+    cls = target.__class__
+    if cls is ConstantProductPool:
+        return apply_swap(state, player, target.id, action.direction, amount, None, target)
+    if cls is StylizedMidpointPool:
+        return apply_stylized_fill(state, player, target.id, action.direction, amount, target)
+    if cls is BridgeSpec:
+        return apply_bridge(state, player, target, amount)
+    if cls is PendingTx:
+        return apply_pending_tx(state, target)
+    if cls is StylizedArbSpec:
+        return apply_stylized_arb(state, player, target)
+    raise XdmevError(f"action {action.id!r}: unsupported target {cls.__name__}")
 
 
 def max_feasible_amount(state: WorldState, player: str, action: Action) -> int:
     """Units of the largest in-interval amount the player can afford right now."""
-    hi = action.interval.hi.units
+    hi = action.amount.hi.units
     held = _input_units(state, player, action)
     return hi if held is None or held >= hi else held
 

@@ -97,16 +97,15 @@ def _build_query(scenario: Scenario, args) -> MevQuery:
 
 
 def _action_params(scenario: Scenario, action) -> str:
+    t = action.target
     if action.kind == KIND_SWAP:
-        return f"swap {action.pool_id} {action.direction}"
+        return f"swap {t.id} {action.direction}"
     if action.kind == KIND_BRIDGE:
-        b = action.bridge
-        return f"bridge {b.id} {b.from_domain}->{b.to_domain} ({b.from_asset}->{b.to_asset})"
+        return f"bridge {t.id} {t.from_domain}->{t.to_domain} ({t.from_asset}->{t.to_asset})"
     if action.kind == KIND_ARB:
-        a = action.arb
-        return f"rebalance {a.pool_a}/{a.pool_b} profit {a.declared_profit} {a.profit_asset}"
+        return f"rebalance {t.pool_a}/{t.pool_b} profit {t.declared_profit} {t.profit_asset}"
     if action.kind == KIND_PENDING:
-        effect = action.tx.effect
+        effect = t.effect
         if isinstance(effect, PricePushEffect):
             return f"pending price_push {effect.pool_id} -> {effect.to_price}"
         if isinstance(effect, CpSwapEffect):

@@ -343,7 +343,7 @@ class _Search:
         if not action.parametric:
             score(None)
         else:
-            lo_u = max(action.interval.lo.units, 1)
+            lo_u = max(action.amount.lo.units, 1)
             hi_u = max_feasible_amount(state, player, action)
             if hi_u >= lo_u:
                 self.sized = True
@@ -432,13 +432,13 @@ def _grid_sequences(
     The grids are built here, before the first sequence is drawn, and only
     after ``counter`` is checked to have room for every depth-1 application.
     """
-    # sized before the max_len test, so a grid of < 2 points is refused at any length
-    work = sum(_grid_size(a.interval, grid_points) if a.parametric else 1 for a in actions)
+    if grid_points < 2:  # refused whatever the actions and the length
+        raise XdmevError("grid needs at least 2 points")
     if max_len < 1:
         return iter(())
-    counter.check(work)
+    counter.check(sum(_grid_size(a.amount, grid_points) if a.parametric else 1 for a in actions))
     choices = tuple(
-        (action, grid_amounts(action.interval, grid_points) if action.parametric else (None,))
+        (action, grid_amounts(action.amount, grid_points) if action.parametric else (None,))
         for action in actions
     )
     return _grid_walk(choices, start, (), frozenset(), player, max_len, counter)

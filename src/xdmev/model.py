@@ -272,9 +272,6 @@ class PriceMatrix:
                 f"reciprocity violated for pair ({src}, {dst}): "
                 f"rate {rate} is not the inverse of rate({dst}->{src}) = {inverse}",
             )
-        existing = self._rates.get((src, dst))
-        if existing is not None and existing != rate:
-            raise ValidationError(field, f"conflicting rates {existing} and {rate}")
         self._rates[(src, dst)] = rate
         self._rates[(dst, src)] = 1 / rate
 

@@ -91,7 +91,7 @@ class Scenario(Record, eq=False):
         for tx in self.mempool:
             for player in self.players:
                 if KIND_PENDING in player.capabilities.get(tx.domain, frozenset()):
-                    pending = Action(tx.id, KIND_PENDING, frozenset({tx.domain}), tx=tx)
+                    pending = Action(tx.id, KIND_PENDING, frozenset({tx.domain}), tx)
                     by_player[player.id].append(pending)
         object.__setattr__(self, "space", ActionSpaceSpec(by_player))
 
@@ -243,12 +243,13 @@ def _section(kind, value, path, name, ns, minimum):
 
 def _mode(kind, value, path, name, ns, minimum):
     """``(_mode,)``: an action amount, "all", {"fixed": amount above the minimum} or
-    {"interval": [lo, hi]}, held as the ``Action``'s (amount, interval, sweep)."""
+    {"interval": [lo, hi]}, held as the ``Action``'s amount: "all", an ``Amount``
+    or an ``AmountInterval``."""
     where, keys = _at(path, name), list(value) if value.__class__ is dict else None
     if value == "all":
-        return None, None, True
+        return value
     if keys == ["fixed"]:
-        return _number(_AMOUNT, value["fixed"], where, "fixed", ns, minimum), None, False
+        return _number(_AMOUNT, value["fixed"], where, "fixed", ns, minimum)
     if keys == ["interval"]:
         bounds, span = value["interval"], f"{where}.interval"
         if bounds.__class__ is not list:
@@ -259,7 +260,7 @@ def _mode(kind, value, path, name, ns, minimum):
         hi = _number(_AMOUNT, bounds[1], span, 1, ns, None)
         if hi <= lo:
             raise ValidationError(f"{span}[1]", "hi must exceed lo")
-        return None, AmountInterval(lo, hi), False
+        return AmountInterval(lo, hi)
     raise ValidationError(where, 'expected "all", {"fixed": ...} or {"interval": [lo, hi]}')
 
 
@@ -279,18 +280,15 @@ def _dump(kind, value):
     if code is _number:
         return kind[2](value)
     if code is _mode:
-        amount, interval, sweep = value
-        if sweep or amount is not None:
-            return "all" if sweep else {"fixed": str(amount)}
-        return None if interval is None else {"interval": [str(interval.lo), str(interval.hi)]}
+        if value.__class__ is AmountInterval:
+            return {"interval": [str(value.lo), str(value.hi)]}
+        return {"fixed": str(value)} if value.__class__ is Amount else value
     return value
 
 
 def _field(record, attr):
-    """What a row's ``attr`` names: an attribute, a tuple index, or a tuple of attributes."""
-    if attr.__class__ is str:
-        return getattr(record, attr)
-    return record[attr] if attr.__class__ is int else tuple([getattr(record, a) for a in attr])
+    """What a row's ``attr`` names: an attribute or a tuple index."""
+    return getattr(record, attr) if attr.__class__ is str else record[attr]
 
 
 class _Table:
@@ -429,28 +427,24 @@ def _arb_rules(arb: StylizedArbSpec, path: str, ns: dict) -> None:
 def _action_rules(entry: tuple, path: str, ns: dict) -> tuple[str, Action]:
     """(owner, Action) of an action entry: the amount mode its kind asks
     for, and the owner's capability on every domain it touches."""
-    kind, aid, owner, mode, target, *direction = entry
-    # Action fields: id, kind, domains, pool_id, direction, amount, interval, sweep, arb, bridge, tx
+    kind, aid, owner, mode, target, direction = entry
     if kind == KIND_ARB:
         if mode is not None:
             raise ValidationError(f"{path}.amount", "stylized arbs take no amount")
         pools = ns["pool"]
         domains = frozenset({pools[target.pool_a].domain, pools[target.pool_b].domain})
-        action = Action(aid, kind, domains, None, None, None, None, False, target, None, None)
     elif mode is None:
         raise ValidationError(f"{path}.amount", f"{kind.lower()} actions need an amount mode")
     elif kind == KIND_SWAP:
         domains = frozenset({target.domain})
-        action = Action(aid, kind, domains, target.id, direction[0], *mode, None, None, None)
     else:
         domains = frozenset({target.from_domain, target.to_domain})
-        action = Action(aid, kind, domains, None, None, *mode, None, target, None)
     capabilities = ns["player"][owner].capabilities
     for domain in sorted(domains):
         if kind not in capabilities.get(domain, ()):
             message = f"player {owner!r} lacks {kind} capability on {domain!r}"
             raise ValidationError(f"{path}.kind", message)
-    return owner, action
+    return owner, Action(aid, kind, domains, target, direction, mode)
 
 
 def _defaults_rules(values: tuple, path: str, ns: dict) -> Defaults:
@@ -526,14 +520,14 @@ _EFFECT = _Table([], tag=("type", "effect type", None), variants={
 
 _ACTION = _Table([
     ("id", (_id, "action id")), ("player", _PLAYER, REQUIRED, None, "owner"),
-    ("amount", (_mode,), None, "fixed amount must be positive", ("amount", "interval", "sweep")),
+    ("amount", (_mode,), None, "fixed amount must be positive"),
 ], check=_action_rules, tag=("kind", "action kind", "kind"), variants={
-    KIND_SWAP: _Table([("pool", (_ref, "pool", True, None), REQUIRED, None, "pool_id"),
+    KIND_SWAP: _Table([("pool", (_ref, "pool", True, None), REQUIRED, None, "target"),
                        ("direction", _DIRECTION)], build=lambda *values: (KIND_SWAP, *values)),
-    KIND_BRIDGE: _Table(
-        [("bridge", (_ref, "bridge", True, None))], build=lambda *values: (KIND_BRIDGE, *values)),
-    KIND_ARB: _Table(
-        [("arb", (_ref, "stylized arb", True, None))], build=lambda *values: (KIND_ARB, *values)),
+    KIND_BRIDGE: _Table([("bridge", (_ref, "bridge", True, None), REQUIRED, None, "target")],
+                        build=lambda *values: (KIND_BRIDGE, *values, None)),
+    KIND_ARB: _Table([("arb", (_ref, "stylized arb", True, None), REQUIRED, None, "target")],
+                     build=lambda *values: (KIND_ARB, *values, None)),
     KIND_PENDING: "pending transactions belong in the mempool",
 }, get=lambda pair, attr: pair[0] if attr == "owner" else _field(pair[1], attr))
 
@@ -603,6 +597,8 @@ def loads(text: str) -> Scenario:
     except json.JSONDecodeError as exc:
         where = f"line {exc.lineno}, column {exc.colno}"
         raise ParseError(f"malformed document at {where}: {exc.msg}") from None
+    except (RecursionError, ValueError) as exc:  # nested too deep, or a too long integer
+        raise ParseError(f"malformed document: {exc}") from None
     return _read(doc, _DOCUMENT, "document", {what: {} for what in _NAMESPACES})
 
 

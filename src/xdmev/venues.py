@@ -10,8 +10,8 @@ A pool record is a spec in the scenario's ``Registry`` and, as a state
 value in ``WorldState.pools``, only what swaps move: ``state()`` gives a
 record's value (a constant-product pool's ``(reserve_x_units,
 reserve_y_units)``, a stylized pool's price units) and ``spec.at(value)``
-the record back. A swap venue takes the spec its caller read (once per
-swap in ``apply_action``), else reads it from the registry; every venue
+the record back. A swap venue takes the spec its caller holds (an
+action's ``target``), else reads it from the registry; every venue
 reads the value from the state and builds one new state with one
 ``WorldState.update``: at most one debit, one credit, the pools it moves
 and the pending tx it consumes. Amounts are int units (see ``model``);
@@ -216,7 +216,7 @@ def apply_swap(
 ) -> WorldState:
     """Swap against a constant-product pool, debiting and crediting the
     player; a pending tx running the swap passes its id as ``consumed``, a
-    caller that read the pool's spec passes it as ``spec``.
+    caller that holds the pool's spec passes it as ``spec``.
 
     The one swap body and quote: checks in their order (amount, direction,
     liquidity), one ``_kernels.swap_out`` call (rounded down), one ``update``."""
@@ -226,7 +226,10 @@ def apply_swap(
             raise UnknownPool(f"pool {pool_id!r} is not a constant-product pool")
     if amount_in <= 0:
         raise InvalidAmount(f"swap amount must be positive, got {format_units(amount_in)}")
-    reserve_x, reserve_y = state.pools[pool_id]
+    try:
+        reserve_x, reserve_y = state.pools[pool_id]
+    except KeyError:
+        raise UnknownPool(f"unknown pool {pool_id!r}") from None
     domain = spec.domain
     if direction == X_TO_Y:
         out = _kernels.swap_out(reserve_x, reserve_y, amount_in, spec.fee_bps)
@@ -265,7 +268,10 @@ def apply_stylized_fill(
     spec: StylizedMidpointPool | None = None,
 ) -> WorldState:
     """Trade at a stylized pool's quoted price, rounded half-even; the quote does not move."""
-    pool, price = _stylized(state, pool_id) if spec is None else (spec, state.pools[pool_id])
+    try:
+        pool, price = _stylized(state, pool_id) if spec is None else (spec, state.pools[pool_id])
+    except KeyError:
+        raise UnknownPool(f"unknown pool {pool_id!r}") from None
     if amount_in <= 0:
         raise InvalidAmount(f"fill amount must be positive, got {format_units(amount_in)}")
     if direction == X_TO_Y:

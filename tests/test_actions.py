@@ -3,8 +3,8 @@
 import pytest
 
 from conftest import one_domain_doc, scen
-from xdmev.actions import apply_sequence, available_actions, validate_sequence
-from xdmev.errors import SequenceStepError, UnknownId
+from xdmev.actions import apply_action, apply_sequence, available_actions, validate_sequence
+from xdmev.errors import InvalidAmount, SequenceStepError, UnknownId
 from xdmev.fixedpoint import Amount
 
 
@@ -199,3 +199,30 @@ class TestOneFold:
         with pytest.raises(SequenceStepError) as err:
             apply_sequence(scenario.space, state, "P", [("tx_buy_eth", None), ("nope", None)])
         assert err.value.index == 1 and isinstance(err.value.cause, UnknownId)
+
+
+class TestBridgeSweep:
+    @staticmethod
+    def sweep_doc(held):
+        doc = one_domain_doc()
+        doc["domains"].append({"id": "d1", "native_asset": "AAA"})
+        doc["players"][0]["capabilities"].append({"domain": "d1", "kinds": ["Bridge"]})
+        doc["players"][0]["balances"] = [{"domain": "d0", "asset": "GLD", "amount": held}]
+        doc["bridges"] = [{"id": "br", "from_domain": "d0", "to_domain": "d1",
+                           "from_asset": "GLD", "to_asset": "GLD",
+                           "rate": "99/100", "flat_fee": "0.5"}]
+        doc["actions"] = [{"id": "move", "player": "P", "kind": "Bridge", "bridge": "br",
+                           "amount": "all"}]
+        doc["prices"] = [{"from": "AAA", "to": "GLD", "rate": "1/1"}]
+        return doc
+
+    def test_held_balance_moves_across(self):
+        scenario = scen(self.sweep_doc("12.5"))
+        state = scenario.initial_state()
+        moved = apply_action(state, "P", scenario.space.lookup("P", "move"))
+        assert moved.balances == {("d1", "P", "GLD"): Amount("11.875").units}  # 12.5 x 0.99 - 0.5
+
+    def test_nothing_held_is_nothing_to_sweep(self):
+        scenario = scen(self.sweep_doc("0"))
+        with pytest.raises(InvalidAmount, match="^action 'move': nothing to sweep$"):
+            apply_action(scenario.initial_state(), "P", scenario.space.lookup("P", "move"))

@@ -9,6 +9,7 @@ import pytest
 from conftest import one_domain_doc
 from xdmev import cli
 from xdmev.errors import ExplosionGuard
+from xdmev.scenario import bundled_path
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -210,6 +211,16 @@ class TestOracleCheckCommand:
         assert "agree: yes" in out
 
 
+    @pytest.mark.parametrize("points", ["1", "0", "-5"])
+    @pytest.mark.parametrize("name", ["section3_2amm", "cp_arbitrage_small"])
+    def test_grid_below_two_points_exits_2(self, capsys, name, points):
+        # refused on a discrete scenario as on a parametric one
+        code, out, err = run_cli(
+            capsys, "oracle-check", "--scenario", name, "--grid-points", points,
+        )
+        assert (code, out, err) == (2, "", "error: grid needs at least 2 points\n")
+
+
 class TestValidateCommand:
     def test_bundled_are_valid(self, capsys):
         for name in ("section3_2amm", "appendix_b_4amm", "cp_arbitrage_small"):
@@ -255,6 +266,71 @@ class TestValidateCommand:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {path}: not UTF-8 text") and err.count("\n") == 1
+
+
+    @pytest.mark.parametrize("command", ["validate", "mev"])
+    @pytest.mark.parametrize("text", [
+        "[" * 1000 + "]" * 1000,  # nested past the interpreter's recursion limit
+        '{"schema_version": ' + "1" * 4301 + "}",  # past the int conversion digit limit
+    ], ids=["deep_nesting", "long_integer"])
+    def test_hostile_document_exits_2(self, capsys, tmp_path, command, text):
+        path = tmp_path / "hostile.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, command, "--scenario", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: malformed document: ") and err.count("\n") == 1
+
+
+class TestWitnessRendering:
+    def test_pending_cp_swap_and_transfer_params(self, capsys, tmp_path):
+        # a whale's pending swap lifts GLD's price for P's sell, and a pending
+        # transfer hands P GLD: the witness runs both
+        doc = one_domain_doc()
+        doc["players"][0]["balances"] = [{"domain": "d0", "asset": "AAA", "amount": "10"}]
+        doc["players"].append({"id": "whale", "capabilities": [], "balances": [
+            {"domain": "d0", "asset": "GLD", "amount": "500"}]})
+        doc["pools"] = [{"id": "cp", "type": "constant_product", "domain": "d0",
+                         "asset_x": "AAA", "asset_y": "GLD",
+                         "reserve_x": "100", "reserve_y": "2000"}]
+        doc["mempool"] = [
+            {"id": "whale_buy", "domain": "d0",
+             "effect": {"type": "cp_swap", "pool": "cp", "direction": "y_to_x",
+                        "amount_in": "400", "account": "whale"}},
+            {"id": "gift", "domain": "d0",
+             "effect": {"type": "transfer", "from_account": "whale", "to_account": "P",
+                        "asset": "GLD", "amount": "5"}},
+        ]
+        doc["actions"] = [{"id": "sell", "player": "P", "kind": "Swap", "pool": "cp",
+                           "direction": "x_to_y", "amount": {"fixed": "10"}}]
+        path = tmp_path / "pending.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "mev", "--scenario", str(path), "--format", "json")
+        assert code == 0
+        params = {step["action"]: step["params"] for step in json.loads(out)["result"]["witness"]}
+        assert params == {
+            "gift": "pending transfer 5 GLD whale->P",
+            "whale_buy": "pending cp_swap cp y_to_x 400",
+            "sell": "swap cp x_to_y",
+        }
+
+    def test_bridge_sweep_shows_the_swept_amount(self, capsys, tmp_path):
+        # P bridges the 5 WETH it holds plus the 116.97 the uniswap swap buys
+        doc = json.loads(bundled_path("figure1_bridge").read_text(encoding="utf-8"))
+        doc["players"][0]["balances"].append(
+            {"domain": "ethereum", "asset": "WETH", "amount": "5"})
+        doc["bridges"][0].update(rate="99/100", flat_fee="1")
+        for action in doc["actions"]:
+            if action["id"] == "move_weth":
+                action["amount"] = "all"
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "mev", "--scenario", str(path), "--format", "json")
+        assert code == 0
+        steps = {step["action"]: step for step in json.loads(out)["result"]["witness"]}
+        move = steps["move_weth"]
+        assert (move["amount"], move["resolved_amount"]) == (None, "121.97")
+        assert move["deltas"] == {"ethereum": {"WETH": "-121.97"}, "polygon": {"WETH": "+119.7503"}}
 
 
 class TestDeterminism:

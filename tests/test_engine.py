@@ -21,9 +21,10 @@ from xdmev.engine import (
     replay_witness,
 )
 from xdmev.actions import AmountInterval, apply_sequence
-from xdmev.errors import ExplosionGuard, NoOpportunity
+from xdmev.collusion import classify_collusion
+from xdmev.errors import ExplosionGuard, NoOpportunity, ParseError, UnknownId, XdmevError
 from xdmev.fixedpoint import SCALE, Amount, div_half_even
-from xdmev.scenario import BUNDLED_NAMES
+from xdmev.scenario import BUNDLED_NAMES, bundled_path, load_bundled
 from xdmev.venues import ConstantProductPool
 
 MICRO = Amount("0.000001")
@@ -453,6 +454,21 @@ class TestGridWork:
                 )
         assert len(amount_constructions) < 1000
 
+    @pytest.mark.parametrize("name", ["section3_2amm", "cp_arbitrage_small"])
+    @pytest.mark.parametrize("grid_points", [1, 0, -5])
+    def test_grid_below_two_points_is_refused(self, bundled, name, grid_points):
+        # refused whether or not any action is parametric, and at any length
+        scenario = bundled(name)
+        state = scenario.initial_state()
+        query = scenario.default_query()
+        with pytest.raises(XdmevError, match="^grid needs at least 2 points$"):
+            mev_oracle(scenario.space, state, query, grid_points)
+        for max_len in (0, 2):
+            with pytest.raises(XdmevError, match="^grid needs at least 2 points$"):
+                reachable_states(
+                    scenario.space, state, "P", query.action_domains, max_len, grid_points
+                )
+
     @pytest.mark.parametrize("name", BUNDLED_NAMES)
     @pytest.mark.parametrize("grid_points", [5, 101])
     def test_oracle_finishes_exactly_up_to_its_own_count(self, bundled, name, grid_points):
@@ -622,3 +638,56 @@ class TestQueryMechanics:
         assert first.value == again.value
         assert first.witness == again.witness
         assert first.explored == again.explored
+
+
+def _section3(call):
+    """``call`` on section3_2amm's space, initial state and default query."""
+    scenario = load_bundled("section3_2amm")
+    return lambda: call(scenario, scenario.initial_state(), scenario.default_query())
+
+
+ERROR_PATHS = [
+    # (id, call, error class, message)
+    ("empty_action_domains",
+     _section3(lambda sc, s, q: mev(sc.space, s, q.replace(action_domains=frozenset()))),
+     UnknownId, "action_domains must be nonempty"),
+    ("empty_value_domains",
+     _section3(lambda sc, s, q: mev(sc.space, s, q.replace(value_domains=()))),
+     UnknownId, "value_domains must be nonempty"),
+    ("repeated_value_domains",
+     _section3(lambda sc, s, q: mev_oracle(sc.space, s, q.replace(value_domains=("i", "j", "i")))),
+     UnknownId, "value_domains must not repeat"),
+    ("negative_max_sequence_length",
+     _section3(lambda sc, s, q: mev(sc.space, s, q.replace(max_sequence_length=-1))),
+     XdmevError, "max_sequence_length must be >= 0"),
+    ("reachable_negative_max_len",
+     _section3(lambda sc, s, q: reachable_states(sc.space, s, "P", {"i"}, -1)),
+     XdmevError, "max_len must be >= 0"),
+    ("collusion_repeated_domains",
+     _section3(lambda sc, s, q: classify_collusion(
+         sc.space, s, "P", ("i", "i"), Amount(0), q.prices, "i", "ETH")),
+     XdmevError, "collusion domains must be distinct"),
+    ("for_player_unknown",
+     _section3(lambda sc, s, q: sc.space.for_player("nobody")),
+     UnknownId, "no action space declared for player 'nobody'"),
+    ("bundled_path_unknown", lambda: bundled_path("nowhere"),
+     ParseError, "no bundled scenario named 'nowhere'"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, message", [row[1:] for row in ERROR_PATHS], ids=[row[0] for row in ERROR_PATHS]
+)
+def test_error_paths(call, error, message):
+    with pytest.raises(XdmevError) as err:
+        call()
+    assert (type(err.value), str(err.value)) == (error, message)
+
+
+@pytest.mark.parametrize("name", BUNDLED_NAMES)
+def test_swap_targets_are_the_registry_specs(bundled, name):
+    # a swap acts on the very spec the registry holds, not a copy of it
+    scenario = bundled(name)
+    swaps = [action for _, action in scenario.player_actions if action.kind == "Swap"]
+    for action in swaps:
+        assert action.target is scenario.registry.pools[action.target.id], action.id

@@ -366,7 +366,7 @@ def test_available_actions_are_individually_performable():
                 parametric_checked += 1
                 amount = Amount.from_units(max_feasible_amount(state, "P", action))
                 above = Amount.from_units(amount.units + 1)
-                if above <= action.interval.hi:
+                if above <= action.amount.hi:
                     assert violation(action, above) is not None, (
                         f"{label}: {action.id} also works at {above}"
                     )
@@ -392,8 +392,8 @@ def test_unavailable_parametric_actions_have_no_performable_amount():
             if not action.parametric or action in available:
                 continue
             left_out += 1
-            held = state.balances.get(_input_key(scenario, action), 0)
-            tries = grid_amounts(action.interval, 11) + (held,)
+            held = state.balances.get(_input_key(action), 0)
+            tries = grid_amounts(action.amount, 11) + (held,)
             for amount in map(Amount.from_units, tries):
                 violation = validate_sequence(
                     scenario.space, "P", domains, state, [(action.id, amount)]
@@ -402,11 +402,11 @@ def test_unavailable_parametric_actions_have_no_performable_amount():
     assert left_out > 0  # the variant leaves some parametric action unaffordable
 
 
-def _input_key(scenario: Scenario, action) -> tuple[str, str, str]:
+def _input_key(action) -> tuple[str, str, str]:
     """Balance key of the asset a parametric swap or bridge of P spends."""
-    if action.bridge is not None:
-        return action.bridge.from_domain, "P", action.bridge.from_asset
-    pool = next(p for p in scenario.pools if p.id == action.pool_id)
+    if action.kind == "Bridge":
+        return action.target.from_domain, "P", action.target.from_asset
+    pool = action.target
     asset = pool.asset_x if action.direction == "x_to_y" else pool.asset_y
     return pool.domain, "P", asset
 

@@ -78,8 +78,8 @@ def samples() -> dict:
                 add(balance)
         for _, action in scenario.player_actions:
             add(action)
-            if action.interval is not None:
-                add(action.interval)
+            if action.parametric:
+                add(action.amount)
         state, query = scenario.initial_state(), scenario.default_query()
         add(query)
         if name != "appendix_b_4amm":  # the one slow search
@@ -185,11 +185,10 @@ def test_bad_constructor_arguments_raise_type_error(samples):
 
 
 def test_defaults_fill_omitted_fields():
-    action = Action("a", "Swap", frozenset({"d"}))
-    assert (action.pool_id, action.direction, action.amount, action.interval) == (None,) * 4
-    assert (action.sweep, action.arb, action.bridge, action.tx) == (False, None, None, None)
     pool = ConstantProductPool("p", "d", "X", "Y", 1, 2)
     assert pool.fee_bps == 0
+    action = Action("a", "Swap", frozenset({"d"}), pool)
+    assert (action.target, action.direction, action.amount) == (pool, None, None)
     query = MevQuery("P", frozenset({"d"}), ("d",), "d", "X", None)
     assert (query.max_sequence_length, query.candidate_cap) == (8, 10_000_000)
 
@@ -256,15 +255,17 @@ REPRS = {
         "price=Amount('20'))"
     ),
     ("cp_arbitrage_small", "action"): (
-        "Action(id='buy_pool_a', kind='Swap', domains=frozenset({'dex'}), pool_id='pool_a', "
-        "direction='y_to_x', amount=None, interval=AmountInterval(lo=Amount('0'), "
-        "hi=Amount('1000')), sweep=False, arb=None, bridge=None, tx=None)"
+        "Action(id='buy_pool_a', kind='Swap', domains=frozenset({'dex'}), "
+        "target=ConstantProductPool(id='pool_a', domain='dex', asset_x='ETH', asset_y='DAI', "
+        "reserve_x_units=100000000000000000000, reserve_y_units=2000000000000000000000, "
+        "fee_bps=0), direction='y_to_x', amount=AmountInterval(lo=Amount('0'), "
+        "hi=Amount('1000')))"
     ),
     ("section3_2amm", "action"): (
         "Action(id='tx_buy_eth', kind='ExecutePendingTx', domains=frozenset({'i'}), "
-        "pool_id=None, direction=None, amount=None, interval=None, sweep=False, arb=None, "
-        "bridge=None, tx=PendingTx(id='tx_buy_eth', domain='i', "
-        "effect=PricePushEffect(pool_id='uniswap', to_price=Amount('30'))))"
+        "target=PendingTx(id='tx_buy_eth', domain='i', "
+        "effect=PricePushEffect(pool_id='uniswap', to_price=Amount('30'))), "
+        "direction=None, amount=None)"
     ),
     ("section3_2amm", "query"): (
         "MevQuery(player='P', action_domains=frozenset({'i'}), value_domains=('i', 'j'), "

@@ -192,6 +192,14 @@ class TestValidation:
             loads("{\n  \"schema_version\": 1,\n  oops\n}")
         assert "line 3" in str(err.value)
 
+    @pytest.mark.parametrize("text", [
+        "[" * 1000 + "]" * 1000,  # nested past the interpreter's recursion limit
+        '{"schema_version": ' + "1" * 4301 + "}",  # past the int conversion digit limit
+    ], ids=["deep_nesting", "long_integer"])
+    def test_hostile_document_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="^malformed document: "):
+            loads(text)
+
     def test_unknown_top_level_field(self):
         doc = one_domain_doc()
         doc["extra"] = []

@@ -539,14 +539,14 @@ def _ref_apply(state, player, action, amount):
     if amount is not None:
         amount = Amount.from_units(amount)
     if action.kind == "ExecutePendingTx":
-        return _ref_pending(state, action.tx)
+        return _ref_pending(state, action.target)
     if action.kind == "StylizedArb":
-        return _ref_stylized_arb(state, player, action.arb)
+        return _ref_stylized_arb(state, player, action.target)
     if action.kind == "Bridge":
-        return _ref_bridge(state, player, action.bridge, amount)
-    if isinstance(state.pool(action.pool_id), ConstantProductPool):
-        return _ref_swap(state, player, action.pool_id, action.direction, amount)
-    return _ref_fill(state, player, action.pool_id, action.direction, amount)
+        return _ref_bridge(state, player, action.target, amount)
+    if isinstance(state.pool(action.target.id), ConstantProductPool):
+        return _ref_swap(state, player, action.target.id, action.direction, amount)
+    return _ref_fill(state, player, action.target.id, action.direction, amount)
 
 
 def _outcome(fn, *args, **kwargs):
@@ -607,7 +607,7 @@ def _trials(state, player, action):
     """Amounts to try: None for a discrete action, else positive in-interval probes."""
     if not action.parametric:
         return [None]
-    lo, hi = action.interval.lo.units, action.interval.hi.units
+    lo, hi = action.amount.lo.units, action.amount.hi.units
     probes = {max(lo, 1), (lo + hi) // 2, hi, max_feasible_amount(state, player, action)}
     return [u for u in sorted(probes) if max(lo, 1) <= u <= hi]
 
@@ -745,7 +745,7 @@ class TestOneStatePerApplication:
             assert len(built) == 1, action.id
             kind = action.kind
             if kind == KIND_SWAP:
-                kind += ":" + type(start.pool(action.pool_id)).__name__
+                kind += ":" + type(action.target).__name__
             covered.add(kind)
         assert covered == {
             "Bridge", "ExecutePendingTx", "StylizedArb",
@@ -754,31 +754,38 @@ class TestOneStatePerApplication:
 
 
 class TestDispatchErrorsMatchReference:
-    # ``apply_action`` resolves a swap's spec, a sweep's held amount and the
-    # venue in one pass; each failure must still be the reference chain's
+    # ``apply_action`` resolves a sweep's held amount from the action's
+    # target and dispatches on it in one pass; each failure must still be
+    # the reference chain's
     def test_sweeps_directions_and_unknown_pools(self):
         sc = scen(edge_doc())
         s0 = sc.initial_state()
         sweep = sc.space.lookup("P", "sweep")  # y_to_x on cp: spends all of P's GLD
         emptied = apply_action(s0, "P", sweep)
+        cp, m0 = sc.registry.pools["cp"], sc.registry.pools["m0"]
+        # specs of pools the state does not hold
+        nowhere, nowhere_m = cp.replace(id="nowhere"), m0.replace(id="nowhere_m")
 
-        def swap(pool_id, direction, **mode):
-            return Action(f"{pool_id}:{direction}:{sorted(mode)}", KIND_SWAP,
-                          frozenset({"d0"}), pool_id=pool_id, direction=direction, **mode)
+        def swap(target, direction, mode):
+            label = mode if mode == "all" else mode.__class__.__name__
+            return Action(f"{target.id}:{direction}:{label}", KIND_SWAP, frozenset({"d0"}),
+                          target, direction, mode)
 
         one = Amount("1")
         cases = [
             (emptied, sweep, None),
-            (s0, swap("m0", "y_to_x", sweep=True), None),
-            (emptied, swap("m0", "y_to_x", sweep=True), None),
-            (s0, swap("cp", "sideways", amount=one), None),
-            (s0, swap("cp", "sideways", sweep=True), None),
-            (emptied, swap("cp", "sideways", sweep=True), None),
-            (s0, swap("m0", "sideways", amount=one), None),
-            (s0, swap("m0", "sideways", sweep=True), None),
-            (s0, swap("nowhere", "x_to_y", amount=one), None),
-            (s0, swap("nowhere", "x_to_y", sweep=True), None),
-            (s0, swap("nowhere", "x_to_y", interval=AmountInterval(Amount(0), one)), SCALE),
+            (s0, swap(m0, "y_to_x", "all"), None),
+            (emptied, swap(m0, "y_to_x", "all"), None),
+            (s0, swap(cp, "sideways", one), None),
+            (s0, swap(cp, "sideways", "all"), None),
+            (emptied, swap(cp, "sideways", "all"), None),
+            (s0, swap(m0, "sideways", one), None),
+            (s0, swap(m0, "sideways", "all"), None),
+            (s0, swap(nowhere, "x_to_y", one), None),
+            (s0, swap(nowhere, "x_to_y", "all"), None),  # P holds no AAA: nothing to sweep
+            (s0, swap(nowhere, "y_to_x", "all"), None),
+            (s0, swap(nowhere, "x_to_y", AmountInterval(Amount(0), one)), SCALE),
+            (s0, swap(nowhere_m, "y_to_x", one), None),
         ]
         outcomes = set()
         for state, action, amount in cases:
@@ -788,10 +795,12 @@ class TestDispatchErrorsMatchReference:
         assert outcomes == {
             WorldState,
             (InvalidAmount, "action 'sweep': nothing to sweep"),
-            (InvalidAmount, "action \"m0:y_to_x:['sweep']\": nothing to sweep"),
-            (InvalidAmount, "action \"cp:sideways:['sweep']\": nothing to sweep"),
+            (InvalidAmount, "action 'm0:y_to_x:all': nothing to sweep"),
+            (InvalidAmount, "action 'cp:sideways:all': nothing to sweep"),
+            (InvalidAmount, "action 'nowhere:x_to_y:all': nothing to sweep"),
             (InvalidAmount, "unknown swap direction 'sideways'"),
             (UnknownPool, "unknown pool 'nowhere'"),
+            (UnknownPool, "unknown pool 'nowhere_m'"),
         }
 
 
@@ -821,17 +830,20 @@ class TestOneSpecReadPerSwap:
         pools = _CountingPools(sc.registry.pools)
         balances = {**s0.balances, ("d0", "P", "AAA"): SCALE}  # for the x_to_y fill
         state = WorldState(sc.registry.replace(pools=pools), balances, dict(s0.pools))
-        fixed = Action("fixed", KIND_SWAP, frozenset({"d0"}), pool_id="cp",
-                       direction="y_to_x", amount=Amount("1"))
+        fixed = Action("fixed", KIND_SWAP, frozenset({"d0"}), sc.registry.pools["cp"],
+                       "y_to_x", Amount("1"))
+        # an action's swap or fill acts on its target, the spec the loader
+        # resolved; only a pending cp_swap reads its pool's spec from the registry
         cases = [
-            ("buy", SCALE), ("sweep", None), ("fill", None), ("whale_swap", None), (fixed, None)
+            ("buy", SCALE, 0), ("sweep", None, 0), ("fill", None, 0), (fixed, None, 0),
+            ("whale_swap", None, 1),
         ]
-        for action, amount in cases:
+        for action, amount, reads in cases:
             if isinstance(action, str):
                 action = sc.space.lookup("P", action)
             pools.reads = 0
             assert isinstance(apply_action(state, "P", action, amount), WorldState)
-            assert pools.reads == 1, action.id
+            assert pools.reads == reads, action.id
 
 
 class TestNoAmountBelowTheEdge:
