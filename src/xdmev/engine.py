@@ -8,23 +8,28 @@ schedule, ``_golden_section``, also serves ``optimal_cp_arbitrage``.
 amounts discretized on an even grid, sharing nothing with the search but
 the state semantics.
 
-Both compute on int units (see ``model``): ``priced_balance_delta``
-returns units, a candidate is (value units, steps) with steps
-(action id, amount units or None), and the oracle's grid is units. An
-answer's ``MevResult.value`` and its witness's ``(id, Amount)`` steps are
-built once, from the winning candidate.
+Both compute on int units (see ``model``). A query's pricing is prepared
+once: ``price_terms`` resolves each value domain's balance key, starting
+units and rate, and ``priced_balance_delta(terms, final)`` then prices a
+candidate's final state in units. A candidate is (value units, steps)
+with steps (action id, amount units or None), and the oracle's grid is
+units. An answer's ``MevResult.value`` and its witness's ``(id, Amount)``
+steps are built once, from the winning candidate.
 
 Everything here is a pure function over immutable values; the only
-mutable machinery (a work counter and the search memo) lives inside one
-call, so concurrent queries need no coordination. The searches are plain
-functions, methods and generators with no self-referencing closure, so a
-query leaves no reference cycle and its states are freed when it returns.
+mutable machinery (a work counter, the search memo, the oracle's best
+candidate) lives inside one call, so concurrent queries need no
+coordination. The searches are plain functions and methods, and the
+visitor the grid walk calls per sequence is a closure that does not
+refer to itself, so a query leaves no reference cycle and its states are
+freed when it returns.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from functools import partial
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from ._record import Record
 from .actions import (
@@ -138,27 +143,50 @@ def _result(best: _Candidate, explored: int, method: str) -> MevResult:
     return MevResult(Amount.from_units(value), witness, explored, method)
 
 
-def priced_balance_delta(query: MevQuery, initial: WorldState, final: WorldState) -> int:
+def price_terms(query: MevQuery, initial: WorldState) -> tuple[tuple, ...]:
+    """The per-query half of ``priced_balance_delta``: per value domain,
+    (balance key, starting units, rate into the base or None for the base).
+
+    A failed lookup is deferred to the pricing as a callable rate that
+    raises it, so each pricing raises what a per-call lookup would, in the
+    same order: ``MissingRate`` for a nonzero delta only, ``UnknownId`` at
+    an undeclared domain's turn. That domain's row, last, has key None (in
+    no state) and start 1, so its delta is never 0.
+    """
+    registry, prices, base = initial.registry, query.prices, query.base_asset
+    terms = []
+    for domain in query.value_domains:
+        asset = registry.native_assets.get(domain)
+        if asset is None:
+            terms.append((None, 1, partial(registry.native_asset, domain)))
+            break
+        key = (domain, query.player, asset)
+        if asset == base:
+            rate = None
+        elif prices.has_rate(asset, base):
+            rate = prices.rate(asset, base)
+        else:
+            rate = partial(prices.rate, asset, base)
+        terms.append((key, initial.balances.get(key, 0), rate))
+    return tuple(terms)
+
+
+def priced_balance_delta(terms: tuple[tuple, ...], final: WorldState) -> int:
     """Units of the sum over value domains of the native-asset delta priced
-    into the base.
+    into the base; ``terms`` is ``price_terms(query, initial)``.
 
     Each domain's delta is rounded half-even at the 18th digit on its own,
     as ``convert`` rounds it, and the rounded deltas sum exactly. The sum
     stays int units: searches compare it as is, and only an answer's value
     becomes an ``Amount``.
     """
-    registry = initial.registry
-    native_assets = registry.native_assets
-    prices, base, player = query.prices, query.base_asset, query.player
-    before, after = initial.balances, final.balances
+    after = final.balances
     total = 0
-    for domain in query.value_domains:
-        # ids are nonempty; ``native_asset`` raises UnknownId for an undeclared domain
-        asset = native_assets.get(domain) or registry.native_asset(domain)
-        key = (domain, player, asset)
-        delta = after.get(key, 0) - before.get(key, 0)
-        if delta and asset != base:
-            delta = mul_fraction_units(delta, prices.rate(asset, base))
+    for key, start, rate in terms:
+        delta = after.get(key, 0) - start
+        if delta and rate is not None:
+            # a deferred lookup raises its error here
+            delta = mul_fraction_units(delta, rate() if rate.__class__ is partial else rate)
         total += delta
     return total
 
@@ -256,10 +284,10 @@ class _Search:
     ``best_suffix`` solves discrete prefixes, ``best_shape`` enumerates the
     shapes a parametric action starts, ``realize`` sizes one shape."""
 
-    __slots__ = ("initial", "query", "actions", "counter", "memo", "sized")
+    __slots__ = ("terms", "query", "actions", "counter", "memo", "sized")
 
     def __init__(self, initial: WorldState, query: MevQuery, actions: tuple[Action, ...]):
-        self.initial = initial
+        self.terms = price_terms(query, initial)
         self.query = query
         self.actions = actions
         self.counter = _Counter(query.candidate_cap)
@@ -274,7 +302,7 @@ class _Search:
             return best
         self.counter.bump()
         query = self.query
-        best = (priced_balance_delta(query, self.initial, current), ())
+        best = (priced_balance_delta(self.terms, current), ())
         if len(used) < query.max_sequence_length:
             for action in self.actions:
                 if action.id in used:
@@ -318,7 +346,7 @@ class _Search:
         of the shape, so the returned candidate is exactly replayable.
         """
         if idx == len(shape):
-            return priced_balance_delta(self.query, self.initial, state), ()
+            return priced_balance_delta(self.terms, state), ()
         player, action = self.query.player, shape[idx]
         best: Optional[_Candidate] = None
 
@@ -413,58 +441,62 @@ def grid_amounts(interval, points: int) -> tuple[int, ...]:
     lo, hi = interval.lo.units, interval.hi.units
     if _grid_size(interval, points) == hi - lo + 1:
         return tuple(range(lo, hi + 1))
-    steps = points - 1
-    return tuple(div_half_even(lo * (steps - k) + hi * k, steps) for k in range(points))
+    # point k is (lo * (steps - k) + hi * k) / steps; the numerator grows by hi - lo
+    steps, span = points - 1, hi - lo
+    numerator, grid = lo * steps, []
+    for _ in range(points):
+        grid.append(div_half_even(numerator, steps))
+        numerator += span
+    return tuple(grid)
 
 
-def _grid_sequences(
-    actions: tuple[Action, ...],
-    start: WorldState,
-    player: str,
-    max_len: int,
-    grid_points: int,
-    counter: _Counter,
-) -> Iterator[tuple[WorldState, _Steps]]:
-    """Every valid sequence of length 1..max_len from ``start``, depth first
-    in action order, as (final state, steps); parametric amounts run over
-    ``grid_amounts``. Each application tried bumps ``counter`` once.
+def _grid_choices(
+    actions: tuple[Action, ...], max_len: int, grid_points: int, counter: _Counter
+) -> tuple[tuple[Action, tuple[Optional[int], ...]], ...]:
+    """Each action paired with the amount units ``_grid_walk`` tries:
+    ``grid_amounts`` for a parametric action, (None,) for a discrete one.
 
-    The grids are built here, before the first sequence is drawn, and only
+    ``grid_points < 2`` is refused first, whatever the actions and the
+    length; ``max_len < 1`` has no choice to walk. The grids are built only
     after ``counter`` is checked to have room for every depth-1 application.
     """
-    if grid_points < 2:  # refused whatever the actions and the length
+    if grid_points < 2:
         raise XdmevError("grid needs at least 2 points")
     if max_len < 1:
-        return iter(())
+        return ()
     counter.check(sum(_grid_size(a.amount, grid_points) if a.parametric else 1 for a in actions))
-    choices = tuple(
+    return tuple(
         (action, grid_amounts(action.amount, grid_points) if action.parametric else (None,))
         for action in actions
     )
-    return _grid_walk(choices, start, (), frozenset(), player, max_len, counter)
 
 
-def _grid_walk(choices, current, steps, used, player, max_len, counter):
-    """``_grid_sequences`` below the prefix ``steps`` (ids ``used``) that
-    reached ``current``, shorter than ``max_len``; ``choices`` pairs each
-    action with its amount units. A sequence of length ``max_len`` starts no
-    walk below it."""
+def _grid_walk(choices, current, steps, used, player, max_len, counter, visit) -> None:
+    """Call ``visit(final, steps, action id, units)`` for every valid
+    sequence that extends the prefix ``steps`` (ids ``used``, reaching
+    ``current``) by one to ``max_len`` steps, depth first in action order,
+    each before the sequences below it. Each application tried bumps
+    ``counter`` once. ``steps`` is the prefix: the walk builds a sequence's
+    steps only when a level lies below it, the visitor only to keep it."""
     deeper = len(steps) + 1 < max_len
     bump = counter.bump
     for action, amounts in choices:
-        if action.id in used:
+        action_id = action.id
+        if action_id in used:
             continue
-        below = used | {action.id} if deeper else used
+        below = used | {action_id} if deeper else used
         for units in amounts:
             bump()
             try:
                 nxt = apply_action(current, player, action, units)
             except XdmevError:
                 continue
-            seq = steps + ((action.id, units),)
-            yield nxt, seq
+            visit(nxt, steps, action_id, units)
             if deeper:
-                yield from _grid_walk(choices, nxt, seq, below, player, max_len, counter)
+                _grid_walk(
+                    choices, nxt, steps + ((action_id, units),), below, player, max_len,
+                    counter, visit,
+                )
 
 
 def mev_oracle(
@@ -475,22 +507,34 @@ def mev_oracle(
 ) -> MevResult:
     """Brute-force reference: enumerate ordered subsets, amounts on a grid.
 
-    Deliberately shares no search machinery with ``mev``; agreement between
-    the two is the engine's correctness check.
+    ``_grid_walk`` visits every valid sequence; the visitor prices its
+    final state with the query's ``price_terms`` and keeps the best
+    candidate, building a sequence's steps only when its value is at
+    least the best so far. ``explored`` counts the empty sequence and
+    every grid application tried. Deliberately shares no search machinery
+    with ``mev``; agreement between the two is the engine's correctness
+    check.
     """
     _validate_query(state, query)
     counter = _Counter(query.candidate_cap)
-    sequences = _grid_sequences(
-        _usable_actions(space, query.player, query.action_domains),
-        state, query.player, query.max_sequence_length, grid_points, counter,
+    max_len = query.max_sequence_length
+    choices = _grid_choices(
+        _usable_actions(space, query.player, query.action_domains), max_len, grid_points, counter
     )
     counter.bump()  # the empty sequence
+    terms = price_terms(query, state)
     best: _Candidate = (0, ())
-    for final, steps in sequences:
-        value = priced_balance_delta(query, state, final)
+
+    def keep(final: WorldState, steps: _Steps, action_id: str, units: Optional[int]) -> None:
+        nonlocal best
+        value = priced_balance_delta(terms, final)
         # as in ``_Search.realize``: a lower value cannot win the tie-break
-        if value >= best[0] and _candidate_better((value, steps), best):
-            best = (value, steps)
+        if value >= best[0]:
+            candidate = (value, steps + ((action_id, units),))
+            if _candidate_better(candidate, best):
+                best = candidate
+
+    _grid_walk(choices, state, (), frozenset(), query.player, max_len, counter, keep)
     return _result(best, counter.count, "oracle")
 
 
@@ -499,7 +543,7 @@ def replay_witness(
 ) -> Amount:
     """Re-apply a witness and re-price it; must reproduce MevResult.value."""
     final = apply_sequence(space, state, query.player, witness)
-    return Amount.from_units(priced_balance_delta(query, state, final))
+    return Amount.from_units(priced_balance_delta(price_terms(query, state), final))
 
 
 # -- reachable states ----------------------------------------------------------
@@ -517,17 +561,21 @@ def reachable_states(
     """Distinct states reachable by valid sequences of length <= max_len.
 
     Parametric amounts are sampled on the examination grid; the initial
-    state (empty sequence) is always included.
+    state (empty sequence) is always included. ``_grid_walk`` visits each
+    valid sequence and the visitor adds its final state; every application
+    tried counts against ``candidate_cap``, the empty sequence does not.
     """
     if max_len < 0:
         raise XdmevError("max_len must be >= 0")
     state.registry.require_player(player)
     domains = frozenset(state.registry.require_domain(d) for d in domains)
-    sequences = _grid_sequences(
-        _usable_actions(space, player, domains),
-        state, player, max_len, grid_points, _Counter(candidate_cap),
+    counter = _Counter(candidate_cap)
+    choices = _grid_choices(_usable_actions(space, player, domains), max_len, grid_points, counter)
+    seen = {state}
+    _grid_walk(
+        choices, state, (), frozenset(), player, max_len, counter, lambda final, *_: seen.add(final)
     )
-    return frozenset({state}.union(final for final, _ in sequences))
+    return frozenset(seen)
 
 
 # -- constant-product arbitrage -------------------------------------------------

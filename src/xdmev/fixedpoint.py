@@ -13,6 +13,7 @@ Floats are deliberately rejected as inputs: value comparisons downstream
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 FRACTIONAL_DIGITS = 18
@@ -141,6 +142,15 @@ def _units_of(other: object) -> int:
     return other.units
 
 
+def _int_digits(digits: str, part: str) -> int:
+    """``int(digits)``; past the interpreter's int conversion limit (none
+    before Python 3.10.7), a ValueError naming the part and the limit."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and len(digits) > limit:
+        raise ValueError(f"more than {limit} digits in the {part}")
+    return int(digits)
+
+
 def _parse_units(text: str) -> int:
     match = _AMOUNT_RE.match(text)
     if match is None:
@@ -149,7 +159,7 @@ def _parse_units(text: str) -> int:
     frac = frac or ""
     if len(frac) > FRACTIONAL_DIGITS:
         raise ValueError(f"more than {FRACTIONAL_DIGITS} fractional digits: {text!r}")
-    units = int(whole) * SCALE + int(frac.ljust(FRACTIONAL_DIGITS, "0") or "0")
+    units = _int_digits(whole, "integer part") * SCALE + int(frac.ljust(FRACTIONAL_DIGITS, "0"))
     return -units if sign == "-" else units
 
 
@@ -161,10 +171,11 @@ def parse_fraction(text: str) -> Fraction:
     num, sep, den = text.partition("/")
     if not sep or not num.isdigit() or not den.isdigit():
         raise ValueError(f"not a num/den rational: {text!r}")
-    denominator = int(den)
+    numerator = _int_digits(num, "numerator")
+    denominator = _int_digits(den, "denominator")
     if denominator == 0:
         raise ValueError(f"zero denominator: {text!r}")
-    return Fraction(int(num), denominator)
+    return Fraction(numerator, denominator)
 
 
 def format_fraction(ratio: Fraction) -> str:

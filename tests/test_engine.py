@@ -487,6 +487,33 @@ class TestGridWork:
                 grid_points,
             )
 
+    @pytest.mark.parametrize("name", BUNDLED_NAMES)
+    @pytest.mark.parametrize("grid_points", [5, 101])
+    def test_reachable_states_finish_exactly_up_to_their_own_count(
+        self, bundled, name, grid_points, monkeypatch
+    ):
+        # every application tried counts against the cap, the empty sequence does not
+        from xdmev import engine
+
+        scenario = bundled(name)
+        state = scenario.initial_state()
+        query = scenario.default_query()
+        walk = (scenario.space, state, query.player, query.action_domains,
+                query.max_sequence_length, grid_points)
+        tried = []
+        apply = engine.apply_action
+
+        def counting_apply(*args, **kwargs):
+            tried.append(args[2].id)
+            return apply(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "apply_action", counting_apply)
+        full = reachable_states(*walk)
+        monkeypatch.undo()
+        assert reachable_states(*walk, candidate_cap=len(tried)) == full
+        with pytest.raises(ExplosionGuard):
+            reachable_states(*walk, candidate_cap=len(tried) - 1)
+
 
 class TestAmountsAtTheEdge:
     """Searches price, compare and step in int units; an ``Amount`` is built
@@ -607,7 +634,7 @@ class TestQueryMechanics:
             return nxt
 
         def counting_price(*args, **kwargs):
-            priced.append(args[2])
+            priced.append(args[-1])
             return price(*args, **kwargs)
 
         monkeypatch.setattr(engine, "apply_action", counting_apply)
@@ -622,6 +649,38 @@ class TestQueryMechanics:
         calls.clear()
         states = reachable_states(scenario.space, state, query.player, query.action_domains, 2)
         assert len(calls) >= len(states) - 1
+
+    @pytest.mark.parametrize("name", BUNDLED_NAMES)
+    def test_search_prices_through_the_engine_binding(self, bundled, name, monkeypatch):
+        # ``mev`` prices each node it expands and each golden-section leaf
+        # once, through the binding the benchmark wraps
+        from xdmev import engine
+
+        priced, nodes, leaves = [], [], []
+        price = engine.priced_balance_delta
+        best_suffix, realize = engine._Search.best_suffix, engine._Search.realize
+
+        def counting_price(*args, **kwargs):
+            priced.append(args[-1])
+            return price(*args, **kwargs)
+
+        def counting_best_suffix(search, current, used):
+            if (current, used) not in search.memo:
+                nodes.append(current)
+            return best_suffix(search, current, used)
+
+        def counting_realize(search, shape, idx, state):
+            if idx == len(shape):
+                leaves.append(state)
+            return realize(search, shape, idx, state)
+
+        monkeypatch.setattr(engine, "priced_balance_delta", counting_price)
+        monkeypatch.setattr(engine._Search, "best_suffix", counting_best_suffix)
+        monkeypatch.setattr(engine._Search, "realize", counting_realize)
+        scenario = bundled(name)
+        result = mev(scenario.space, scenario.initial_state(), scenario.default_query())
+        assert sorted(map(id, priced)) == sorted(map(id, nodes + leaves))
+        assert (len(leaves) > 0) == (result.method == "golden-section")
 
     def test_reachable_states_guard(self, bundled):
         scenario = bundled("appendix_b_4amm")

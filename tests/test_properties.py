@@ -11,11 +11,15 @@ import json
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations, product
 
+from xdmev.actions import apply_sequence
 from xdmev.collusion import Verdict, classify_collusion
-from xdmev.engine import MevQuery, mev, mev_oracle, priced_balance_delta, replay_witness
+from xdmev.engine import (
+    MevQuery, mev, mev_oracle, price_terms, priced_balance_delta, replay_witness,
+)
 from xdmev.errors import MissingRate, UnknownId, XdmevError
-from xdmev.fixedpoint import Amount
+from xdmev.fixedpoint import Amount, div_half_even
 from xdmev.model import PriceMatrix, Registry, WorldState, convert
 from xdmev.scenario import Scenario, loads, serialize_scenario
 from xdmev.venues import DIRECTIONS
@@ -324,7 +328,10 @@ def test_priced_balance_delta_matches_per_domain_convert():
             base_domain=domains[0], base_asset=base, prices=prices,
         )
         outcomes = []
-        for pricer in (priced_balance_delta, priced_delta_reference):
+        for pricer in (
+            lambda q, i, f: priced_balance_delta(price_terms(q, i), f),
+            priced_delta_reference,
+        ):
             try:
                 outcomes.append(pricer(query, initial, final))
             except XdmevError as exc:
@@ -344,6 +351,64 @@ def test_engine_agrees_with_oracle_on_random_discrete_scenarios():
         slow = mev_oracle(scenario.space, state, query)
         assert fast.value == slow.value, f"seed {seed}"
         assert fast.witness == slow.witness, f"seed {seed}"
+
+
+def brute_force_best(scenario: Scenario, query: MevQuery, grid_points: int):
+    """(value units, witness) of the best sequence, found by applying every
+    ordered choice of the player's actions, every amount of each parametric
+    one on an even grid, from the initial state with ``apply_sequence``.
+
+    Best is the order ``mev`` documents: value desc, length asc, id list
+    asc, amounts asc (no amount first)."""
+    state = scenario.initial_state()
+    actions = scenario.space.for_player(query.player)
+    steps = grid_points - 1
+    grids = {}
+    for action in actions:
+        if action.parametric:
+            lo, hi = action.amount.lo.units, action.amount.hi.units
+            units = {div_half_even(lo * (steps - k) + hi * k, steps) for k in range(grid_points)}
+            grids[action.id] = [Amount.from_units(u) for u in sorted(units)]
+    best_key, best = None, None
+    for length in range(query.max_sequence_length + 1):
+        for chosen in permutations(actions, length):
+            for amounts in product(*(grids.get(a.id, (None,)) for a in chosen)):
+                seq = tuple(zip((a.id for a in chosen), amounts))
+                try:
+                    final = apply_sequence(
+                        scenario.space, state, query.player, seq, query.action_domains
+                    )
+                except XdmevError:
+                    continue
+                value = priced_delta_reference(query, state, final)
+                key = (-value, length, [a.id for a in chosen],
+                       [-1 if x is None else x.units for x in amounts])
+                if best_key is None or key < best_key:
+                    best_key, best = key, (value, seq)
+    return best
+
+
+def test_oracle_equals_a_brute_force_enumeration():
+    # the oracle builds a sequence's steps only for a level below it or a
+    # value at least the best so far, and keeps the best through a visitor
+    for _, label, scenario in both_variants():
+        state = scenario.initial_state()
+        query = scenario.default_query()
+        oracle = mev_oracle(scenario.space, state, query, grid_points=5)
+        value, witness = brute_force_best(scenario, query, grid_points=5)
+        assert (oracle.value.units, oracle.witness) == (value, witness), label
+
+
+def test_oracle_never_beats_the_engine_on_parametric_scenarios():
+    # the engine sizes a parametric slot by golden-section over every unit;
+    # the oracle's even grid finds no better amount on these scenarios
+    for seed in range(SCENARIO_RUNS):
+        scenario = build(seed, parametric=True)
+        state = scenario.initial_state()
+        query = scenario.default_query()
+        oracle = mev_oracle(scenario.space, state, query, grid_points=201)
+        engine = mev(scenario.space, state, query)
+        assert oracle.value <= engine.value, f"seed {seed}: {oracle.value} > {engine.value}"
 
 
 def test_available_actions_are_individually_performable():

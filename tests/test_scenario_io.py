@@ -718,6 +718,34 @@ class TestRejections:
         assert str(err.value) == f"{field}: {message}"
 
 
+@pytest.mark.parametrize("doc, path, value, field, message", [
+    (lambda: json.loads(bundled_path("cp_arbitrage_small").read_text(encoding="utf-8")),
+     ("pools", 0, "reserve_x"), "1" * 5000, "pools[0].reserve_x",
+     "more than 4300 digits in the integer part"),
+    (full_doc, ("bridges", 0, "rate"), "1" * 5000 + "/1", "bridges[0].rate",
+     "more than 4300 digits in the numerator"),
+], ids=["amount", "rate"])
+def test_number_past_the_digit_limit_names_its_field(
+    capsys, tmp_path, doc, path, value, field, message
+):
+    # the interpreter's own message would tell the author to call
+    # ``sys.set_int_max_str_digits``; the schema's names the field and the limit
+    from xdmev import cli
+
+    raw = doc()
+    parent = raw
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with pytest.raises(ValidationError) as err:
+        loads(json.dumps(raw))
+    assert (err.value.field, str(err.value)) == (field, f"{field}: {message}")
+    document = tmp_path / "long.json"
+    document.write_text(json.dumps(raw))
+    assert cli.main(["validate", "--scenario", str(document)]) == 2
+    assert capsys.readouterr().err == f"error: {field}: {message}\n"
+
+
 # -- rejections generated from the schema tables ------------------------------------
 
 _POOL_TYPES = {ConstantProductPool: "constant-product", StylizedMidpointPool: "stylized"}
