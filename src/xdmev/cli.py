@@ -3,8 +3,9 @@
 Subcommands: ``mev`` (run a value query), ``collusion`` (classify a
 coalition), ``oracle-check`` (engine vs. brute-force cross-check),
 ``validate`` (schema check only). Reports go to stdout, diagnostics to
-stderr. Exit codes: 0 success, 2 validation/parse failure or unreadable
-scenario file, 3 search explosion, 4 oracle disagreement.
+stderr. Exit codes: 0 success, 2 validation/parse failure, unreadable
+scenario file or an amount range past float range, 3 search explosion
+(work cap or nesting depth), 4 oracle disagreement.
 
 Machine-readable output is deterministic: sorted keys, decimal strings,
 no timestamps; identical invocations produce identical bytes.

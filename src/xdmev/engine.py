@@ -6,12 +6,19 @@ continuous trade sizes by golden-section at the leaves; the one probe
 schedule, ``_golden_section``, also serves ``optimal_cp_arbitrage``.
 ``mev_oracle`` is the independent cross-check: plain enumeration with
 amounts discretized on an even grid, sharing nothing with the search but
-the state semantics.
+the state semantics. A search whose sequences nest deeper than the
+interpreter's recursion limit, or a golden-section range past float
+range, raises a one-line ``XdmevError`` (``ExplosionGuard`` for depth)
+instead of escaping with a Python error.
 
 Both compute on int units (see ``model``). A query's pricing is prepared
 once: ``price_terms`` resolves each value domain's balance key, starting
 units and rate, and ``priced_balance_delta(terms, final)`` then prices a
-candidate's final state in units. A candidate is (value units, steps)
+candidate's final state in units. The last slot of a shape ``mev`` sizes
+applies to a ``_LastSlot`` stand-in instead of a state: its ``update``
+checks and moves balances as ``WorldState.update`` does and returns them,
+so a last-slot probe builds no ``WorldState`` and is priced from the
+balances it moved. A candidate is (value units, steps)
 with steps (action id, amount units or None), and the oracle's grid is
 units. An answer's ``MevResult.value`` and its witness's ``(id, Amount)``
 steps are built once, from the winning candidate.
@@ -28,6 +35,7 @@ freed when it returns.
 from __future__ import annotations
 
 import math
+import sys
 from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -40,9 +48,9 @@ from .actions import (
     apply_sequence,
     max_feasible_amount,
 )
-from .errors import ExplosionGuard, NoOpportunity, UnknownId, XdmevError
-from .fixedpoint import Amount, div_half_even, mul_fraction_units
-from .model import PriceMatrix, WorldState, balance_of
+from .errors import ExplosionGuard, InsufficientBalance, NoOpportunity, UnknownId, XdmevError
+from .fixedpoint import Amount, div_half_even, format_units, mul_fraction_units
+from .model import BalanceKey, PriceMatrix, WorldState, balance_of
 from .model import convert  # noqa: F401  re-exported; perfbench/tracing.py wraps engine.convert
 from .venues import ConstantProductPool
 from . import _kernels
@@ -171,9 +179,10 @@ def price_terms(query: MevQuery, initial: WorldState) -> tuple[tuple, ...]:
     return tuple(terms)
 
 
-def priced_balance_delta(terms: tuple[tuple, ...], final: WorldState) -> int:
+def priced_balance_delta(terms: tuple[tuple, ...], final: WorldState | _Moved) -> int:
     """Units of the sum over value domains of the native-asset delta priced
-    into the base; ``terms`` is ``price_terms(query, initial)``.
+    into the base; ``terms`` is ``price_terms(query, initial)``, and only
+    ``final.balances`` is read: a state's, or a last-slot probe's.
 
     Each domain's delta is rounded half-even at the 18th digit on its own,
     as ``convert`` rounds it, and the rounded deltas sum exactly. The sum
@@ -230,6 +239,14 @@ def _validate_query(state: WorldState, query: MevQuery) -> None:
         raise XdmevError("max_sequence_length must be >= 0")
 
 
+def _too_deep() -> ExplosionGuard:
+    """What a search raises instead of ``RecursionError``: its sequences nest
+    one call per step, deeper than the interpreter allows."""
+    return ExplosionGuard(
+        f"search nesting exceeded the interpreter's recursion limit of {sys.getrecursionlimit()}"
+    )
+
+
 def _usable_actions(
     space: ActionSpaceSpec, player: str, domains: frozenset[str]
 ) -> tuple[Action, ...]:
@@ -240,28 +257,42 @@ def _usable_actions(
 # -- exhaustive search -------------------------------------------------------
 
 
-def _golden_section(lo_u: int, hi_u: int, score: Callable[[int], Optional[int]]) -> None:
+def _golden_section(
+    lo_u: int, hi_u: int, score: Callable[[int], Optional[int]], label: str
+) -> None:
     """Probe integer amounts in ``[lo_u, hi_u]`` by golden-section on ``score``.
 
     Both ends are probed first; past two integers, float positions are
     rounded and clamped into the range until the bracket is at most
     ``max((hi - lo) * 1e-12, 1)``. A None score (an invalid probe) ranks
     below every value. Each integer is scored once; the caller keeps its
-    own best probe.
+    own best probe. A range past float range raises ``XdmevError`` naming
+    ``label`` (what is being sized) after the two end probes.
     """
     scores: dict[int, Optional[int]] = {}
 
     def probe(x: float) -> Optional[int]:
-        units = min(max(round(x), lo_u), hi_u)
-        if units not in scores:
-            scores[units] = score(units)
-        return scores[units]
+        units = round(x)
+        if units < lo_u:
+            units = lo_u
+        elif units > hi_u:
+            units = hi_u
+        if units in scores:
+            return scores[units]
+        value = scores[units] = score(units)
+        return value
 
     probe(lo_u)
     probe(hi_u)
     if hi_u - lo_u <= 1:
         return
-    lo_f, hi_f = float(lo_u), float(hi_u)
+    try:
+        lo_f, hi_f = float(lo_u), float(hi_u)
+    except OverflowError:
+        raise XdmevError(
+            f"{label}: amount range reaches past {sys.float_info.max:.4g} units, "
+            "too wide for golden-section sizing"
+        ) from None
     tol = max((hi_f - lo_f) * 1e-12, 1.0)
     c = hi_f - (hi_f - lo_f) * _INV_PHI
     d = lo_f + (hi_f - lo_f) * _INV_PHI
@@ -278,11 +309,74 @@ def _golden_section(lo_u: int, hi_u: int, score: Callable[[int], Optional[int]])
             fd = probe(d)
 
 
+class _Moved:
+    """What ``priced_balance_delta`` reads of a state: the balances a
+    ``_LastSlot`` probe leaves."""
+
+    __slots__ = ("balances",)
+
+    def __init__(self, balances: dict[BalanceKey, int]):
+        self.balances = balances
+
+
+class _LastSlot:
+    """Stand-in for the state a shape's last slot applies to, as
+    ``venues._QuoteState`` is for ``quote_swap``: the four fields the venues
+    read, and an ``update`` that moves balances as ``WorldState.update``
+    does, with the same checks, messages and order, and returns them as a
+    ``_Moved``. No later slot reads the pools or the consumed ids, so they
+    are dropped and no ``WorldState`` is built. The checks are a copy, not
+    a helper both call: ``WorldState.update`` is every other application's
+    hot path, and a helper call there slows the oracle's grid walk."""
+
+    __slots__ = ("registry", "balances", "pools", "consumed")
+
+    def __init__(self, state: WorldState):
+        self.registry = state.registry
+        self.balances = state.balances
+        self.pools = state.pools
+        self.consumed = state.consumed
+
+    def update(self, debit=None, credit=None, pools=(), consumed=None) -> _Moved:
+        balances = self.balances
+        if debit is not None or credit is not None:
+            balances = balances.copy()
+            if debit is not None:
+                key, units = debit
+                if units < 0:
+                    raise InsufficientBalance(
+                        f"cannot debit negative amount {format_units(units)}"
+                    )
+                held = balances.get(key, 0)
+                if held > units:
+                    balances[key] = held - units
+                elif held < units:
+                    domain, player, asset = key
+                    raise InsufficientBalance(
+                        f"{player} holds {format_units(held)} {asset} on {domain}, "
+                        f"needs {format_units(units)}"
+                    )
+                elif units:
+                    del balances[key]
+            if credit is not None:
+                key, units = credit
+                if units < 0:
+                    raise InsufficientBalance(
+                        f"cannot credit negative amount {format_units(units)}"
+                    )
+                units += balances.get(key, 0)
+                if units:  # held and credited are never negative
+                    balances[key] = units
+        return _Moved(balances)
+
+
 class _Search:
     """One ``mev`` call's search. Plain methods instead of recursive
     closures, so no reference cycle keeps the memo alive after the call:
     ``best_suffix`` solves discrete prefixes, ``best_shape`` enumerates the
-    shapes a parametric action starts, ``realize`` sizes one shape."""
+    shapes a parametric action starts, ``realize`` sizes one shape. Each
+    node and each probe of a shape's last slot is priced once, through
+    ``priced_balance_delta``; a last slot builds no ``WorldState``."""
 
     __slots__ = ("terms", "query", "actions", "counter", "memo", "sized")
 
@@ -343,23 +437,29 @@ class _Search:
         A discrete slot applies once. A parametric slot runs
         ``_golden_section`` over the affordable part of its interval, each
         probe applied in exact fixed point and scored by the optimized rest
-        of the shape, so the returned candidate is exactly replayable.
+        of the shape, so the returned candidate is exactly replayable. The
+        last slot applies to a ``_LastSlot`` stand-in for ``state``: its
+        probes build no ``WorldState``, and each is priced once, outside
+        the probe's ``try``, from the balances it moved.
         """
-        if idx == len(shape):
-            return priced_balance_delta(self.terms, state), ()
-        player, action = self.query.player, shape[idx]
+        player, action, terms = self.query.player, shape[idx], self.terms
+        last = idx == len(shape) - 1
+        target = _LastSlot(state) if last else state
         best: Optional[_Candidate] = None
 
         def score(units: Optional[int]) -> Optional[int]:
             nonlocal best
             try:
-                nxt = apply_action(state, player, action, units)
+                nxt = apply_action(target, player, action, units)
             except XdmevError:
                 return None
-            rest = self.realize(shape, idx + 1, nxt)
-            if rest is None:
-                return None
-            value, tail = rest
+            if last:
+                value, tail = priced_balance_delta(terms, nxt), ()
+            else:
+                rest = self.realize(shape, idx + 1, nxt)
+                if rest is None:
+                    return None
+                value, tail = rest
             # a lower value loses the tie-break outright; build no candidate for it
             if best is None or value >= best[0]:
                 step = action.step if units is None else (action.id, units)
@@ -375,7 +475,7 @@ class _Search:
             hi_u = max_feasible_amount(state, player, action)
             if hi_u >= lo_u:
                 self.sized = True
-                _golden_section(lo_u, hi_u, score)
+                _golden_section(lo_u, hi_u, score, f"action {action.id!r}")
         return best
 
 
@@ -397,7 +497,10 @@ def mev(space: ActionSpaceSpec, state: WorldState, query: MevQuery) -> MevResult
     """
     _validate_query(state, query)
     search = _Search(state, query, _usable_actions(space, query.player, query.action_domains))
-    best = search.best_suffix(state, frozenset())
+    try:
+        best = search.best_suffix(state, frozenset())
+    except RecursionError:
+        raise _too_deep() from None
     return _result(best, search.counter.count, "golden-section" if search.sized else "exhaustive")
 
 
@@ -534,7 +637,10 @@ def mev_oracle(
             if _candidate_better(candidate, best):
                 best = candidate
 
-    _grid_walk(choices, state, (), frozenset(), query.player, max_len, counter, keep)
+    try:
+        _grid_walk(choices, state, (), frozenset(), query.player, max_len, counter, keep)
+    except RecursionError:
+        raise _too_deep() from None
     return _result(best, counter.count, "oracle")
 
 
@@ -572,9 +678,13 @@ def reachable_states(
     counter = _Counter(candidate_cap)
     choices = _grid_choices(_usable_actions(space, player, domains), max_len, grid_points, counter)
     seen = {state}
-    _grid_walk(
-        choices, state, (), frozenset(), player, max_len, counter, lambda final, *_: seen.add(final)
-    )
+    try:
+        _grid_walk(
+            choices, state, (), frozenset(), player, max_len, counter,
+            lambda final, *_: seen.add(final),
+        )
+    except RecursionError:
+        raise _too_deep() from None
     return frozenset(seen)
 
 
@@ -644,7 +754,7 @@ def optimal_cp_arbitrage(
             if units > 0:
                 score(units)
     else:
-        _golden_section(1, cheap_ry, score)
+        _golden_section(1, cheap_ry, score, f"pools {pool_a.id} and {pool_b.id}")
 
     if best_amount <= 0 or best_profit <= 0:
         raise NoOpportunity(

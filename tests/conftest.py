@@ -58,6 +58,28 @@ def one_domain_doc() -> dict:
     }
 
 
+def deep_tips_doc(n: int) -> dict:
+    """``n`` pending transfers of 1 GLD each from a funded whale to P, at
+    ``max_sequence_length`` n: the searches nest one call per step, past
+    the interpreter's recursion limit from n = 1000 on."""
+    doc = one_domain_doc()
+    doc["players"][0]["capabilities"] = [{"domain": "d0", "kinds": ["ExecutePendingTx"]}]
+    doc["players"].append({
+        "id": "whale",
+        "balances": [{"domain": "d0", "asset": "GLD", "amount": str(n)}],
+        "capabilities": [],
+    })
+    doc["mempool"] = [
+        {"id": f"tip_{k:04d}", "domain": "d0", "effect": {
+            "type": "transfer", "from_account": "whale", "to_account": "P",
+            "asset": "GLD", "amount": "1",
+        }}
+        for k in range(n)
+    ]
+    doc["defaults"]["max_sequence_length"] = n
+    return doc
+
+
 @pytest.fixture(scope="session")
 def bundled():
     cache: dict[str, Scenario] = {}

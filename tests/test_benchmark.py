@@ -34,12 +34,13 @@ ORACLE_GRID_SEED1_COUNTS = {
 
 # seed-1 counts of one traced cp_chain round (both swaps parametric): the
 # golden-section probes apply and score int units, and a failed probe's
-# message formats units: Amounts are built for the answers only
+# message formats units: Amounts are built for the answers only; a shape's
+# last slot applies to a stand-in, so states are built only below it
 CP_CHAIN_SEED1_COUNTS = {
     "engine.explored": 48,
     "actions.apply_calls": 46_872,
     "kernels.swap_out_calls": 46_872,
-    "model.worldstate_new": 46_494,
+    "model.worldstate_new": 744,
     "fixedpoint.amount_new": 36,
 }
 

@@ -3,10 +3,11 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from conftest import one_domain_doc
+from conftest import deep_tips_doc, one_domain_doc
 from xdmev import cli
 from xdmev.errors import ExplosionGuard
 from xdmev.scenario import bundled_path
@@ -280,6 +281,49 @@ class TestValidateCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: malformed document: ") and err.count("\n") == 1
+
+
+class TestSearchLimits:
+    """Inputs past the search's numeric or nesting range exit with one error line."""
+
+    HUGE = "1" + "0" * 400
+
+    def overflow_doc(self, hi: str) -> dict:
+        """``cp_arbitrage_small`` with ``buy_pool_a``'s interval and P's DAI
+        balance both raised to ``hi``."""
+        doc = json.loads(bundled_path("cp_arbitrage_small").read_text(encoding="utf-8"))
+        doc["players"][0]["balances"][0]["amount"] = hi
+        (buy,) = [a for a in doc["actions"] if a["id"] == "buy_pool_a"]
+        buy["amount"]["interval"][1] = hi
+        return doc
+
+    @pytest.mark.parametrize("command", ["mev", "oracle-check"])
+    def test_parametric_range_past_float_range_exits_2(self, capsys, tmp_path, command):
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(self.overflow_doc(self.HUGE)))
+        code, out, err = run_cli(capsys, command, "--scenario", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: action 'buy_pool_a': amount range reaches past ")
+        assert err.count("\n") == 1
+
+    def test_parametric_range_inside_float_range_is_sized(self, capsys, tmp_path):
+        # 10**250 units still converts to a float: golden-section sizes it
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(self.overflow_doc("1" + "0" * 232)))
+        code, out, err = run_cli(capsys, "mev", "--scenario", str(path), "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["result"]["method"] == "golden-section"
+
+    @pytest.mark.parametrize("command", ["mev", "oracle-check"])
+    def test_document_nested_past_the_recursion_limit_exits_3(self, capsys, tmp_path, command):
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(deep_tips_doc(1200)))
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, command, "--scenario", str(path))
+        assert time.perf_counter() - started < 30
+        assert (code, out) == (3, "")
+        assert err.startswith("error: search nesting exceeded the interpreter's recursion limit")
+        assert err.count("\n") == 1
 
 
 class TestWitnessRendering:

@@ -3,11 +3,12 @@
 import gc
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from conftest import one_domain_doc, scen
+from conftest import deep_tips_doc, one_domain_doc, scen
 from xdmev._kernels import grid_scan, round_trip_profit
 from xdmev.engine import (
     MevQuery,
@@ -367,6 +368,17 @@ class TestOptimalCpArbitrage:
         with pytest.raises(Exception):
             optimal_cp_arbitrage(a, other)
 
+    def test_fee_pair_past_float_range_raises_one_error(self):
+        # the fee case sizes by golden-section over the buy pool's reserve
+        a, b = (
+            ConstantProductPool(
+                id=pid, domain="dex", asset_x="ETH", asset_y="DAI",
+                reserve_x_units=Amount("100").units, reserve_y_units=ry * 10**400, fee_bps=30)
+            for pid, ry in (("pool_a", 2), ("pool_b", 3))
+        )
+        with pytest.raises(XdmevError, match="^pools pool_a and pool_b: amount range reaches past "):
+            optimal_cp_arbitrage(a, b)
+
 
 class TestOracleAgreement:
     def test_discrete_scenarios_agree_exactly(self, bundled):
@@ -652,17 +664,34 @@ class TestQueryMechanics:
 
     @pytest.mark.parametrize("name", BUNDLED_NAMES)
     def test_search_prices_through_the_engine_binding(self, bundled, name, monkeypatch):
-        # ``mev`` prices each node it expands and each golden-section leaf
-        # once, through the binding the benchmark wraps
+        # ``mev`` prices each node it expands and each probe of a shape's last
+        # slot once, through the binding the benchmark wraps; a last slot
+        # applies to a stand-in and builds no ``WorldState``
         from xdmev import engine
+        from xdmev.model import WorldState
 
-        priced, nodes, leaves = [], [], []
-        price = engine.priced_balance_delta
+        priced, nodes, last_probes, built = [], [], [], []
+        applied_to_states = 0
+        realizing = []  # per open ``realize`` call: whether it applies a last slot
+        price, apply = engine.priced_balance_delta, engine.apply_action
         best_suffix, realize = engine._Search.best_suffix, engine._Search.realize
+        init = WorldState.__init__
 
         def counting_price(*args, **kwargs):
             priced.append(args[-1])
             return price(*args, **kwargs)
+
+        def counting_apply(state, *args, **kwargs):
+            nonlocal applied_to_states
+            last = bool(realizing) and realizing[-1]
+            assert isinstance(state, WorldState) is not last
+            nxt = apply(state, *args, **kwargs)  # a failed application raises past the count
+            if last:
+                assert not isinstance(nxt, WorldState)
+                last_probes.append(nxt)
+            else:
+                applied_to_states += 1
+            return nxt
 
         def counting_best_suffix(search, current, used):
             if (current, used) not in search.memo:
@@ -670,23 +699,48 @@ class TestQueryMechanics:
             return best_suffix(search, current, used)
 
         def counting_realize(search, shape, idx, state):
-            if idx == len(shape):
-                leaves.append(state)
-            return realize(search, shape, idx, state)
+            realizing.append(idx == len(shape) - 1)
+            try:
+                return realize(search, shape, idx, state)
+            finally:
+                realizing.pop()
+
+        def counting_init(state, *args, **kwargs):
+            built.append(state)
+            init(state, *args, **kwargs)
 
         monkeypatch.setattr(engine, "priced_balance_delta", counting_price)
+        monkeypatch.setattr(engine, "apply_action", counting_apply)
         monkeypatch.setattr(engine._Search, "best_suffix", counting_best_suffix)
         monkeypatch.setattr(engine._Search, "realize", counting_realize)
         scenario = bundled(name)
-        result = mev(scenario.space, scenario.initial_state(), scenario.default_query())
-        assert sorted(map(id, priced)) == sorted(map(id, nodes + leaves))
-        assert (len(leaves) > 0) == (result.method == "golden-section")
+        state, query = scenario.initial_state(), scenario.default_query()
+        monkeypatch.setattr(WorldState, "__init__", counting_init)
+        result = mev(scenario.space, state, query)
+        assert sorted(map(id, priced)) == sorted(map(id, nodes + last_probes))
+        # one state per successful application outside a last slot, none inside
+        assert len(built) == applied_to_states
+        assert (len(last_probes) > 0) == (result.method == "golden-section")
 
     def test_reachable_states_guard(self, bundled):
         scenario = bundled("appendix_b_4amm")
         state = scenario.initial_state()
         with pytest.raises(ExplosionGuard):
             reachable_states(scenario.space, state, "P", {"i", "j"}, 7, candidate_cap=5)
+
+    @pytest.mark.parametrize("search", ["mev", "mev_oracle", "reachable_states"])
+    def test_nesting_past_the_recursion_limit_raises_the_guard(self, search):
+        scenario = scen(deep_tips_doc(1200))
+        space, state, query = scenario.space, scenario.initial_state(), scenario.default_query()
+        run = {
+            "mev": lambda: mev(space, state, query),
+            "mev_oracle": lambda: mev_oracle(space, state, query),
+            "reachable_states": lambda: reachable_states(space, state, "P", {"d0"}, 1200),
+        }[search]
+        started = time.perf_counter()
+        with pytest.raises(ExplosionGuard, match="recursion limit"):
+            run()
+        assert time.perf_counter() - started < 30
 
     def test_repeated_query_gives_identical_result(self, bundled):
         scenario = bundled("appendix_b_4amm")
