@@ -197,7 +197,7 @@ def available_actions(
     so every returned action extends to a valid single-action sequence.
     """
     state.registry.require_player(player)
-    domains = frozenset(state.registry.require_domain(d) for d in domains)
+    domains = state.registry.require_domains(domains)
     out = []
     for action in space.for_player(player):
         if not action.domains <= domains:
@@ -237,7 +237,7 @@ def validate_sequence(
 ) -> Optional[SequenceViolation]:
     """None when the sequence is valid, else ``apply_sequence``'s failing step."""
     state.registry.require_player(player)
-    domains = frozenset(state.registry.require_domain(d) for d in domains)
+    domains = state.registry.require_domains(domains)
     try:
         apply_sequence(space, state, player, seq, domains)
     except SequenceStepError as exc:

@@ -11,17 +11,17 @@ interpreter's recursion limit, or a golden-section range past float
 range, raises a one-line ``XdmevError`` (``ExplosionGuard`` for depth)
 instead of escaping with a Python error.
 
-Both compute on int units (see ``model``). A query's pricing is prepared
-once: ``price_terms`` resolves each value domain's balance key, starting
-units and rate, and ``priced_balance_delta(terms, final)`` then prices a
-candidate's final state in units. The last slot of a shape ``mev`` sizes
-applies to a ``_LastSlot`` stand-in instead of a state: its ``update``
-checks and moves balances as ``WorldState.update`` does and returns them,
-so a last-slot probe builds no ``WorldState`` and is priced from the
-balances it moved. A candidate is (value units, steps)
-with steps (action id, amount units or None), and the oracle's grid is
-units. An answer's ``MevResult.value`` and its witness's ``(id, Amount)``
-steps are built once, from the winning candidate.
+Both compute on int units (see ``model``). Before any search, one pass
+of ``price_terms`` checks the query and resolves each value domain's
+balance key, starting units and rate; ``priced_balance_delta(terms,
+balances)`` then prices a candidate's final balance map in units. The
+last slot of a shape ``mev`` sizes applies to a ``_LastSlot`` stand-in:
+its ``update`` checks and moves balances as ``WorldState.update`` does
+and returns the moved map, so a last-slot probe builds no ``WorldState``.
+A candidate is (value units, steps) with steps (action id, amount units
+or None), and the oracle's grid is units. An answer's ``MevResult.value``
+and its witness's ``(id, Amount)`` steps are built once, from the
+winning candidate.
 
 Everything here is a pure function over immutable values; the only
 mutable machinery (a work counter, the search memo, the oracle's best
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from ._record import Record
@@ -152,50 +151,49 @@ def _result(best: _Candidate, explored: int, method: str) -> MevResult:
 
 
 def price_terms(query: MevQuery, initial: WorldState) -> tuple[tuple, ...]:
-    """The per-query half of ``priced_balance_delta``: per value domain,
-    (balance key, starting units, rate into the base or None for the base).
-
-    A failed lookup is deferred to the pricing as a callable rate that
-    raises it, so each pricing raises what a per-call lookup would, in the
-    same order: ``MissingRate`` for a nonzero delta only, ``UnknownId`` at
-    an undeclared domain's turn. That domain's row, last, has key None (in
-    no state) and start 1, so its delta is never 0.
-    """
+    """The query's one check, which also resolves its pricing: per value
+    domain, (balance key, starting units, rate into the base or None for
+    the base). The first failure raises, in order: player, nonempty and
+    distinct domains, action domains (sorted), base domain and asset, each
+    value domain and its rate (``MissingRate``), then the length bound."""
     registry, prices, base = initial.registry, query.prices, query.base_asset
+    registry.require_player(query.player)
+    if not query.action_domains:
+        raise UnknownId("action_domains must be nonempty")
+    if not query.value_domains:
+        raise UnknownId("value_domains must be nonempty")
+    if len(set(query.value_domains)) != len(query.value_domains):
+        raise UnknownId("value_domains must not repeat")
+    registry.require_domains(query.action_domains)
+    registry.require_domain(query.base_domain)
+    registry.require_asset(base)
     terms = []
     for domain in query.value_domains:
-        asset = registry.native_assets.get(domain)
-        if asset is None:
-            terms.append((None, 1, partial(registry.native_asset, domain)))
-            break
+        asset = registry.native_asset(domain)
         key = (domain, query.player, asset)
-        if asset == base:
-            rate = None
-        elif prices.has_rate(asset, base):
-            rate = prices.rate(asset, base)
-        else:
-            rate = partial(prices.rate, asset, base)
+        rate = None if asset == base else prices.rate(asset, base)
         terms.append((key, initial.balances.get(key, 0), rate))
+    if query.max_sequence_length < 0:
+        raise XdmevError("max_sequence_length must be >= 0")
     return tuple(terms)
 
 
-def priced_balance_delta(terms: tuple[tuple, ...], final: WorldState | _Moved) -> int:
+def priced_balance_delta(terms: tuple[tuple, ...], balances: dict[BalanceKey, int]) -> int:
     """Units of the sum over value domains of the native-asset delta priced
-    into the base; ``terms`` is ``price_terms(query, initial)``, and only
-    ``final.balances`` is read: a state's, or a last-slot probe's.
+    into the base; ``terms`` is ``price_terms(query, initial)`` and
+    ``balances`` a final balance map: a state's, or the one a last-slot
+    probe moved.
 
     Each domain's delta is rounded half-even at the 18th digit on its own,
     as ``convert`` rounds it, and the rounded deltas sum exactly. The sum
     stays int units: searches compare it as is, and only an answer's value
     becomes an ``Amount``.
     """
-    after = final.balances
     total = 0
     for key, start, rate in terms:
-        delta = after.get(key, 0) - start
+        delta = balances.get(key, 0) - start
         if delta and rate is not None:
-            # a deferred lookup raises its error here
-            delta = mul_fraction_units(delta, rate() if rate.__class__ is partial else rate)
+            delta = mul_fraction_units(delta, rate)
         total += delta
     return total
 
@@ -216,27 +214,6 @@ def extractable_value(
     return balance_of(final, value_domain, player, asset) - balance_of(
         state, value_domain, player, asset
     )
-
-
-def _validate_query(state: WorldState, query: MevQuery) -> None:
-    registry = state.registry
-    registry.require_player(query.player)
-    if not query.action_domains:
-        raise UnknownId("action_domains must be nonempty")
-    if not query.value_domains:
-        raise UnknownId("value_domains must be nonempty")
-    if len(set(query.value_domains)) != len(query.value_domains):
-        raise UnknownId("value_domains must not repeat")
-    for domain in query.action_domains:
-        registry.require_domain(domain)
-    registry.require_domain(query.base_domain)
-    registry.require_asset(query.base_asset)
-    for domain in query.value_domains:
-        registry.require_domain(domain)
-        # raises MissingRate when a native asset cannot be priced to base
-        query.prices.rate(registry.native_asset(domain), query.base_asset)
-    if query.max_sequence_length < 0:
-        raise XdmevError("max_sequence_length must be >= 0")
 
 
 def _too_deep() -> ExplosionGuard:
@@ -309,22 +286,12 @@ def _golden_section(
             fd = probe(d)
 
 
-class _Moved:
-    """What ``priced_balance_delta`` reads of a state: the balances a
-    ``_LastSlot`` probe leaves."""
-
-    __slots__ = ("balances",)
-
-    def __init__(self, balances: dict[BalanceKey, int]):
-        self.balances = balances
-
-
 class _LastSlot:
     """Stand-in for the state a shape's last slot applies to, as
     ``venues._QuoteState`` is for ``quote_swap``: the four fields the venues
     read, and an ``update`` that moves balances as ``WorldState.update``
-    does, with the same checks, messages and order, and returns them as a
-    ``_Moved``. No later slot reads the pools or the consumed ids, so they
+    does, with the same checks, messages and order, and returns the moved
+    balance map. No later slot reads the pools or the consumed ids, so they
     are dropped and no ``WorldState`` is built. The checks are a copy, not
     a helper both call: ``WorldState.update`` is every other application's
     hot path, and a helper call there slows the oracle's grid walk."""
@@ -337,7 +304,7 @@ class _LastSlot:
         self.pools = state.pools
         self.consumed = state.consumed
 
-    def update(self, debit=None, credit=None, pools=(), consumed=None) -> _Moved:
+    def update(self, debit=None, credit=None, pools=(), consumed=None) -> dict[BalanceKey, int]:
         balances = self.balances
         if debit is not None or credit is not None:
             balances = balances.copy()
@@ -367,7 +334,7 @@ class _LastSlot:
                 units += balances.get(key, 0)
                 if units:  # held and credited are never negative
                     balances[key] = units
-        return _Moved(balances)
+        return balances
 
 
 class _Search:
@@ -380,8 +347,8 @@ class _Search:
 
     __slots__ = ("terms", "query", "actions", "counter", "memo", "sized")
 
-    def __init__(self, initial: WorldState, query: MevQuery, actions: tuple[Action, ...]):
-        self.terms = price_terms(query, initial)
+    def __init__(self, terms: tuple[tuple, ...], query: MevQuery, actions: tuple[Action, ...]):
+        self.terms = terms
         self.query = query
         self.actions = actions
         self.counter = _Counter(query.candidate_cap)
@@ -396,7 +363,7 @@ class _Search:
             return best
         self.counter.bump()
         query = self.query
-        best = (priced_balance_delta(self.terms, current), ())
+        best = (priced_balance_delta(self.terms, current.balances), ())
         if len(used) < query.max_sequence_length:
             for action in self.actions:
                 if action.id in used:
@@ -440,7 +407,7 @@ class _Search:
         of the shape, so the returned candidate is exactly replayable. The
         last slot applies to a ``_LastSlot`` stand-in for ``state``: its
         probes build no ``WorldState``, and each is priced once, outside
-        the probe's ``try``, from the balances it moved.
+        the probe's ``try``, from the balance map it moved.
         """
         player, action, terms = self.query.player, shape[idx], self.terms
         last = idx == len(shape) - 1
@@ -495,8 +462,8 @@ def mev(space: ActionSpaceSpec, state: WorldState, query: MevQuery) -> MevResult
     when golden-section sized at least one parametric slot, so the answer
     may be a heuristic, and "exhaustive" otherwise.
     """
-    _validate_query(state, query)
-    search = _Search(state, query, _usable_actions(space, query.player, query.action_domains))
+    terms = price_terms(query, state)
+    search = _Search(terms, query, _usable_actions(space, query.player, query.action_domains))
     try:
         best = search.best_suffix(state, frozenset())
     except RecursionError:
@@ -618,19 +585,18 @@ def mev_oracle(
     with ``mev``; agreement between the two is the engine's correctness
     check.
     """
-    _validate_query(state, query)
+    terms = price_terms(query, state)
     counter = _Counter(query.candidate_cap)
     max_len = query.max_sequence_length
     choices = _grid_choices(
         _usable_actions(space, query.player, query.action_domains), max_len, grid_points, counter
     )
     counter.bump()  # the empty sequence
-    terms = price_terms(query, state)
     best: _Candidate = (0, ())
 
     def keep(final: WorldState, steps: _Steps, action_id: str, units: Optional[int]) -> None:
         nonlocal best
-        value = priced_balance_delta(terms, final)
+        value = priced_balance_delta(terms, final.balances)
         # as in ``_Search.realize``: a lower value cannot win the tie-break
         if value >= best[0]:
             candidate = (value, steps + ((action_id, units),))
@@ -647,9 +613,11 @@ def mev_oracle(
 def replay_witness(
     space: ActionSpaceSpec, state: WorldState, query: MevQuery, witness
 ) -> Amount:
-    """Re-apply a witness and re-price it; must reproduce MevResult.value."""
+    """Re-apply a witness and re-price it; must reproduce MevResult.value.
+    An invalid query is refused before the replay, as ``mev`` refuses it."""
+    terms = price_terms(query, state)
     final = apply_sequence(space, state, query.player, witness)
-    return Amount.from_units(priced_balance_delta(price_terms(query, state), final))
+    return Amount.from_units(priced_balance_delta(terms, final.balances))
 
 
 # -- reachable states ----------------------------------------------------------
@@ -674,7 +642,7 @@ def reachable_states(
     if max_len < 0:
         raise XdmevError("max_len must be >= 0")
     state.registry.require_player(player)
-    domains = frozenset(state.registry.require_domain(d) for d in domains)
+    domains = state.registry.require_domains(domains)
     counter = _Counter(candidate_cap)
     choices = _grid_choices(_usable_actions(space, player, domains), max_len, grid_points, counter)
     seen = {state}

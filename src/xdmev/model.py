@@ -57,6 +57,14 @@ class Registry(Record):
             raise UnknownId(f"unknown domain {domain!r}")
         return domain
 
+    def require_domains(self, domains) -> frozenset[str]:
+        """``domains`` as a frozenset, each checked in sorted order (a non-string
+        id after the strings) so an error names the same id under any hash seed."""
+        domains = frozenset(domains)
+        for domain in sorted(domains, key=lambda d: (d.__class__ is not str, str(d))):
+            self.require_domain(domain)
+        return domains
+
     def require_player(self, player: str) -> str:
         if player not in self.players:
             raise UnknownId(f"unknown player {player!r}")
@@ -85,13 +93,13 @@ BalanceKey = tuple[str, str, str]  # (domain, player, asset)
 class WorldState:
     """Immutable snapshot of balances, pool states, and consumed actions.
 
-    ``balances`` maps (domain, player, asset) to nonzero int units; zero
+    ``balances`` maps (domain, player, asset) to positive int units; zero
     balances are never stored, so states that differ only by explicit
     zeros compare equal. ``pools`` maps each pool id to its state value
     (see the module docstring); the static fields live in ``registry``. A
     state owns the dicts it is built from: the constructor neither copies
     nor filters them, so a caller hands over maps it will not change
-    again, with no zero balance in them. All updaters return fresh states.
+    again, with only positive balances in them. All updaters return fresh states.
     """
 
     __slots__ = ("registry", "balances", "pools", "consumed", "_key")
@@ -165,10 +173,8 @@ class WorldState:
                         f"cannot credit negative amount {format_units(units)}"
                     )
                 units += balances.get(key, 0)
-                if units:
+                if units:  # held and credited are never negative
                     balances[key] = units
-                else:
-                    balances.pop(key, None)
         if pools:
             replaced, pools = pools, self.pools.copy()
             for pool_id, value in replaced:

@@ -300,16 +300,16 @@ class _Table:
     return the record to keep. ``pair`` names two fields that are strings before
     either resolves. With ``variants``, the field ``tag = (name, label, attr)``
     picks one, whose rows follow these; a string variant is the tag's error. The
-    writer reads a row by ``get``, and the tag at ``attr`` or by the variant's ``cls``."""
+    writer reads a row by ``get``, and the tag at ``attr`` or by the variant's ``build``."""
 
     __slots__ = ("rows", "fields", "build", "check", "pair", "tag", "variants", "names", "required",
-                 "key", "get", "cls")
+                 "key", "get")
 
     def __init__(self, rows, build=None, check=None, pair=(), tag=None, variants=None,
-                 get=_field, cls=None):
+                 get=_field):
         rows = [row + (REQUIRED, None, row[0])[len(row) - 2:] for row in rows]
         self.rows, self.build, self.check, self.pair = tuple(rows), build, check, pair
-        self.tag, self.variants, self.get, self.cls = tag, variants, get, cls or build
+        self.tag, self.variants, self.get = tag, variants, get
         self.names = frozenset(row[0] for row in rows)
         self.fields = tuple((r[0], _nullable if r[2] is None else r[1][0]) + r[1:4] for r in rows)
         self.required = sum(row[2] is REQUIRED for row in rows)
@@ -356,7 +356,7 @@ def _write(record, table: _Table) -> dict:
     get, obj = table.get, {}
     if table.variants is not None:
         name, _, attr = table.tag
-        tags = (tag for tag, v in table.variants.items() if record.__class__ is v.cls)
+        tags = (tag for tag, v in table.variants.items() if record.__class__ is v.build)
         obj[name] = get(record, attr) if attr else next(tags)
         table = table.variants[obj[name]]
     for name, kind, _, _, attr in table.rows:
@@ -398,8 +398,8 @@ def _pending_rules(entry: tuple, path: str, ns: dict) -> PendingTx:
     """The PendingTx of a mempool entry: a transfer moves on its domain, any
     other effect's pool lives there, and an arb leg is a declared leg."""
     tid, domain, effect = entry
-    if effect.__class__ is tuple:  # a transfer's fields
-        return PendingTx(tid, domain, TransferEffect(domain, *effect))
+    if effect.__class__ is TransferEffect:
+        return PendingTx(tid, domain, effect)
     pool = ns["pool"][effect.pool_id]
     if pool.domain != domain:
         raise ValidationError(f"{path}.effect.pool", f"pool {pool.id!r} lives on {pool.domain!r}")
@@ -508,10 +508,10 @@ _EFFECT = _Table([], tag=("type", "effect type", None), variants={
         ("pool", (_ref, "pool", False, ConstantProductPool), REQUIRED, None, "pool_id"),
         ("direction", _DIRECTION), ("amount_in", _AMOUNT), ("account", _PLAYER),
     ], build=CpSwapEffect),
-    "transfer": _Table([  # a TransferEffect on the tx's domain, built by the mempool rules
+    "transfer": _Table([
         ("from_account", _PLAYER), ("to_account", _PLAYER), ("asset", _ASSET),
         ("amount", _AMOUNT, REQUIRED, 0),
-    ], cls=TransferEffect),
+    ], build=TransferEffect),
     "arb_leg": _Table([
         ("pool", _STYLIZED_POOL, REQUIRED, None, "pool_id"), ("from_price", _AMOUNT),
         ("to_price", _AMOUNT), ("opportunity", (_ref, "opportunity", True, None)),

@@ -153,9 +153,8 @@ class CpSwapEffect(Record):
 
 
 class TransferEffect(Record):
-    """Third-party balance transfer within one domain."""
+    """Third-party balance transfer on its pending tx's domain."""
 
-    domain: str
     from_account: str
     to_account: str
     asset: str
@@ -327,8 +326,8 @@ def apply_pending_tx(state: WorldState, tx: PendingTx) -> WorldState:
         pools = ((effect.pool_id, _to_price(effect.pool_id, effect.to_price)),)
     elif isinstance(effect, TransferEffect):
         units = effect.amount.units
-        debit = ((effect.domain, effect.from_account, effect.asset), units)
-        credit = ((effect.domain, effect.to_account, effect.asset), units)
+        debit = ((tx.domain, effect.from_account, effect.asset), units)
+        credit = ((tx.domain, effect.to_account, effect.asset), units)
         pools = ()
     elif isinstance(effect, ArbLegEffect):
         price = _stylized(state, effect.pool_id)[1]

@@ -1,6 +1,7 @@
 """CLI surface: flags, reports, exit codes, and output determinism."""
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -404,6 +405,20 @@ class TestDeterminism:
             assert proc.stdout
             outputs.append((proc.returncode, proc.stdout))
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_undeclared_domain_error_is_seed_independent(self):
+        # the query check names the first undeclared domain in sorted order,
+        # not the first one a frozenset's hash order yields
+        argv = ("mev", "--scenario", "figure2_3domain", "--action-domains", "zz1,zz2,zz3")
+        errors = set()
+        for seed in ("1", "5"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "xdmev.cli", *argv], capture_output=True, text=True,
+                env={**os.environ, "PYTHONHASHSEED": seed},
+            )
+            assert proc.returncode == 2, proc.stderr
+            errors.add(proc.stderr)
+        assert errors == {"error: unknown domain 'zz1'\n"}
 
 
 class TestParserReuse:

@@ -18,12 +18,15 @@ from xdmev.engine import (
     mev_cross_two,
     mev_oracle,
     optimal_cp_arbitrage,
+    price_terms,
     reachable_states,
     replay_witness,
 )
 from xdmev.actions import AmountInterval, apply_sequence
 from xdmev.collusion import classify_collusion
-from xdmev.errors import ExplosionGuard, NoOpportunity, ParseError, UnknownId, XdmevError
+from xdmev.errors import (
+    ExplosionGuard, MissingRate, NoOpportunity, ParseError, UnknownId, XdmevError,
+)
 from xdmev.fixedpoint import SCALE, Amount, div_half_even
 from xdmev.scenario import BUNDLED_NAMES, bundled_path, load_bundled
 from xdmev.venues import ConstantProductPool
@@ -656,8 +659,9 @@ class TestQueryMechanics:
         query = scenario.default_query()
         result = mev_oracle(scenario.space, state, query, grid_points=11)
         assert len(calls) == result.explored - 1
-        # one pricing per sequence the walk yields, that is per application that succeeded
-        assert priced == applied
+        # one pricing per sequence the walk yields, that is per application
+        # that succeeded, of that application's balance map
+        assert list(map(id, priced)) == [id(final.balances) for final in applied]
         calls.clear()
         states = reachable_states(scenario.space, state, query.player, query.action_domains, 2)
         assert len(calls) >= len(states) - 1
@@ -666,7 +670,8 @@ class TestQueryMechanics:
     def test_search_prices_through_the_engine_binding(self, bundled, name, monkeypatch):
         # ``mev`` prices each node it expands and each probe of a shape's last
         # slot once, through the binding the benchmark wraps; a last slot
-        # applies to a stand-in and builds no ``WorldState``
+        # applies to a stand-in, builds no ``WorldState`` and is priced from
+        # the balance map the stand-in returns
         from xdmev import engine
         from xdmev.model import WorldState
 
@@ -687,7 +692,7 @@ class TestQueryMechanics:
             assert isinstance(state, WorldState) is not last
             nxt = apply(state, *args, **kwargs)  # a failed application raises past the count
             if last:
-                assert not isinstance(nxt, WorldState)
+                assert type(nxt) is dict
                 last_probes.append(nxt)
             else:
                 applied_to_states += 1
@@ -717,7 +722,8 @@ class TestQueryMechanics:
         state, query = scenario.initial_state(), scenario.default_query()
         monkeypatch.setattr(WorldState, "__init__", counting_init)
         result = mev(scenario.space, state, query)
-        assert sorted(map(id, priced)) == sorted(map(id, nodes + last_probes))
+        moved = [node.balances for node in nodes] + last_probes
+        assert sorted(map(id, priced)) == sorted(map(id, moved))
         # one state per successful application outside a last slot, none inside
         assert len(built) == applied_to_states
         assert (len(last_probes) > 0) == (result.method == "golden-section")
@@ -759,20 +765,57 @@ def _section3(call):
     return lambda: call(scenario, scenario.initial_state(), scenario.default_query())
 
 
+# Queries the one query check refuses: (id, the entry of the id alone,
+# query fields changed, error class, message). Every entry that takes a
+# query refuses each alike; a row's other entries add ``_<entry>`` to its id.
+QUERY_REJECTIONS = [
+    ("empty_action_domains", "mev", {"action_domains": frozenset()},
+     UnknownId, "action_domains must be nonempty"),
+    ("empty_value_domains", "mev", {"value_domains": ()},
+     UnknownId, "value_domains must be nonempty"),
+    ("repeated_value_domains", "mev_oracle", {"value_domains": ("i", "j", "i")},
+     UnknownId, "value_domains must not repeat"),
+    ("negative_max_sequence_length", "mev", {"max_sequence_length": -1},
+     XdmevError, "max_sequence_length must be >= 0"),
+    ("unknown_player", "mev", {"player": "nobody"},
+     UnknownId, "unknown player 'nobody'"),
+    # the first undeclared action domain in sorted order, whatever the hash seed
+    ("undeclared_action_domains", "mev", {"action_domains": frozenset({"zz3", "zz1", "zz2"})},
+     UnknownId, "unknown domain 'zz1'"),
+    ("non_string_action_domain", "mev", {"action_domains": frozenset({"i", 7})},
+     UnknownId, "unknown domain 7"),
+    ("undeclared_base_domain", "mev", {"base_domain": "zz"},
+     UnknownId, "unknown domain 'zz'"),
+    ("unknown_base_asset", "mev", {"base_asset": "ZZZ"},
+     UnknownId, "unknown asset 'ZZZ'"),
+    ("undeclared_value_domain", "mev", {"value_domains": ("i", "zz")},
+     UnknownId, "unknown domain 'zz'"),
+    ("unpriced_value_domain", "mev", {"base_asset": "DAI"},
+     MissingRate, "no rate declared between 'ETH' and 'DAI'"),
+]
+
+QUERY_ENTRIES = {
+    "mev": lambda sc, s, q: mev(sc.space, s, q),
+    "mev_oracle": lambda sc, s, q: mev_oracle(sc.space, s, q),
+    "replay_witness": lambda sc, s, q: replay_witness(sc.space, s, q, ()),
+    "price_terms": lambda sc, s, q: price_terms(q, s),
+}
+
+
+def _query_rejected(entry, fields):
+    return _section3(lambda sc, s, q: QUERY_ENTRIES[entry](sc, s, q.replace(**fields)))
+
+
 ERROR_PATHS = [
     # (id, call, error class, message)
-    ("empty_action_domains",
-     _section3(lambda sc, s, q: mev(sc.space, s, q.replace(action_domains=frozenset()))),
-     UnknownId, "action_domains must be nonempty"),
-    ("empty_value_domains",
-     _section3(lambda sc, s, q: mev(sc.space, s, q.replace(value_domains=()))),
-     UnknownId, "value_domains must be nonempty"),
-    ("repeated_value_domains",
-     _section3(lambda sc, s, q: mev_oracle(sc.space, s, q.replace(value_domains=("i", "j", "i")))),
-     UnknownId, "value_domains must not repeat"),
-    ("negative_max_sequence_length",
-     _section3(lambda sc, s, q: mev(sc.space, s, q.replace(max_sequence_length=-1))),
-     XdmevError, "max_sequence_length must be >= 0"),
+    *(
+        (name if entry == home else f"{name}_{entry}", _query_rejected(entry, fields), *error)
+        for name, home, fields, *error in QUERY_REJECTIONS
+        for entry in QUERY_ENTRIES
+    ),
+    ("reachable_undeclared_domains",
+     _section3(lambda sc, s, q: reachable_states(sc.space, s, "P", {"zz3", "zz1", "zz2"}, 1)),
+     UnknownId, "unknown domain 'zz1'"),
     ("reachable_negative_max_len",
      _section3(lambda sc, s, q: reachable_states(sc.space, s, "P", {"i"}, -1)),
      XdmevError, "max_len must be >= 0"),

@@ -2,9 +2,9 @@
 
 ``engine._LastSlot`` stands in for the state a shape's last slot applies
 to: the venues run on it unchanged and its ``update`` returns the moved
-balances instead of a new ``WorldState``. For every venue kind, over
+balance map instead of a new ``WorldState``. For every venue kind, over
 generated states and amounts (failing ones included), the stand-in's
-priced value equals ``priced_balance_delta(terms, apply_action(state, ...))``,
+priced value equals ``priced_balance_delta(terms, apply_action(state, ...).balances)``,
 its balances equal the real state's, and when either side raises, the
 other raises the same exception class.
 """
@@ -127,10 +127,11 @@ def funded(sty_2: int, consumed: frozenset = frozenset()) -> WorldState:
 
 
 def outcome(apply, terms):
-    """(priced units, moved balances) of ``apply()``, or the class of what it raised."""
+    """(priced units, balances) of the balance map ``apply()`` returns, or
+    the class of what it raised."""
     try:
-        final = apply()
-        return priced_balance_delta(terms, final), final.balances
+        balances = apply()
+        return priced_balance_delta(terms, balances), balances
     except Exception as exc:  # the class is what must match
         return type(exc)
 
@@ -156,14 +157,16 @@ def test_stand_in_prices_as_the_real_application(action_id, state, initial, slv_
     if action.parametric and position is not None:
         lo, hi = action.amount.lo.units, action.amount.hi.units
         units = lo + (hi - lo) * position // 100
-    # without a SLV rate, a nonzero delta on b raises MissingRate as it is priced
+    # without a SLV rate, b is no value domain: the query check refuses an
+    # unpriced one before any pricing
     rates = {("SLV", "GLD"): Fraction(2, 3)} if slv_priced else {}
     query = MevQuery(
-        player="P", action_domains=frozenset({"a", "b"}), value_domains=("a", "b"),
+        player="P", action_domains=frozenset({"a", "b"}),
+        value_domains=("a", "b") if slv_priced else ("a",),
         base_domain="a", base_asset="GLD", prices=PriceMatrix(rates),
     )
     terms = price_terms(query, initial)
-    real = outcome(lambda: apply_action(state, "P", action, units), terms)
+    real = outcome(lambda: apply_action(state, "P", action, units).balances, terms)
     stand_in = outcome(lambda: apply_action(_LastSlot(state), "P", action, units), terms)
     assert stand_in == real
 

@@ -278,7 +278,11 @@ def test_price_reciprocity_round_trip_within_one_unit():
 def priced_delta_reference(query: MevQuery, initial: WorldState, final: WorldState) -> int:
     """The per-domain formula: each native-asset delta converted to the base
     with ``convert``, then the converted amounts summed; in units, as
-    ``priced_balance_delta`` returns it."""
+    ``priced_balance_delta`` returns it. The query is refused first, at its
+    first value domain that is undeclared or whose asset has no rate into
+    the base, whatever the deltas."""
+    for domain in query.value_domains:
+        query.prices.rate(initial.registry.native_asset(domain), query.base_asset)
     total = Amount(0)
     for domain in query.value_domains:
         asset = initial.registry.native_asset(domain)
@@ -329,7 +333,7 @@ def test_priced_balance_delta_matches_per_domain_convert():
         )
         outcomes = []
         for pricer in (
-            lambda q, i, f: priced_balance_delta(price_terms(q, i), f),
+            lambda q, i, f: priced_balance_delta(price_terms(q, i), f.balances),
             priced_delta_reference,
         ):
             try:

@@ -97,8 +97,8 @@ def samples() -> dict:
     pool = load_bundled("cp_arbitrage_small").pools[0]
     add(CpSwapEffect(pool.id, "x_to_y", Amount("1"), "P"))
     add(CpSwapEffect(pool.id, "y_to_x", Amount("2"), "P"))
-    add(TransferEffect(pool.domain, "P", "whale", pool.asset_x, Amount("3")))
-    add(TransferEffect(pool.domain, "whale", "P", pool.asset_x, Amount("3")))
+    add(TransferEffect("P", "whale", pool.asset_x, Amount("3")))
+    add(TransferEffect("whale", "P", pool.asset_x, Amount("3")))
     return found
 
 

@@ -296,7 +296,7 @@ class TestPendingTx:
 
     def test_transfer_effect(self):
         s = state_with([], {("i", "whale", "ETH"): Amount("4")})
-        tx = PendingTx("t", "i", TransferEffect("i", "whale", "P", "ETH", Amount("1.5")))
+        tx = PendingTx("t", "i", TransferEffect("whale", "P", "ETH", Amount("1.5")))
         s2 = apply_pending_tx(s, tx)
         assert s2.balance("i", "P", "ETH") == Amount("1.5")
         assert s2.balance("i", "whale", "ETH") == Amount("2.5")
@@ -502,8 +502,8 @@ def _ref_pending(state, tx):
         state = _ref_swap(state, effect.account, effect.pool_id, effect.direction,
                           effect.amount_in)
     elif isinstance(effect, TransferEffect):
-        state = _ref_debit(state, effect.domain, effect.from_account, effect.asset, effect.amount)
-        state = _ref_credit(state, effect.domain, effect.to_account, effect.asset, effect.amount)
+        state = _ref_debit(state, tx.domain, effect.from_account, effect.asset, effect.amount)
+        state = _ref_credit(state, tx.domain, effect.to_account, effect.asset, effect.amount)
     else:
         pool = _ref_stylized(state, effect.pool_id)
         if pool.price != effect.from_price:
