@@ -16,8 +16,9 @@ of ``price_terms`` checks the query and resolves each value domain's
 balance key, starting units and rate; ``priced_balance_delta(terms,
 balances)`` then prices a candidate's final balance map in units. The
 last slot of a shape ``mev`` sizes applies to a ``_LastSlot`` stand-in:
-its ``update`` checks and moves balances as ``WorldState.update`` does
-and returns the moved map, so a last-slot probe builds no ``WorldState``.
+its ``update`` moves balances by ``model.move_balances``, the function
+``WorldState.update`` calls, and returns the moved map, so a last-slot
+probe builds no ``WorldState``.
 A candidate is (value units, steps) with steps (action id, amount units
 or None), and the oracle's grid is units. An answer's ``MevResult.value``
 and its witness's ``(id, Amount)`` steps are built once, from the
@@ -47,9 +48,9 @@ from .actions import (
     apply_sequence,
     max_feasible_amount,
 )
-from .errors import ExplosionGuard, InsufficientBalance, NoOpportunity, UnknownId, XdmevError
-from .fixedpoint import Amount, div_half_even, format_units, mul_fraction_units
-from .model import BalanceKey, PriceMatrix, WorldState, balance_of
+from .errors import ExplosionGuard, NoOpportunity, UnknownId, XdmevError
+from .fixedpoint import Amount, div_half_even, mul_fraction_units
+from .model import BalanceKey, PriceMatrix, WorldState, balance_of, move_balances
 from .model import convert  # noqa: F401  re-exported; perfbench/tracing.py wraps engine.convert
 from .venues import ConstantProductPool
 from . import _kernels
@@ -289,12 +290,10 @@ def _golden_section(
 class _LastSlot:
     """Stand-in for the state a shape's last slot applies to, as
     ``venues._QuoteState`` is for ``quote_swap``: the four fields the venues
-    read, and an ``update`` that moves balances as ``WorldState.update``
-    does, with the same checks, messages and order, and returns the moved
-    balance map. No later slot reads the pools or the consumed ids, so they
-    are dropped and no ``WorldState`` is built. The checks are a copy, not
-    a helper both call: ``WorldState.update`` is every other application's
-    hot path, and a helper call there slows the oracle's grid walk."""
+    read, and an ``update`` that moves balances by ``move_balances``, the
+    rule ``WorldState.update`` follows, and returns the moved balance map.
+    No later slot reads the pools or the consumed ids, so they are dropped
+    and no ``WorldState`` is built."""
 
     __slots__ = ("registry", "balances", "pools", "consumed")
 
@@ -305,36 +304,7 @@ class _LastSlot:
         self.consumed = state.consumed
 
     def update(self, debit=None, credit=None, pools=(), consumed=None) -> dict[BalanceKey, int]:
-        balances = self.balances
-        if debit is not None or credit is not None:
-            balances = balances.copy()
-            if debit is not None:
-                key, units = debit
-                if units < 0:
-                    raise InsufficientBalance(
-                        f"cannot debit negative amount {format_units(units)}"
-                    )
-                held = balances.get(key, 0)
-                if held > units:
-                    balances[key] = held - units
-                elif held < units:
-                    domain, player, asset = key
-                    raise InsufficientBalance(
-                        f"{player} holds {format_units(held)} {asset} on {domain}, "
-                        f"needs {format_units(units)}"
-                    )
-                elif units:
-                    del balances[key]
-            if credit is not None:
-                key, units = credit
-                if units < 0:
-                    raise InsufficientBalance(
-                        f"cannot credit negative amount {format_units(units)}"
-                    )
-                units += balances.get(key, 0)
-                if units:  # held and credited are never negative
-                    balances[key] = units
-        return balances
+        return move_balances(self.balances, debit, credit) if debit or credit else self.balances
 
 
 class _Search:

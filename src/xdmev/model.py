@@ -90,6 +90,45 @@ class Registry(Record):
 BalanceKey = tuple[str, str, str]  # (domain, player, asset)
 
 
+def move_balances(
+    balances: dict[BalanceKey, int],
+    debit: Optional[tuple[BalanceKey, int]],
+    credit: Optional[tuple[BalanceKey, int]],
+) -> dict[BalanceKey, int]:
+    """A copy of ``balances`` with ``debit`` taken, then ``credit`` given;
+    the one rule by which balances move.
+
+    ``debit`` and ``credit`` are ``(key, units)`` or None. A negative amount
+    or a debit past the balance raises ``InsufficientBalance``, the debit
+    checked first; a zero amount moves nothing, and a balance that reaches
+    zero is dropped. ``balances`` itself is never written.
+    """
+    balances = balances.copy()
+    if debit is not None:
+        key, units = debit
+        if units < 0:
+            raise InsufficientBalance(f"cannot debit negative amount {format_units(units)}")
+        held = balances.get(key, 0)
+        if held > units:
+            balances[key] = held - units
+        elif held < units:
+            domain, player, asset = key
+            raise InsufficientBalance(
+                f"{player} holds {format_units(held)} {asset} on {domain}, "
+                f"needs {format_units(units)}"
+            )
+        elif units:  # a zero debit of an absent key moves nothing
+            del balances[key]
+    if credit is not None:
+        key, units = credit
+        if units < 0:
+            raise InsufficientBalance(f"cannot credit negative amount {format_units(units)}")
+        units += balances.get(key, 0)
+        if units:  # held and credited are never negative
+            balances[key] = units
+    return balances
+
+
 class WorldState:
     """Immutable snapshot of balances, pool states, and consumed actions.
 
@@ -136,45 +175,15 @@ class WorldState:
         pools: Sequence[tuple[str, object]] = (),
         consumed: Optional[str] = None,
     ) -> "WorldState":
-        """One new state: ``debit`` taken, then ``credit`` given, then
-        ``pools`` (id, state value) replaced, then ``consumed`` marked executed.
-
-        ``debit`` and ``credit`` are ``(key, units)``. A negative amount or
-        a debit past the balance raises ``InsufficientBalance``, the debit
-        checked first; a zero amount moves nothing, and a balance that
-        reaches zero is dropped. Nothing is built when a check fails. Each
-        changed map is copied once, and the new state owns the copy; an
+        """One new state: ``debit`` taken, then ``credit`` given (both by
+        ``move_balances``), then ``pools`` (id, state value) replaced, then
+        ``consumed`` marked executed. Nothing is built when a check fails.
+        Each changed map is copied once, and the new state owns the copy; an
         unchanged map is shared with this state.
         """
         balances = self.balances
-        if debit is not None or credit is not None:
-            balances = balances.copy()
-            if debit is not None:
-                key, units = debit
-                if units < 0:
-                    raise InsufficientBalance(
-                        f"cannot debit negative amount {format_units(units)}"
-                    )
-                held = balances.get(key, 0)
-                if held > units:
-                    balances[key] = held - units
-                elif held < units:
-                    domain, player, asset = key
-                    raise InsufficientBalance(
-                        f"{player} holds {format_units(held)} {asset} on {domain}, "
-                        f"needs {format_units(units)}"
-                    )
-                elif units:  # a zero debit of an absent key moves nothing
-                    del balances[key]
-            if credit is not None:
-                key, units = credit
-                if units < 0:
-                    raise InsufficientBalance(
-                        f"cannot credit negative amount {format_units(units)}"
-                    )
-                units += balances.get(key, 0)
-                if units:  # held and credited are never negative
-                    balances[key] = units
+        if debit or credit:
+            balances = move_balances(balances, debit, credit)
         if pools:
             replaced, pools = pools, self.pools.copy()
             for pool_id, value in replaced:

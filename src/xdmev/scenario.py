@@ -223,12 +223,8 @@ def _list(kind, value, path, name, ns, minimum):
     if value.__class__ is not list:
         raise _expected("list", value, path, name)
     where, item, items = _at(path, name), kind[1], []
-    if item[0] is _section:  # the commonest list, read without a loader call per entry
-        for i, entry in enumerate(value):
-            items.append(_read(entry, item[1], f"{where}[{i}]", ns))
-    else:
-        for i, entry in enumerate(value):
-            items.append(item[0](item, entry, where, i, ns, None))
+    for i, entry in enumerate(value):
+        items.append(item[0](item, entry, where, i, ns, None))
     if minimum is not None and not items:
         raise ValidationError(where, minimum)
     return tuple(items) if kind[3] is None else kind[3][0](items, where)

@@ -52,3 +52,13 @@ def test_world_states_are_built_only_by_the_state_layer_and_the_loader():
     }
     assert builders <= {"model.py", "scenario.py"}, sorted(builders)
     assert "model.py" in builders
+
+
+def test_insufficient_balance_is_raised_only_by_the_state_layer():
+    # ``model.move_balances`` is the one rule by which balances move; a
+    # second copy of its checks elsewhere would drift from it unnoticed
+    raisers = {
+        path.name for path in PACKAGE.glob("*.py")
+        if "raise InsufficientBalance(" in path.read_text(encoding="utf-8")
+    }
+    assert raisers == {"model.py"}, sorted(raisers)

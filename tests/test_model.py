@@ -14,6 +14,7 @@ from xdmev.errors import (
     ValidationError,
     XdmevError,
 )
+from xdmev.engine import _LastSlot
 from xdmev.fixedpoint import Amount
 from xdmev.model import PriceMatrix, Registry, WorldState, balance_of, convert
 from xdmev.scenario import loads
@@ -116,6 +117,49 @@ class TestWorldStateValueSemantics:
             assert str(err.value) == f"pool {pool_id}: record does not match its declared spec"
         with pytest.raises(UnknownPool):
             state.with_pool("nowhere", pool)
+
+
+ONE = 10**18
+HELD = ("i", "P", "MATIC")
+# (debit, credit, the moved balance map or the raised (class, message)),
+# from a state where P holds 5 MATIC on i
+BALANCE_MOVES = {
+    "negative-debit": (
+        (HELD, -1), None,
+        (InsufficientBalance, "cannot debit negative amount -0.000000000000000001"),
+    ),
+    "negative-credit": (
+        None, (HELD, -1),
+        (InsufficientBalance, "cannot credit negative amount -0.000000000000000001"),
+    ),
+    "overdraft": (
+        (HELD, 5 * ONE + 1), None,
+        (InsufficientBalance, "P holds 5 MATIC on i, needs 5.000000000000000001"),
+    ),
+    "exact-drain": ((HELD, 5 * ONE), None, {}),
+    "zero-debit-of-absent-key": ((("j", "P", "WMATIC"), 0), None, {HELD: 5 * ONE}),
+    "zero-credit": (None, (("j", "P", "WMATIC"), 0), {HELD: 5 * ONE}),
+    "debit-and-credit-on-one-key": ((HELD, 2 * ONE), (HELD, ONE), {HELD: 4 * ONE}),
+}
+
+
+@pytest.mark.parametrize("debit, credit, expected", BALANCE_MOVES.values(), ids=BALANCE_MOVES)
+def test_state_update_and_last_slot_move_balances_by_one_rule(debit, credit, expected):
+    # ``WorldState.update`` and the search's last-slot stand-in move balances
+    # through the same function: same map, or same class and message
+    state = fresh_state().credit(*HELD, Amount("5"))
+    before = dict(state.balances)
+
+    def outcome(update):
+        try:
+            return update(debit, credit)
+        except XdmevError as exc:
+            return type(exc), str(exc)
+
+    moved = outcome(state.update)
+    moved = moved.balances if isinstance(moved, WorldState) else moved
+    assert moved == outcome(_LastSlot(state).update) == expected
+    assert state.balances == before
 
 
 class TestPriceMatrix:
