@@ -19,10 +19,18 @@ last slot of a shape ``mev`` sizes applies to a ``_LastSlot`` stand-in:
 its ``update`` moves balances by ``model.move_balances``, the function
 ``WorldState.update`` calls, and returns the moved map, so a last-slot
 probe builds no ``WorldState``.
-A candidate is (value units, steps) with steps (action id, amount units
-or None), and the oracle's grid is units. An answer's ``MevResult.value``
-and its witness's ``(id, Amount)`` steps are built once, from the
-winning candidate.
+A candidate is its own tie-break key, ``(-value, length, ids, amounts)``:
+value units negated, the step count, the action ids in order and each
+step's amount units, -1 for a step that takes none. The smaller key is
+the better candidate, so comparing two is one tuple comparison that
+allocates nothing, and the key grows by one step where a step is added:
+``_prepend`` in ``best_suffix`` and ``realize``, the walk's prefix in the
+oracle. Inside one ``realize`` call every probe heads the same suffix of
+ids, so probes rank by value and then amount, and only the winner
+becomes a candidate. The oracle's grid is units. An answer's
+``MevResult.value`` and its witness's ``(id, Amount)`` steps are built
+once, from the winning candidate; a step with no amount is its action's
+shared ``step`` tuple.
 
 Everything here is a pure function over immutable values; the only
 mutable machinery (a work counter, the search memo, the oracle's best
@@ -56,6 +64,9 @@ from .venues import ConstantProductPool
 from . import _kernels
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# rounds a golden-section search that ends on its own can need: the
+# bracket shrinks by _INV_PHI a round, and 1e-12 of the range takes ~58
+_GOLDEN_ROUNDS = 64
 
 DEFAULT_MAX_SEQUENCE_LENGTH = 8
 DEFAULT_CANDIDATE_CAP = 10_000_000
@@ -112,43 +123,40 @@ class _Counter:
             raise ExplosionGuard(f"search work exceeded the cap of {self.cap}")
 
 
-# a ``SequenceStep`` below the edge: (action id, amount units or None)
-_Steps = tuple[tuple[str, Optional[int]], ...]
-# (priced value units, steps)
-_Candidate = tuple[int, _Steps]
+# (-value units, length, action ids, amount units with -1 for none)
+_Candidate = tuple[int, int, tuple[str, ...], tuple[int, ...]]
+_NO_STEPS: _Candidate = (0, 0, (), ())  # the empty sequence; a last slot extends it
 
 
-def _candidate_better(a: _Candidate, b: _Candidate) -> bool:
-    """Strict total preference: value desc, length asc, id list asc, amounts asc."""
-    if a[0] != b[0]:
-        return a[0] > b[0]
-    if len(a[1]) != len(b[1]):
-        return len(a[1]) < len(b[1])
-    ids_a = tuple(step[0] for step in a[1])
-    ids_b = tuple(step[0] for step in b[1])
-    if ids_a != ids_b:
-        return ids_a < ids_b
-    amounts_a = tuple(-1 if step[1] is None else step[1] for step in a[1])
-    amounts_b = tuple(-1 if step[1] is None else step[1] for step in b[1])
-    return amounts_a < amounts_b
+def _prepend(neg_value: int, action_id: str, amount: int, suffix: _Candidate) -> _Candidate:
+    """The candidate of value ``-neg_value`` whose steps are (``action_id``,
+    ``amount``) followed by ``suffix``'s."""
+    _, length, ids, amounts = suffix
+    return (neg_value, length + 1, (action_id,) + ids, (amount,) + amounts)
 
 
 def _merge(a: Optional[_Candidate], b: Optional[_Candidate]) -> Optional[_Candidate]:
+    """The better of two candidates, ``a`` when they tie; None loses.
+    Value desc, length asc, id list asc, amounts asc is the key's order."""
     if a is None:
         return b
     if b is None:
         return a
-    return b if _candidate_better(b, a) else a
+    return b if b < a else a
 
 
-def _result(best: _Candidate, explored: int, method: str) -> MevResult:
+def _result(
+    best: _Candidate, space: ActionSpaceSpec, player: str, explored: int, method: str
+) -> MevResult:
     """The answer of a search: its value and witness steps become ``Amount``s
-    here, once; a step with no amount keeps its ``(id, None)`` tuple."""
-    value, steps = best
+    here, once; a step with no amount is its action's ``step`` tuple."""
+    neg_value, _, ids, amounts = best
     witness = tuple(
-        step if step[1] is None else (step[0], Amount.from_units(step[1])) for step in steps
+        space.lookup(player, action_id).step if units < 0
+        else (action_id, Amount.from_units(units))
+        for action_id, units in zip(ids, amounts)
     )
-    return MevResult(Amount.from_units(value), witness, explored, method)
+    return MevResult(Amount.from_units(-neg_value), witness, explored, method)
 
 
 def price_terms(query: MevQuery, initial: WorldState) -> tuple[tuple, ...]:
@@ -242,7 +250,8 @@ def _golden_section(
 
     Both ends are probed first; past two integers, float positions are
     rounded and clamped into the range until the bracket is at most
-    ``max((hi - lo) * 1e-12, 1)``. A None score (an invalid probe) ranks
+    ``max((hi - lo) * 1e-12, 1)``, or until the bracket, too narrow for
+    floats to shrink, revisits a state. A None score (an invalid probe) ranks
     below every value. Each integer is scored once; the caller keeps its
     own best probe. A range past float range raises ``XdmevError`` naming
     ``label`` (what is being sized) after the two end probes.
@@ -276,15 +285,29 @@ def _golden_section(
     d = lo_f + (hi_f - lo_f) * _INV_PHI
     fc = probe(c)
     fd = probe(d)
-    while (hi_f - lo_f) > tol:
-        if fc is not None and (fd is None or fc > fd):
-            hi_f, d, fd = d, c, fc
-            c = hi_f - (hi_f - lo_f) * _INV_PHI
-            fc = probe(c)
-        else:
-            lo_f, c, fc = c, d, fd
-            d = lo_f + (hi_f - lo_f) * _INV_PHI
-            fd = probe(d)
+    # the first _GOLDEN_ROUNDS rounds run unwatched; past them each round
+    # first records its state (lo, hi, c, d). A bracket a float ulp wide
+    # above ``tol`` can only cycle: the state fixes every later round and
+    # both its probes are scored, so the first revisit ends the search
+    # with every probe it would ever make
+    rounds, seen = range(_GOLDEN_ROUNDS), set()
+    while True:
+        for _ in rounds:
+            if not (hi_f - lo_f) > tol:
+                return
+            if fc is not None and (fd is None or fc > fd):
+                hi_f, d, fd = d, c, fc
+                c = hi_f - (hi_f - lo_f) * _INV_PHI
+                fc = probe(c)
+            else:
+                lo_f, c, fc = c, d, fd
+                d = lo_f + (hi_f - lo_f) * _INV_PHI
+                fd = probe(d)
+        state = (lo_f, hi_f, c, d)
+        if state in seen:
+            return
+        seen.add(state)
+        rounds = range(1)
 
 
 class _LastSlot:
@@ -333,21 +356,22 @@ class _Search:
             return best
         self.counter.bump()
         query = self.query
-        best = (priced_balance_delta(self.terms, current.balances), ())
+        best = (-priced_balance_delta(self.terms, current.balances), 0, (), ())
         if len(used) < query.max_sequence_length:
             for action in self.actions:
                 if action.id in used:
                     continue
                 if action.parametric:
-                    candidate = self.best_shape(current, (action,), used | {action.id})
-                else:
-                    try:
-                        nxt = apply_action(current, query.player, action, None)
-                    except XdmevError:
-                        continue
-                    value, steps = self.best_suffix(nxt, used | {action.id})
-                    candidate = (value, (action.step,) + steps)
-                best = _merge(best, candidate)
+                    best = _merge(best, self.best_shape(current, (action,), used | {action.id}))
+                    continue
+                try:
+                    nxt = apply_action(current, query.player, action, None)
+                except XdmevError:
+                    continue
+                suffix = self.best_suffix(nxt, used | {action.id})
+                # a lower value loses the tie-break outright; build no candidate for it
+                if suffix[0] <= best[0]:
+                    best = _merge(best, _prepend(suffix[0], action.id, -1, suffix))
         self.memo[key] = best
         return best
 
@@ -377,32 +401,34 @@ class _Search:
         of the shape, so the returned candidate is exactly replayable. The
         last slot applies to a ``_LastSlot`` stand-in for ``state``: its
         probes build no ``WorldState``, and each is priced once, outside
-        the probe's ``try``, from the balance map it moved.
+        the probe's ``try``, from the balance map it moved. No probe builds
+        a candidate; the call builds one, for its best probe.
         """
         player, action, terms = self.query.player, shape[idx], self.terms
         last = idx == len(shape) - 1
         target = _LastSlot(state) if last else state
-        best: Optional[_Candidate] = None
+        # the best probe so far: its value (at first below every value),
+        # amount units and the suffix after it
+        best_value, best_units, best_rest = -math.inf, None, None
 
         def score(units: Optional[int]) -> Optional[int]:
-            nonlocal best
+            nonlocal best_value, best_units, best_rest
             try:
                 nxt = apply_action(target, player, action, units)
             except XdmevError:
                 return None
             if last:
-                value, tail = priced_balance_delta(terms, nxt), ()
+                value, rest = priced_balance_delta(terms, nxt), _NO_STEPS
             else:
                 rest = self.realize(shape, idx + 1, nxt)
                 if rest is None:
                     return None
-                value, tail = rest
-            # a lower value loses the tie-break outright; build no candidate for it
-            if best is None or value >= best[0]:
-                step = action.step if units is None else (action.id, units)
-                candidate = (value, (step,) + tail)
-                if best is None or _candidate_better(candidate, best):
-                    best = candidate
+                value = -rest[0]
+            # every probe heads the same ids and each amount is scored once,
+            # so value desc, then this step's amount asc, is the whole
+            # tie-break; the candidate is built once, for the winner
+            if value >= best_value and (value > best_value or units < best_units):
+                best_value, best_units, best_rest = value, units, rest
             return value
 
         if not action.parametric:
@@ -413,7 +439,10 @@ class _Search:
             if hi_u >= lo_u:
                 self.sized = True
                 _golden_section(lo_u, hi_u, score, f"action {action.id!r}")
-        return best
+        if best_rest is None:
+            return None
+        amount = -1 if best_units is None else best_units
+        return _prepend(-best_value, action.id, amount, best_rest)
 
 
 def mev(space: ActionSpaceSpec, state: WorldState, query: MevQuery) -> MevResult:
@@ -438,7 +467,8 @@ def mev(space: ActionSpaceSpec, state: WorldState, query: MevQuery) -> MevResult
         best = search.best_suffix(state, frozenset())
     except RecursionError:
         raise _too_deep() from None
-    return _result(best, search.counter.count, "golden-section" if search.sized else "exhaustive")
+    method = "golden-section" if search.sized else "exhaustive"
+    return _result(best, space, query.player, search.counter.count, method)
 
 
 def mev_cross_two(
@@ -511,31 +541,34 @@ def _grid_choices(
     )
 
 
-def _grid_walk(choices, current, steps, used, player, max_len, counter, visit) -> None:
-    """Call ``visit(final, steps, action id, units)`` for every valid
-    sequence that extends the prefix ``steps`` (ids ``used``, reaching
-    ``current``) by one to ``max_len`` steps, depth first in action order,
-    each before the sequences below it. Each application tried bumps
-    ``counter`` once. ``steps`` is the prefix: the walk builds a sequence's
-    steps only when a level lies below it, the visitor only to keep it."""
-    deeper = len(steps) + 1 < max_len
+def _grid_walk(choices, current, ids, amounts, used, player, max_len, counter, visit) -> None:
+    """Call ``visit(final, ids, amounts, action id, units)`` for every
+    valid sequence that extends the prefix ``ids``, ``amounts`` (the ids
+    ``used``, reaching ``current``) by one to ``max_len`` steps, depth
+    first in action order, each before the sequences below it. The
+    prefix's amounts are as in a candidate's key; ``units`` is the last
+    step's, None for a step that takes none. Each application tried bumps
+    ``counter`` once. The walk extends the prefix only when a level lies
+    below it, the visitor only to keep it."""
+    deeper = len(ids) + 1 < max_len
     bump = counter.bump
-    for action, amounts in choices:
+    for action, grid in choices:
         action_id = action.id
         if action_id in used:
             continue
-        below = used | {action_id} if deeper else used
-        for units in amounts:
+        if deeper:
+            below, ids_below = used | {action_id}, ids + (action_id,)
+        for units in grid:
             bump()
             try:
                 nxt = apply_action(current, player, action, units)
             except XdmevError:
                 continue
-            visit(nxt, steps, action_id, units)
+            visit(nxt, ids, amounts, action_id, units)
             if deeper:
                 _grid_walk(
-                    choices, nxt, steps + ((action_id, units),), below, player, max_len,
-                    counter, visit,
+                    choices, nxt, ids_below, amounts + (-1 if units is None else units,),
+                    below, player, max_len, counter, visit,
                 )
 
 
@@ -549,7 +582,7 @@ def mev_oracle(
 
     ``_grid_walk`` visits every valid sequence; the visitor prices its
     final state with the query's ``price_terms`` and keeps the best
-    candidate, building a sequence's steps only when its value is at
+    candidate, building a sequence's candidate only when its value is at
     least the best so far. ``explored`` counts the empty sequence and
     every grid application tried. Deliberately shares no search machinery
     with ``mev``; agreement between the two is the engine's correctness
@@ -562,22 +595,23 @@ def mev_oracle(
         _usable_actions(space, query.player, query.action_domains), max_len, grid_points, counter
     )
     counter.bump()  # the empty sequence
-    best: _Candidate = (0, ())
+    best, best_value = _NO_STEPS, 0
 
-    def keep(final: WorldState, steps: _Steps, action_id: str, units: Optional[int]) -> None:
-        nonlocal best
+    def keep(final: WorldState, ids, amounts, action_id: str, units: Optional[int]) -> None:
+        nonlocal best, best_value
         value = priced_balance_delta(terms, final.balances)
-        # as in ``_Search.realize``: a lower value cannot win the tie-break
-        if value >= best[0]:
-            candidate = (value, steps + ((action_id, units),))
-            if _candidate_better(candidate, best):
-                best = candidate
+        # as in ``_Search.best_suffix``: a lower value cannot win the tie-break
+        if value >= best_value:
+            amount = -1 if units is None else units
+            candidate = (-value, len(ids) + 1, ids + (action_id,), amounts + (amount,))
+            if candidate < best:
+                best, best_value = candidate, value
 
     try:
-        _grid_walk(choices, state, (), frozenset(), query.player, max_len, counter, keep)
+        _grid_walk(choices, state, (), (), frozenset(), query.player, max_len, counter, keep)
     except RecursionError:
         raise _too_deep() from None
-    return _result(best, counter.count, "oracle")
+    return _result(best, space, query.player, counter.count, "oracle")
 
 
 def replay_witness(
@@ -618,7 +652,7 @@ def reachable_states(
     seen = {state}
     try:
         _grid_walk(
-            choices, state, (), frozenset(), player, max_len, counter,
+            choices, state, (), (), frozenset(), player, max_len, counter,
             lambda final, *_: seen.add(final),
         )
     except RecursionError:

@@ -315,6 +315,30 @@ class TestSearchLimits:
         assert (code, err) == (0, "")
         assert json.loads(out)["result"]["method"] == "golden-section"
 
+    def test_interval_narrower_than_a_float_step_is_sized(self, tmp_path):
+        # 10**21 units and up, [1000, 1000.1] is a few float ulps wide: the
+        # golden-section bracket stops shrinking above its tolerance and
+        # used to cycle forever
+        doc = one_domain_doc()
+        doc["domains"] = [{"id": "d0", "native_asset": "USD"}]
+        doc["assets"] = ["ETH", "USD"]
+        doc["players"][0]["balances"] = [{"domain": "d0", "asset": "USD", "amount": "5000"}]
+        doc["pools"] = [{"id": "cp", "type": "constant_product", "domain": "d0",
+                         "asset_x": "ETH", "asset_y": "USD",
+                         "reserve_x": "1000", "reserve_y": "2000000"}]
+        doc["actions"] = [{"id": "buy", "player": "P", "kind": "Swap", "pool": "cp",
+                           "direction": "y_to_x", "amount": {"interval": ["1000", "1000.1"]}}]
+        doc["defaults"].update(base_asset="USD", max_sequence_length=1)
+        path = tmp_path / "narrow.json"
+        path.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "xdmev.cli", "mev", "--scenario", str(path)],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert "method: golden-section" in proc.stdout
+        assert "value: 0 USD" in proc.stdout
+
     @pytest.mark.parametrize("command", ["mev", "oracle-check"])
     def test_document_nested_past_the_recursion_limit_exits_3(self, capsys, tmp_path, command):
         path = tmp_path / "deep.json"
