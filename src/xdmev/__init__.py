@@ -2,8 +2,8 @@
 
 Models a set of interconnected execution domains over one monolithic
 world state, computes extractable value and its maximum over action
-sequences (single-domain, two-domain, and N-domain with priced balances),
-and classifies sequencer-collusion incentives.
+sequences (one ``MevQuery`` over any set of domains, balances priced in
+one base asset), and classifies sequencer-collusion incentives.
 """
 
 from .fixedpoint import Amount, ZERO
@@ -34,20 +34,13 @@ from .engine import (
     MevResult,
     extractable_value,
     mev,
-    mev_cross_two,
     mev_oracle,
     optimal_cp_arbitrage,
     reachable_states,
     replay_witness,
 )
-from .collusion import CollusionReport, Verdict, alpha_breakeven, classify_collusion
-from .scenario import (
-    BUNDLED_NAMES,
-    Scenario,
-    load_bundled,
-    load_scenario,
-    serialize_scenario,
-)
+from .collusion import CollusionReport, Verdict, classify_collusion
+from .scenario import BUNDLED_NAMES, Scenario, load_bundled, serialize_scenario
 
 __version__ = "0.1.0"
 
@@ -80,19 +73,16 @@ __all__ = [
     "MevResult",
     "extractable_value",
     "mev",
-    "mev_cross_two",
     "mev_oracle",
     "optimal_cp_arbitrage",
     "reachable_states",
     "replay_witness",
     "CollusionReport",
     "Verdict",
-    "alpha_breakeven",
     "classify_collusion",
     "BUNDLED_NAMES",
     "Scenario",
     "load_bundled",
-    "load_scenario",
     "serialize_scenario",
     "__version__",
 ]

@@ -71,9 +71,9 @@ def _parse_alpha(text: str) -> Amount:
         raise ValidationError("--alpha", str(exc)) from None
 
 
-def _csv(text: str | None, flag: str, default=None) -> tuple[str, ...] | None:
+def _csv(text: str | None, flag: str) -> tuple[str, ...] | None:
     if text is None:
-        return default
+        return None
     parts = tuple(p.strip() for p in text.split(",") if p.strip())
     if not parts:
         raise ValidationError(flag, f"expected a csv of domain ids, got {text!r}")
@@ -237,33 +237,25 @@ def cmd_mev(args) -> int:
 
 def cmd_collusion(args) -> int:
     scenario = _load(args.scenario)
-    player = scenario.defaults.player if args.player is None else args.player
-    domains = _csv(args.domains, "--domains", scenario.defaults.value_domains)
-    alpha = scenario.defaults.alpha if args.alpha is None else _parse_alpha(args.alpha)
-    max_len = scenario.defaults.max_sequence_length if args.max_len is None else args.max_len
-    state = scenario.initial_state()
-    report_obj = classify_collusion(
-        scenario.space,
-        state,
-        player,
-        tuple(domains),
-        alpha,
-        scenario.prices,
-        scenario.defaults.base_domain,
-        scenario.defaults.base_asset,
-        max_len,
+    coalition = _csv(args.domains, "--domains")
+    query = scenario.default_query(
+        player=args.player, action_domains=coalition, value_domains=coalition, max_len=args.max_len
     )
-    joint_steps = _witness_steps(scenario, player, state, report_obj.joint_result.witness)
+    alpha = scenario.defaults.alpha if args.alpha is None else _parse_alpha(args.alpha)
+    state = scenario.initial_state()
+    report_obj = classify_collusion(scenario.space, state, query, alpha)
+    domains = query.value_domains
+    joint_steps = _witness_steps(scenario, query.player, state, report_obj.joint_result.witness)
     report = {
         "command": "collusion",
         "query": {
             "scenario": args.scenario,
-            "player": player,
+            "player": query.player,
             "domains": list(domains),
             "alpha": str(alpha),
-            "base_domain": scenario.defaults.base_domain,
-            "base_asset": scenario.defaults.base_asset,
-            "max_sequence_length": max_len,
+            "base_domain": query.base_domain,
+            "base_asset": query.base_asset,
+            "max_sequence_length": query.max_sequence_length,
         },
         "result": {
             "alpha": str(alpha),
@@ -278,9 +270,9 @@ def cmd_collusion(args) -> int:
 
     def render(out):
         print(f"scenario: {args.scenario}", file=out)
-        print(f"player: {player}", file=out)
+        print(f"player: {query.player}", file=out)
         print(f"domains: {', '.join(domains)}", file=out)
-        print(f"alpha: {alpha} {scenario.defaults.base_asset}", file=out)
+        print(f"alpha: {alpha} {query.base_asset}", file=out)
         for domain in domains:
             print(f"solo {domain}: {report_obj.solo_values[domain]}", file=out)
         print(f"joint: {report_obj.joint_value}", file=out)

@@ -1,9 +1,12 @@
 """Sequencer-collusion incentives over a set of domains.
 
-Given a collusion cost alpha in the base asset, the margin
-``joint - (sum of solo values + alpha)`` classifies the coalition:
-positive means colluding pays, zero means indifference, negative means
-the sequencers do better alone. All comparisons are exact fixed point.
+The coalition is a ``MevQuery``'s value domains. Its joint value and
+each member's solo value are that query restricted to the coalition and
+to the member (``_coalition_query``). Given a collusion cost alpha in the
+base asset, the margin ``joint - (sum of solo values + alpha)`` classifies
+the coalition: positive means colluding pays, zero means indifference,
+negative means the sequencers do better alone. All comparisons are exact
+fixed point.
 """
 
 from __future__ import annotations
@@ -13,10 +16,10 @@ from typing import Mapping
 
 from ._record import Record
 from .actions import ActionSpaceSpec
-from .engine import DEFAULT_MAX_SEQUENCE_LENGTH, MevQuery, MevResult, mev
+from .engine import MevQuery, MevResult, mev
 from .errors import XdmevError
 from .fixedpoint import ZERO, Amount
-from .model import PriceMatrix, WorldState
+from .model import WorldState
 
 
 class Verdict(enum.Enum):
@@ -40,41 +43,32 @@ class CollusionReport(Record):
         return self.joint_value - sum(self.solo_values.values(), ZERO)
 
 
-def _solo_query(joint_query: MevQuery, domain: str) -> MevQuery:
-    return joint_query.replace(action_domains=frozenset({domain}), value_domains=(domain,))
+def _coalition_query(query: MevQuery, domains) -> MevQuery:
+    """``query`` acting and valuing in ``domains`` only; every other field is kept."""
+    return query.replace(action_domains=frozenset(domains), value_domains=tuple(domains))
 
 
 def classify_collusion(
-    space: ActionSpaceSpec,
-    state: WorldState,
-    player: str,
-    domains: tuple[str, ...],
-    alpha: Amount,
-    prices: PriceMatrix,
-    base_domain: str,
-    base_asset: str,
-    max_len: int = DEFAULT_MAX_SEQUENCE_LENGTH,
+    space: ActionSpaceSpec, state: WorldState, query: MevQuery, alpha: Amount
 ) -> CollusionReport:
-    """Compare the coalition's joint value against solo extraction plus alpha."""
+    """Compare the coalition's joint value against solo extraction plus alpha.
+
+    The coalition is ``query.value_domains``. The joint search runs
+    ``query`` restricted to the coalition, each solo search ``query``
+    restricted to one member, so its player, base, prices,
+    ``max_sequence_length`` and ``candidate_cap`` hold for all of them.
+    The report's ``breakeven`` does not depend on ``alpha``.
+    """
+    domains = query.value_domains
     if len(domains) < 2:
         raise XdmevError("collusion needs at least two domains")
     if len(set(domains)) != len(domains):
         raise XdmevError("collusion domains must be distinct")
     if alpha.units < 0:
         raise XdmevError("alpha must be >= 0")
-    joint_query = MevQuery(
-        player=player,
-        action_domains=frozenset(domains),
-        value_domains=tuple(domains),
-        base_domain=base_domain,
-        base_asset=base_asset,
-        prices=prices,
-        max_sequence_length=max_len,
-    )
-    joint = mev(space, state, joint_query)
+    joint = mev(space, state, _coalition_query(query, domains))
     solo_results = {
-        domain: mev(space, state, _solo_query(joint_query, domain))
-        for domain in domains
+        domain: mev(space, state, _coalition_query(query, (domain,))) for domain in domains
     }
     solo_values = {domain: result.value for domain, result in solo_results.items()}
     margin = joint.value - sum(solo_values.values(), ZERO) - alpha
@@ -94,20 +88,3 @@ def classify_collusion(
         solo_results=solo_results,
         joint_result=joint,
     )
-
-
-def alpha_breakeven(
-    space: ActionSpaceSpec,
-    state: WorldState,
-    player: str,
-    domains: tuple[str, ...],
-    prices: PriceMatrix,
-    base_domain: str,
-    base_asset: str,
-    max_len: int = DEFAULT_MAX_SEQUENCE_LENGTH,
-) -> Amount:
-    """The alpha at which colluding and acting alone pay the same."""
-    report = classify_collusion(
-        space, state, player, domains, ZERO, prices, base_domain, base_asset, max_len
-    )
-    return report.breakeven

@@ -251,8 +251,13 @@ def _golden_section(
     Both ends are probed first; past two integers, float positions are
     rounded and clamped into the range until the bracket is at most
     ``max((hi - lo) * 1e-12, 1)``, or until the bracket, too narrow for
-    floats to shrink, revisits a state. A None score (an invalid probe) ranks
-    below every value. Each integer is scored once; the caller keeps its
+    floats to shrink, revisits a state. Its resolution is therefore
+    ``max((hi - lo) * 1e-12, 1, ulp(float(hi)))``: from about 10**18 units
+    on, one float ulp at ``hi`` can exceed the tolerance (131,072 units at
+    10**21), and on a single-peaked score the best probe lies within that
+    resolution of the peak (``tests/test_golden_section.py`` sweeps 660
+    ranges), not within the tolerance. A None score (an invalid probe)
+    ranks below every value. Each integer is scored once; the caller keeps its
     own best probe. A range past float range raises ``XdmevError`` naming
     ``label`` (what is being sized) after the two end probes.
     """
@@ -469,29 +474,6 @@ def mev(space: ActionSpaceSpec, state: WorldState, query: MevQuery) -> MevResult
         raise _too_deep() from None
     method = "golden-section" if search.sized else "exhaustive"
     return _result(best, space, query.player, search.counter.count, method)
-
-
-def mev_cross_two(
-    space: ActionSpaceSpec,
-    state: WorldState,
-    player: str,
-    domain_i: str,
-    domain_j: str,
-    prices: PriceMatrix,
-    max_len: int = DEFAULT_MAX_SEQUENCE_LENGTH,
-) -> MevResult:
-    """Two-domain convenience wrapper: act and value in {i, j}, base = i's asset."""
-    registry = state.registry
-    query = MevQuery(
-        player=player,
-        action_domains=frozenset({domain_i, domain_j}),
-        value_domains=(domain_i, domain_j),
-        base_domain=domain_i,
-        base_asset=registry.native_asset(domain_i),
-        prices=prices,
-        max_sequence_length=max_len,
-    )
-    return mev(space, state, query)
 
 
 # -- independent oracle -------------------------------------------------------

@@ -586,14 +586,27 @@ _NAMESPACES = ("asset", "domain", "player", "pool", "bridge", "opportunity", "st
 # -- loading and serialization ------------------------------------------------------
 
 
+def _unique_names(pairs: list) -> dict:
+    """One JSON object as a dict; a name given twice raises ValueError, since
+    ``json`` would keep only its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for name, _ in pairs:
+            if name in seen:
+                raise ValueError(f"duplicate name {name!r}")
+            seen.add(name)
+    return obj
+
+
 def loads(text: str) -> Scenario:
     """Parse and fully validate a scenario document."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_names)
     except json.JSONDecodeError as exc:
         where = f"line {exc.lineno}, column {exc.colno}"
         raise ParseError(f"malformed document at {where}: {exc.msg}") from None
-    except (RecursionError, ValueError) as exc:  # nested too deep, or a too long integer
+    except (RecursionError, ValueError) as exc:  # too deep, too long an integer, a name twice
         raise ParseError(f"malformed document: {exc}") from None
     return _read(doc, _DOCUMENT, "document", {what: {} for what in _NAMESPACES})
 
@@ -604,15 +617,6 @@ def load_path(path: str | Path) -> Scenario:
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     return loads(text)
-
-
-def load_scenario(source: str | Path) -> Scenario:
-    """Load from a path, or parse directly when given document text."""
-    if isinstance(source, Path):
-        return load_path(source)
-    if source.lstrip().startswith("{"):
-        return loads(source)
-    return load_path(source)
 
 
 def serialize_scenario(scenario: Scenario) -> str:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import test_properties
 from xdmev._kernels import grid_scan
-from xdmev.collusion import Verdict, alpha_breakeven, classify_collusion
+from xdmev.collusion import Verdict, classify_collusion
 from xdmev.engine import mev, mev_oracle, optimal_cp_arbitrage
 from xdmev.fixedpoint import SCALE, Amount
 from xdmev.model import Registry, WorldState
@@ -75,18 +75,16 @@ def test_criterion_3_bridge_arithmetic(bundled):
 def test_criterion_4_collusion_trichotomy(bundled):
     scenario = bundled("section3_2amm")
     state = scenario.initial_state()
+    query = scenario.default_query(
+        player="P", value_domains=("i", "j"), base_domain="i", base_asset="ETH")
 
     def classify(alpha: str):
-        return classify_collusion(
-            scenario.space, state, "P", ("i", "j"), Amount(alpha),
-            scenario.prices, "i", "ETH", scenario.defaults.max_sequence_length)
+        return classify_collusion(scenario.space, state, query, Amount(alpha))
 
     assert classify("0").verdict is Verdict.PROFITABLE
     assert classify("1").verdict is Verdict.INDIFFERENT
     assert classify("2").verdict is Verdict.UNPROFITABLE
-    breakeven = alpha_breakeven(
-        scenario.space, state, "P", ("i", "j"), scenario.prices, "i", "ETH",
-        scenario.defaults.max_sequence_length)
+    breakeven = classify("0").breakeven
     assert breakeven == Amount("1")
     _report(4, "verdicts Profitable/Indifferent/Unprofitable at alpha 0/1/2, breakeven 1 ETH exact")
 

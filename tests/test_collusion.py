@@ -2,36 +2,18 @@
 
 import pytest
 
-from xdmev.collusion import Verdict, alpha_breakeven, classify_collusion
-from xdmev.errors import XdmevError
+from xdmev.collusion import Verdict, classify_collusion
+from xdmev.errors import ExplosionGuard, XdmevError
 from xdmev.fixedpoint import Amount
 
 
 def classify(scenario, alpha: str, domains=("i", "j")):
-    return classify_collusion(
-        scenario.space,
-        scenario.initial_state(),
-        scenario.defaults.player,
-        tuple(domains),
-        Amount(alpha),
-        scenario.prices,
-        scenario.defaults.base_domain,
-        scenario.defaults.base_asset,
-        scenario.defaults.max_sequence_length,
-    )
+    query = scenario.default_query(value_domains=domains)
+    return classify_collusion(scenario.space, scenario.initial_state(), query, Amount(alpha))
 
 
 def breakeven(scenario, domains=("i", "j")):
-    return alpha_breakeven(
-        scenario.space,
-        scenario.initial_state(),
-        scenario.defaults.player,
-        tuple(domains),
-        scenario.prices,
-        scenario.defaults.base_domain,
-        scenario.defaults.base_asset,
-        scenario.defaults.max_sequence_length,
-    )
+    return classify(scenario, "0", domains).breakeven
 
 
 class TestTwoAmmExample:
@@ -97,3 +79,21 @@ class TestIdentities:
             classify(scenario, "0", domains=("i",))
         with pytest.raises(XdmevError):
             classify(scenario, "-1")
+
+
+class TestCallersQuery:
+    def test_candidate_cap_holds_for_every_search(self, bundled):
+        scenario = bundled("section3_2amm")
+        query = scenario.default_query(value_domains=("i", "j")).replace(candidate_cap=1)
+        with pytest.raises(ExplosionGuard):
+            classify_collusion(scenario.space, scenario.initial_state(), query, Amount(0))
+
+    def test_coalition_is_the_value_domains(self, bundled):
+        scenario = bundled("appendix_b_4amm")
+        state = scenario.initial_state()
+        own = scenario.default_query(action_domains=("i", "j"), value_domains=("i", "j"))
+        other = own.replace(action_domains=frozenset({"i"}))
+        assert other.action_domains != own.action_domains
+        report = classify_collusion(scenario.space, state, other, Amount("0.25"))
+        assert report == classify_collusion(scenario.space, state, own, Amount("0.25"))
+        assert report.joint_value == Amount("1.6")

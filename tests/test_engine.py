@@ -15,7 +15,6 @@ from xdmev.engine import (
     extractable_value,
     grid_amounts,
     mev,
-    mev_cross_two,
     mev_oracle,
     optimal_cp_arbitrage,
     price_terms,
@@ -201,19 +200,31 @@ class TestMevOnWorkedExamples:
             mev(scenario.space, state, tight)
 
 
+def cross_two(scenario, domain_i: str, domain_j: str):
+    """``mev`` of P acting and valued in {i, j}, priced in i's native asset."""
+    state = scenario.initial_state()
+    query = MevQuery(
+        player="P",
+        action_domains=frozenset({domain_i, domain_j}),
+        value_domains=(domain_i, domain_j),
+        base_domain=domain_i,
+        base_asset=state.registry.native_asset(domain_i),
+        prices=scenario.prices,
+    )
+    return mev(scenario.space, state, query)
+
+
 class TestMevCrossTwo:
     def test_bridge_example_one_to_one(self, bundled):
         scenario = bundled("figure1_bridge")
-        state = scenario.initial_state()
-        result = mev_cross_two(scenario.space, state, "P", "ethereum", "polygon", scenario.prices)
+        result = cross_two(scenario, "ethereum", "polygon")
         assert abs(result.value - Amount("49860.96")) < Amount("0.000000000001")
-        general = mev(scenario.space, state, scenario.default_query())
+        general = mev(scenario.space, scenario.initial_state(), scenario.default_query())
         assert result.value == general.value and result.witness == general.witness
 
     def test_bridge_example_discounted(self, bundled):
         scenario = bundled("figure1_bridge_discounted")
-        state = scenario.initial_state()
-        result = mev_cross_two(scenario.space, state, "P", "ethereum", "polygon", scenario.prices)
+        result = cross_two(scenario, "ethereum", "polygon")
         assert abs(result.value - Amount("21057.646")) < Amount("0.000000000001")
 
     def test_no_opportunity_scenario_yields_zero_and_empty_witness(self):
@@ -221,9 +232,7 @@ class TestMevCrossTwo:
         doc["domains"].append({"id": "d1", "native_asset": "AAA"})
         doc["players"][0]["capabilities"].append({"domain": "d1", "kinds": ["Swap"]})
         doc["prices"] = [{"from": "AAA", "to": "GLD", "rate": "1/1"}]
-        scenario = scen(doc)
-        state = scenario.initial_state()
-        result = mev_cross_two(scenario.space, state, "P", "d0", "d1", scenario.prices)
+        result = cross_two(scen(doc), "d0", "d1")
         assert result.value == Amount("0") and result.witness == ()
 
 
@@ -821,7 +830,7 @@ ERROR_PATHS = [
      XdmevError, "max_len must be >= 0"),
     ("collusion_repeated_domains",
      _section3(lambda sc, s, q: classify_collusion(
-         sc.space, s, "P", ("i", "i"), Amount(0), q.prices, "i", "ETH")),
+         sc.space, s, q.replace(value_domains=("i", "i")), Amount(0))),
      XdmevError, "collusion domains must be distinct"),
     ("for_player_unknown",
      _section3(lambda sc, s, q: sc.space.for_player("nobody")),

@@ -8,7 +8,10 @@ the same states forever. The sweep below runs a copy of that loop with an
 iteration cap next to the engine's, on ranges from 10**18 to 10**24 units
 and spans from 1 up, and checks that both probe the same integers in the
 same order: on every range where the plain loop ends, and on every range
-where it cycles (where every state it revisits was already probed).
+where it cycles (where every state it revisits was already probed). A
+second sweep, lo from 10**15 to 10**26, checks the resolution the engine
+states: on a score peaked anywhere in the range, the best probe lies within
+``max((hi - lo) * 1e-12, 1, ulp(float(hi)))`` of the peak.
 """
 
 import math
@@ -108,3 +111,23 @@ def test_sweep_probes_what_the_plain_loop_probes():
     assert ended > 500 and cycled > 100, (ended, cycled)
     assert longest <= engine._GOLDEN_ROUNDS, longest
 
+
+
+def test_best_probe_is_within_tolerance_or_one_float_ulp_of_the_peak():
+    # the float bracket gets no narrower than one ulp at hi, so the resolution
+    # is max((hi - lo) * 1e-12, 1, ulp(hi)): 131,072 units at 10**21, where
+    # [10**21, 10**21 + 10**14] misses a peak a third of the way in by 5,461
+    checked = past_tolerance = 0
+    for lo_u in (10**k for k in range(15, 27)):
+        divisors = (10**10, 10**8, 10**7, 10**6, 10**4, 4_545, 10**3, 100, 10)
+        for span in [lo_u // d for d in divisors] + [lo_u, 10 * lo_u]:
+            hi_u = lo_u + span
+            for peak in (lo_u, lo_u + span // 3, lo_u + span // 2,
+                         lo_u + span * 618 // 1000, hi_u):
+                probed = engine_probes(lo_u, hi_u, lambda u: -abs(u - peak))
+                miss = min(abs(u - peak) for u in probed)
+                tolerance = max(span * 1e-12, 1)
+                assert miss <= max(tolerance, math.ulp(float(hi_u))), (lo_u, hi_u, peak, miss)
+                checked += 1
+                past_tolerance += miss > tolerance
+    assert checked == 660 and past_tolerance > 0, (checked, past_tolerance)

@@ -252,11 +252,8 @@ def test_verdict_monotone_in_alpha():
         state = scenario.initial_state()
         ranks = []
         for alpha in (Amount("0"), Amount("0.7"), Amount("3")):
-            report = classify_collusion(
-                scenario.space, state, "P", domain_ids, alpha,
-                scenario.prices, scenario.defaults.base_domain,
-                scenario.defaults.base_asset, scenario.defaults.max_sequence_length,
-            )
+            query = scenario.default_query(player="P", value_domains=domain_ids)
+            report = classify_collusion(scenario.space, state, query, alpha)
             ranks.append(rank[report.verdict])
         assert ranks == sorted(ranks, reverse=True), f"seed {seed}: {ranks}"
 
@@ -486,11 +483,8 @@ def test_breakeven_alpha_is_never_negative():
         domain_ids = tuple(d.id for d in scenario.domains)
         if len(domain_ids) < 2:
             continue
-        report = classify_collusion(
-            scenario.space, scenario.initial_state(), "P", domain_ids, Amount("0"),
-            scenario.prices, scenario.defaults.base_domain,
-            scenario.defaults.base_asset, scenario.defaults.max_sequence_length,
-        )
+        query = scenario.default_query(player="P", value_domains=domain_ids)
+        report = classify_collusion(scenario.space, scenario.initial_state(), query, Amount("0"))
         assert report.breakeven >= Amount(0), f"seed {seed}: {report.breakeven}"
 
 

@@ -88,10 +88,9 @@ def samples() -> dict:
             scenario.space, query.player, query.action_domains, state, [("no_such_action", None)]
         ))
         if len(query.action_domains) > 1 and name != "appendix_b_4amm":
-            d = scenario.defaults
             add(classify_collusion(
-                scenario.space, state, d.player, d.action_domains, Amount(0),
-                scenario.prices, d.base_domain, d.base_asset,
+                scenario.space, state,
+                query.replace(value_domains=scenario.defaults.action_domains), Amount(0),
             ))
     # no bundled mempool holds these two effects; build them on bundled ids
     pool = load_bundled("cp_arbitrage_small").pools[0]

@@ -12,7 +12,7 @@ from xdmev.scenario import (
     BUNDLED_NAMES,
     bundled_path,
     load_bundled,
-    load_scenario,
+    load_path,
     loads,
     serialize_scenario,
 )
@@ -57,10 +57,10 @@ class TestBundledScenarios:
             raw = bundled_path(name).read_text(encoding="utf-8")
             assert serialize_scenario(loads(raw)) == raw, name
 
-    def test_load_scenario_accepts_text_and_path(self):
+    def test_load_path_matches_loads_of_its_text(self):
         path = bundled_path("section3_2amm")
-        from_path = load_scenario(str(path))
-        from_text = load_scenario(path.read_text(encoding="utf-8"))
+        from_path = load_path(str(path))
+        from_text = loads(path.read_text(encoding="utf-8"))
         assert serialize_scenario(from_path) == serialize_scenario(from_text)
 
 
@@ -199,6 +199,21 @@ class TestValidation:
     def test_hostile_document_is_a_parse_error(self, text):
         with pytest.raises(ParseError, match="^malformed document: "):
             loads(text)
+
+    def test_repeated_top_level_name_is_a_parse_error(self):
+        text = bundled_path("cp_arbitrage_small").read_text(encoding="utf-8")
+        text = text.replace("{", '{"schema_version": 99, ', 1)
+        with pytest.raises(ParseError) as err:
+            loads(text)
+        assert str(err.value) == "malformed document: duplicate name 'schema_version'"
+
+    def test_repeated_nested_name_is_a_parse_error(self):
+        # json would keep the last value: pool_a would load with reserve 7
+        text = bundled_path("cp_arbitrage_small").read_text(encoding="utf-8")
+        text = text.replace('"reserve_x": "100"', '"reserve_x": "100", "reserve_x": "7"', 1)
+        with pytest.raises(ParseError) as err:
+            loads(text)
+        assert str(err.value) == "malformed document: duplicate name 'reserve_x'"
 
     def test_unknown_top_level_field(self):
         doc = one_domain_doc()
