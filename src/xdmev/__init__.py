@@ -18,14 +18,12 @@ from .venues import (
     apply_pending_tx,
     apply_stylized_arb,
     apply_swap,
-    quote_swap,
 )
 from .actions import (
     Action,
     ActionSpaceSpec,
     AmountInterval,
     apply_sequence,
-    available_actions,
     validate_sequence,
 )
 from .engine import (
@@ -61,12 +59,10 @@ __all__ = [
     "apply_pending_tx",
     "apply_stylized_arb",
     "apply_swap",
-    "quote_swap",
     "Action",
     "ActionSpaceSpec",
     "AmountInterval",
     "apply_sequence",
-    "available_actions",
     "validate_sequence",
     "CpArbResult",
     "MevQuery",

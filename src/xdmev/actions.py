@@ -1,4 +1,4 @@
-"""Action templates, availability, and sequence validation/application.
+"""Action templates and sequence validation/application.
 
 An action is a named one-shot state mapping owned by one domain (bridges
 and cross-domain rebalances carry a domain pair). It acts on one
@@ -11,7 +11,10 @@ or "all" (sweep the full input balance at execution time); an arb or a
 pending tx takes none. Below a sequence step ``(id, Amount)``, amounts are
 int units (see ``model``). ``apply_action`` takes one pass: it resolves the
 amount, then dispatches once on the target's class and hands the target
-to its venue, reading no ``Registry.pools`` entry.
+to its venue, reading no ``Registry.pools`` entry. Whether an action can
+run is decided by running it: a search uses the actions whose domains the
+query allows (``engine._usable_actions``), sizes a parametric one up to
+``max_feasible_amount`` and drops an application that raises.
 """
 
 from __future__ import annotations
@@ -179,42 +182,6 @@ def max_feasible_amount(state: WorldState, player: str, action: Action) -> int:
     hi = action.amount.hi.units
     held = _input_units(state, player, action)
     return hi if held is None or held >= hi else held
-
-
-# -- availability ----------------------------------------------------------------
-
-
-def available_actions(
-    space: ActionSpaceSpec,
-    player: str,
-    domains: frozenset[str] | set[str],
-    state: WorldState,
-) -> tuple[Action, ...]:
-    """Templates that can be applied from ``state`` for some in-range amount.
-
-    Soundness over cleverness: availability is decided by actually trying
-    one application (the largest affordable amount for parametric actions),
-    so every returned action extends to a valid single-action sequence.
-    """
-    state.registry.require_player(player)
-    domains = state.registry.require_domains(domains)
-    out = []
-    for action in space.for_player(player):
-        if not action.domains <= domains:
-            continue
-        if _single_application_works(state, player, action):
-            out.append(action)
-    return tuple(out)
-
-
-def _single_application_works(state: WorldState, player: str, action: Action) -> bool:
-    try:
-        trial = max_feasible_amount(state, player, action) if action.parametric else None
-        # ``apply_action`` rejects a trial below the interval or not positive
-        apply_action(state, player, action, trial)
-    except XdmevError:
-        return False
-    return True
 
 
 # -- sequences ----------------------------------------------------------------

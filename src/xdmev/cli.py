@@ -97,7 +97,7 @@ def _build_query(scenario: Scenario, args) -> MevQuery:
 # -- witness rendering ----------------------------------------------------------
 
 
-def _action_params(scenario: Scenario, action) -> str:
+def _action_params(action) -> str:
     t = action.target
     if action.kind == KIND_SWAP:
         return f"swap {t.id} {action.direction}"
@@ -150,7 +150,7 @@ def _witness_steps(scenario: Scenario, player: str, state, witness) -> list[dict
                 "domains": sorted(action.domains),
                 "amount": None if amount is None else str(amount),
                 "resolved_amount": None if resolved is None else format_units(resolved),
-                "params": _action_params(scenario, action),
+                "params": _action_params(action),
                 "deltas": deltas,
             }
         )

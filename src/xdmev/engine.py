@@ -316,12 +316,12 @@ def _golden_section(
 
 
 class _LastSlot:
-    """Stand-in for the state a shape's last slot applies to, as
-    ``venues._QuoteState`` is for ``quote_swap``: the four fields the venues
-    read, and an ``update`` that moves balances by ``move_balances``, the
-    rule ``WorldState.update`` follows, and returns the moved balance map.
-    No later slot reads the pools or the consumed ids, so they are dropped
-    and no ``WorldState`` is built."""
+    """Stand-in for the state a shape's last slot applies to, the package's
+    one stand-in for a ``WorldState``: the four fields the venues read, and
+    an ``update`` that moves balances by ``move_balances``, the rule
+    ``WorldState.update`` follows, and returns the moved balance map. No
+    later slot reads the pools or the consumed ids, so they are dropped and
+    no ``WorldState`` is built."""
 
     __slots__ = ("registry", "balances", "pools", "consumed")
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 FRACTIONAL_DIGITS = 18
 SCALE = 10**FRACTIONAL_DIGITS
 
-_AMOUNT_RE = re.compile(r"^([+-]?)(\d+)(?:\.(\d+))?$")
+_AMOUNT_RE = re.compile(r"([+-]?)([0-9]+)(?:\.([0-9]+))?\Z")
 
 
 def div_half_even(numerator: int, denominator: int) -> int:
@@ -169,7 +169,7 @@ ZERO = Amount.from_units(0)
 def parse_fraction(text: str) -> Fraction:
     """Parse a "num/den" string into a positive exact rational."""
     num, sep, den = text.partition("/")
-    if not sep or not num.isdigit() or not den.isdigit():
+    if not sep or not text.isascii() or not num.isdigit() or not den.isdigit():
         raise ValueError(f"not a num/den rational: {text!r}")
     numerator = _int_digits(num, "numerator")
     denominator = _int_digits(den, "denominator")

@@ -12,7 +12,7 @@ Amounts at the edge only: every quantity a query computes or changes is
 int units (``Amount.units``), the engine's priced deltas, search
 candidates, grid amounts and steps included; an ``Amount`` is built only
 where a value enters from a document or leaves the state layer (loading,
-``quote_swap``, ``balance()``, ``pool()``, rendering, and an answer's
+``balance()``, ``pool()``, rendering, and an answer's
 ``MevResult.value`` and witness amounts, built once per answer). Error
 messages format units with ``format_units``. ``WorldState`` is a value —
 applying anything yields a new state through the one primitive
@@ -37,7 +37,7 @@ from .errors import (
 )
 from .fixedpoint import ZERO, Amount, format_units
 
-ID_RE = re.compile(r"^[A-Za-z0-9_.-]{1,64}$")
+ID_RE = re.compile(r"[A-Za-z0-9_.-]{1,64}\Z")
 
 ACTION_KINDS = ("Bridge", "ExecutePendingTx", "StylizedArb", "Swap")
 

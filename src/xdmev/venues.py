@@ -15,7 +15,7 @@ action's ``target``), else reads it from the registry; every venue
 reads the value from the state and builds one new state with one
 ``WorldState.update``: at most one debit, one credit, the pools it moves
 and the pending tx it consumes. Amounts are int units (see ``model``);
-``quote_swap`` and ``reserve_x``/``reserve_y`` hand out ``Amount``s.
+the ``reserve_x``/``reserve_y`` properties hand out ``Amount``s.
 """
 
 from __future__ import annotations
@@ -187,23 +187,6 @@ class PendingTx(Record):
 # -- constant-product operations -----------------------------------------
 
 
-class _QuoteState:
-    """What ``apply_swap`` reads of a state: one pool's reserves, and an ``update``."""
-
-    def __init__(self, pool: ConstantProductPool):
-        self.pools = {pool.id: pool.state()}
-
-    def update(self, debit, credit, pools, consumed) -> int:
-        return credit[1]
-
-
-def quote_swap(pool: ConstantProductPool, direction: str, amount_in: Amount) -> Amount:
-    """Pure quote: output for ``amount_in``, pool untouched, rounded down;
-    ``apply_swap`` run on a stand-in state whose ``update`` returns the output."""
-    out = apply_swap(_QuoteState(pool), None, pool.id, direction, amount_in.units, None, pool)
-    return Amount.from_units(out)
-
-
 def apply_swap(
     state: WorldState,
     player: str,
@@ -217,7 +200,7 @@ def apply_swap(
     player; a pending tx running the swap passes its id as ``consumed``, a
     caller that holds the pool's spec passes it as ``spec``.
 
-    The one swap body and quote: checks in their order (amount, direction,
+    The one swap body: checks in their order (amount, direction,
     liquidity), one ``_kernels.swap_out`` call (rounded down), one ``update``."""
     if spec is None:
         spec = state.registry.pool(pool_id)

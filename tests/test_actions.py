@@ -1,10 +1,20 @@
-"""Action availability, sequence validation, and sequence application."""
+"""Which actions a query may use and can run, sequence validation, and
+sequence application."""
 
 import pytest
 
 from conftest import one_domain_doc, scen
-from xdmev.actions import apply_action, apply_sequence, available_actions, validate_sequence
-from xdmev.errors import InvalidAmount, SequenceStepError, UnknownId
+from xdmev.actions import apply_action, apply_sequence, max_feasible_amount, validate_sequence
+from xdmev.engine import _usable_actions
+from xdmev.errors import (
+    AlreadyConsumed,
+    InsufficientBalance,
+    InvalidAmount,
+    PriceMismatch,
+    PricesEqual,
+    SequenceStepError,
+    UnknownId,
+)
 from xdmev.fixedpoint import Amount
 
 
@@ -24,41 +34,66 @@ def swap_only_doc(balance="0"):
     return doc
 
 
+def ids(actions):
+    return [a.id for a in actions]
+
+
 class TestAvailableActions:
+    """A query uses the player's actions inside its domains
+    (``_usable_actions``); one of them runs when ``apply_action`` succeeds,
+    a parametric one at ``max_feasible_amount``."""
+
     def test_zero_balance_swap_space_is_empty(self):
         scenario = scen(swap_only_doc())
         state = scenario.initial_state()
-        assert available_actions(scenario.space, "P", {"d0"}, state) == ()
+        buy = scenario.space.lookup("P", "buy")
+        assert max_feasible_amount(state, "P", buy) == 0
+        with pytest.raises(InvalidAmount, match="amount must be positive"):
+            apply_action(state, "P", buy, 0)
+        with pytest.raises(InsufficientBalance):
+            apply_action(state, "P", buy, Amount("1").units)
 
     def test_affordable_swap_is_available(self):
         scenario = scen(swap_only_doc("10"))
         state = scenario.initial_state()
-        actions = available_actions(scenario.space, "P", {"d0"}, state)
-        assert [a.id for a in actions] == ["buy"]
+        buy = scenario.space.lookup("P", "buy")
+        assert max_feasible_amount(state, "P", buy) == Amount("10").units
+        after = apply_action(state, "P", buy, Amount("10").units)
+        assert after.balance("d0", "P", "GLD") == Amount("0")
 
     def test_two_amm_example_only_pending_tx_at_start(self, bundled):
         scenario = bundled("section3_2amm")
         state = scenario.initial_state()
-        # the rebalance action is unavailable twice over: its domains span
+        # the rebalance action is unusable twice over: its domains span
         # {i, j}, and the two quotes have not diverged yet
-        actions = available_actions(scenario.space, "P", {"i"}, state)
-        assert [a.id for a in actions] == ["tx_buy_eth"]
-        both = available_actions(scenario.space, "P", {"i", "j"}, state)
-        assert [a.id for a in both] == ["tx_buy_eth"]
+        assert ids(_usable_actions(scenario.space, "P", frozenset({"i"}))) == ["tx_buy_eth"]
+        both = _usable_actions(scenario.space, "P", frozenset({"i", "j"}))
+        assert ids(both) == ["arb_uni_toro", "tx_buy_eth"]
+        with pytest.raises(PricesEqual):
+            apply_action(state, "P", scenario.space.lookup("P", "arb_uni_toro"))
+        apply_action(state, "P", scenario.space.lookup("P", "tx_buy_eth"))
 
     def test_consumed_tx_disappears_and_arb_appears(self, bundled):
         scenario = bundled("section3_2amm")
         state = scenario.initial_state()
         state = apply_sequence(scenario.space, state, "P", [("tx_buy_eth", None)])
-        actions = available_actions(scenario.space, "P", {"i", "j"}, state)
-        assert [a.id for a in actions] == ["arb_uni_toro"]
+        with pytest.raises(AlreadyConsumed):
+            apply_action(state, "P", scenario.space.lookup("P", "tx_buy_eth"))
+        apply_action(state, "P", scenario.space.lookup("P", "arb_uni_toro"))
 
     def test_deterministic_ordering_by_id(self, bundled):
         scenario = bundled("appendix_b_4amm")
         state = scenario.initial_state()
-        actions = available_actions(scenario.space, "P", {"i", "j"}, state)
-        ids = [a.id for a in actions]
-        assert ids == sorted(ids) == ["tx1_i", "tx1_j", "tx2_i", "tx2_j"]
+        usable = _usable_actions(scenario.space, "P", frozenset({"i", "j"}))
+        assert ids(usable) == sorted(ids(usable))
+        runs = []
+        for action in usable:
+            try:
+                apply_action(state, "P", action)
+            except PriceMismatch:
+                continue
+            runs.append(action.id)
+        assert runs == ["tx1_i", "tx1_j", "tx2_i", "tx2_j"]
 
 
 class TestValidateSequence:

@@ -24,7 +24,8 @@ class TestParsingAndFormat:
     def test_rejects_floats_and_garbage(self):
         with pytest.raises(TypeError):
             Amount(1.5)
-        for bad in ("", "1.", ".5", "1e3", "1.0000000000000000001", "--1", "1/2"):
+        for bad in ("", "1.", ".5", "1e3", "1.0000000000000000001", "--1", "1/2",
+                    "١٢٣.٥", "１２３", "1.２", "²", "123\n", "1.5\n"):
             with pytest.raises(ValueError):
                 Amount(bad)
 
@@ -101,6 +102,6 @@ class TestFractionStrings:
     def test_parse_and_format(self):
         assert parse_fraction("9/10") == Fraction(9, 10)
         assert format_fraction(Fraction(9, 10)) == "9/10"
-        for bad in ("9", "9/0", "a/b", "-1/2", "1/2/3"):
+        for bad in ("9", "9/0", "a/b", "-1/2", "1/2/3", "３/４", "3/４", "٣/4", "²/3", "3/4\n"):
             with pytest.raises(ValueError):
                 parse_fraction(bad)

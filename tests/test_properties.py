@@ -412,11 +412,28 @@ def test_oracle_never_beats_the_engine_on_parametric_scenarios():
         assert oracle.value <= engine.value, f"seed {seed}: {oracle.value} > {engine.value}"
 
 
+def available(space, state, domains):
+    """P's actions inside ``domains`` for which one application works, at
+    ``max_feasible_amount`` if parametric: what a search can start with."""
+    from xdmev.actions import apply_action, max_feasible_amount
+    from xdmev.engine import _usable_actions
+
+    out = []
+    for action in _usable_actions(space, "P", domains):
+        try:
+            trial = max_feasible_amount(state, "P", action) if action.parametric else None
+            apply_action(state, "P", action, trial)
+        except XdmevError:
+            continue
+        out.append(action)
+    return tuple(out)
+
+
 def test_available_actions_are_individually_performable():
-    # availability soundness: everything returned extends to a valid
-    # single-action sequence, with the max affordable amount if parametric;
-    # one unit more than that amount, when still in the interval, fails
-    from xdmev.actions import available_actions, max_feasible_amount, validate_sequence
+    # ``max_feasible_amount`` is sound: every available action extends to a
+    # valid single-action sequence, with that amount if parametric; one
+    # unit more, when still in the interval, fails
+    from xdmev.actions import max_feasible_amount, validate_sequence
 
     parametric_checked = 0
     for _, label, scenario in both_variants():
@@ -426,7 +443,7 @@ def test_available_actions_are_individually_performable():
         def violation(action, amount):
             return validate_sequence(scenario.space, "P", domains, state, [(action.id, amount)])
 
-        for action in available_actions(scenario.space, "P", domains, state):
+        for action in available(scenario.space, state, domains):
             amount = None
             if action.parametric:
                 parametric_checked += 1
@@ -442,10 +459,10 @@ def test_available_actions_are_individually_performable():
 
 
 def test_unavailable_parametric_actions_have_no_performable_amount():
-    # availability completeness, checked without ``max_feasible_amount``: a
-    # parametric action left out performs at no amount of an 11-point grid
-    # over its interval, nor at exactly the units P holds of its input
-    from xdmev.actions import available_actions, validate_sequence
+    # ``max_feasible_amount`` is complete, checked without it: a parametric
+    # action left out performs at no amount of an 11-point grid over its
+    # interval, nor at exactly the units P holds of its input
+    from xdmev.actions import validate_sequence
     from xdmev.engine import grid_amounts
 
     left_out = 0
@@ -453,9 +470,9 @@ def test_unavailable_parametric_actions_have_no_performable_amount():
         scenario = build(seed, parametric=True)
         state = scenario.initial_state()
         domains = frozenset(d.id for d in scenario.domains)
-        available = available_actions(scenario.space, "P", domains, state)
+        usable = available(scenario.space, state, domains)
         for action in scenario.space.for_player("P"):
-            if not action.parametric or action in available:
+            if not action.parametric or action in usable:
                 continue
             left_out += 1
             held = state.balances.get(_input_key(action), 0)

@@ -377,6 +377,8 @@ REJECTIONS = [
     ("assets_not_list", ("assets",), {}, "assets", "expected list, got dict"),
     ("asset_not_str", ("assets", 0), 1, "assets[0]", "expected string, got int"),
     ("asset_bad_id", ("assets", 0), "bad asset!", "assets[0]", "invalid identifier 'bad asset!'"),
+    ("asset_id_trailing_newline", ("assets", 0), "AAA\n", "assets[0]",
+     "invalid identifier 'AAA\\n'"),
     ("asset_duplicate", ("assets", 2), "AAA", "assets[2]", "duplicate asset 'AAA'"),
     # domains
     ("domains_missing", ("domains",), DROP, "document.domains", MISSING),
@@ -413,6 +415,8 @@ REJECTIONS = [
      "players[0].balances[0].amount", "expected string, got int"),
     ("balance_amount_malformed", ("players", 0, "balances", 0, "amount"), "1.2.3",
      "players[0].balances[0].amount", "not a decimal amount: '1.2.3'"),
+    ("balance_amount_arabic_indic_digits", ("players", 0, "balances", 0, "amount"), "١٢٣.٥",
+     "players[0].balances[0].amount", "not a decimal amount: '١٢٣.٥'"),
     ("balance_amount_too_precise", ("players", 0, "balances", 0, "amount"),
      "0.0000000000000000001", "players[0].balances[0].amount",
      "more than 18 fractional digits: '0.0000000000000000001'"),
@@ -463,6 +467,8 @@ REJECTIONS = [
     ("pool_reserve_missing", ("pools", 0, "reserve_x"), DROP, "pools[0].reserve_x", MISSING),
     ("pool_reserve_malformed", ("pools", 0, "reserve_x"), "abc", "pools[0].reserve_x",
      "not a decimal amount: 'abc'"),
+    ("pool_reserve_trailing_newline", ("pools", 0, "reserve_x"), "100\n", "pools[0].reserve_x",
+     "not a decimal amount: '100\\n'"),
     ("pool_reserve_x_zero", ("pools", 0, "reserve_x"), "0", "pools[0].reserve_x",
      "reserves must be positive"),
     ("pool_reserve_y_negative", ("pools", 0, "reserve_y"), "-1", "pools[0].reserve_y",
@@ -486,6 +492,10 @@ REJECTIONS = [
     ("bridge_rate_missing", ("bridges", 0, "rate"), DROP, "bridges[0].rate", MISSING),
     ("bridge_rate_decimal", ("bridges", 0, "rate"), "0.5", "bridges[0].rate",
      "not a num/den rational: '0.5'"),
+    ("bridge_rate_fullwidth_digits", ("bridges", 0, "rate"), "３/４", "bridges[0].rate",
+     "not a num/den rational: '３/４'"),
+    ("bridge_rate_superscript_digit", ("bridges", 0, "rate"), "²/3", "bridges[0].rate",
+     "not a num/den rational: '²/3'"),
     ("bridge_rate_zero_den", ("bridges", 0, "rate"), "1/0", "bridges[0].rate",
      "zero denominator: '1/0'"),
     ("bridge_rate_zero", ("bridges", 0, "rate"), "0/1", "bridges[0].rate",
@@ -599,6 +609,8 @@ REJECTIONS = [
     ("action_not_object", ("actions", 0), "swap", "actions[0]", "expected object, got str"),
     ("action_id_shared_with_mempool", ("actions", 0, "id"), "push", "actions[0].id",
      "duplicate action id 'push'"),
+    ("action_id_trailing_newline", ("actions", 0, "id"), "swap_fixed\n", "actions[0].id",
+     "invalid identifier 'swap_fixed\\n'"),
     ("action_player_undeclared", ("actions", 0, "player"), "Q", "actions[0].player",
      "undeclared player 'Q'"),
     ("action_kind_missing", ("actions", 0, "kind"), DROP, "actions[0].kind", MISSING),

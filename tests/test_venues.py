@@ -46,7 +46,6 @@ from xdmev.venues import (
     apply_stylized_arb,
     apply_stylized_fill,
     apply_swap,
-    quote_swap,
 )
 
 
@@ -76,49 +75,57 @@ def state_with(pools, balances=None):
     return WorldState(registry, units, {p.id: p.state() for p in pools})
 
 
+def exact_swap_out(reserve_in, reserve_out, amount_in, fee_bps):
+    """Swap output units by the exact-integer formula, evaluated here and
+    not through the package: out = R_out - ceil(R_in * R_out / (R_in + in * (1 - fee)))."""
+    eff = amount_in * (10_000 - fee_bps) // 10_000
+    return reserve_out - (-(-(reserve_in * reserve_out) // (reserve_in + eff)))
+
+
+def swap_credit(pool, direction, amount_in):
+    """What ``apply_swap`` credits P for ``amount_in`` on ``pool``, from a
+    state where P holds exactly that much of the input asset."""
+    asset_in, asset_out = ("ETH", "DAI") if direction == "x_to_y" else ("DAI", "ETH")
+    s = state_with([pool], {("dex", "P", asset_in): amount_in})
+    return apply_swap(s, "P", pool.id, direction, amount_in.units).balance("dex", "P", asset_out)
+
+
 class TestQuoteSwap:
+    """A swap's output (its quote) is the balance ``apply_swap`` credits."""
+
     def test_doubling_input_reserve_halves_output(self):
-        assert quote_swap(cp(), "x_to_y", Amount("100")) == Amount("1000")
+        assert swap_credit(cp(), "x_to_y", Amount("100")) == Amount("1000")
 
     def test_round_trip_never_profits(self):
-        pool = cp()
-        out = quote_swap(pool, "x_to_y", Amount("3"))
-        back = quote_swap(
-            ConstantProductPool(
-                id="after", domain="dex", asset_x="ETH", asset_y="DAI",
-                reserve_x_units=(pool.reserve_x + Amount("3")).units,
-                reserve_y_units=(pool.reserve_y - out).units,
-            ),
-            "y_to_x",
-            out,
-        )
-        assert back <= Amount("3")
+        s = apply_swap(state_with([cp()], {("dex", "P", "ETH"): Amount("3")}),
+                       "P", "pool", "x_to_y", Amount("3").units)
+        out = s.balance("dex", "P", "DAI")
+        back = apply_swap(s, "P", "pool", "y_to_x", out.units)
+        assert back.balance("dex", "P", "ETH") <= Amount("3")
 
     def test_fee_quote_matches_integer_oracle(self):
-        # independent evaluation of the swap formula with exact integers:
-        # out = R_out - ceil(R_in * R_out / (R_in + in * (1 - fee)))
-        pool = cp(fee=30)
-        amount_in = Amount("1")
-        rin, rout = 100 * SCALE, 2000 * SCALE
-        eff = amount_in.units * (10_000 - 30) // 10_000
-        expected = rout - (-(-(rin * rout) // (rin + eff)))
-        assert quote_swap(pool, "x_to_y", amount_in) == Amount.from_units(expected)
+        expected = exact_swap_out(100 * SCALE, 2000 * SCALE, SCALE, 30)
+        assert swap_credit(cp(fee=30), "x_to_y", Amount("1")) == Amount.from_units(expected)
 
     def test_zero_and_negative_amounts_rejected(self):
+        s = state_with([cp()], {("dex", "P", "ETH"): Amount("1")})
         with pytest.raises(InvalidAmount):
-            quote_swap(cp(), "x_to_y", Amount("0"))
+            apply_swap(s, "P", "pool", "x_to_y", 0)
         with pytest.raises(InvalidAmount):
-            quote_swap(cp(), "x_to_y", Amount("-1"))
+            apply_swap(s, "P", "pool", "x_to_y", -SCALE)
 
     def test_dust_input_is_insufficient_liquidity(self):
         pool = cp(rx="1000000", ry="0.000000000000000005")
         with pytest.raises(InsufficientLiquidity):
-            quote_swap(pool, "x_to_y", Amount.from_units(1))
+            swap_credit(pool, "x_to_y", Amount.from_units(1))
 
     def test_quote_leaves_pool_unchanged(self):
-        pool = cp()
-        quote_swap(pool, "x_to_y", Amount("1"))
-        assert pool.reserve_x == Amount("100") and pool.reserve_y == Amount("2000")
+        # the parent state is unchanged: same pool, same balances
+        s = state_with([cp()], {("dex", "P", "ETH"): Amount("1")})
+        apply_swap(s, "P", "pool", "x_to_y", Amount("1").units)
+        assert s == state_with([cp()], {("dex", "P", "ETH"): Amount("1")})
+        assert s.pool("pool").reserve_x == Amount("100")
+        assert s.pool("pool").reserve_y == Amount("2000")
 
 
 class TestApplySwap:
@@ -189,27 +196,26 @@ DUST_POOLS = {
 
 
 class TestApplySwapErrorsMatchQuote:
-    """``apply_swap`` rejects a swap with ``quote_swap``'s exception type,
-    message and check order (amount before direction)."""
+    """``apply_swap`` rejects a swap with a pinned exception type and
+    message, checking the amount before the direction."""
 
     @pytest.mark.parametrize(
-        "pool, direction, amount",
+        "pool, direction, amount, expected",
         [
-            *[(cp(), d, a) for d in ("x_to_y", "y_to_x") for a in ("0", "-1")],
-            (cp(), "sideways", "1"),
-            (cp(), "sideways", "0"),
-            *[(pool, d, "0.000000000000000001") for d, pool in DUST_POOLS.items()],
+            *[(cp(), d, a, (InvalidAmount, f"swap amount must be positive, got {a}"))
+              for d in ("x_to_y", "y_to_x") for a in ("0", "-1")],
+            (cp(), "sideways", "1", (InvalidAmount, "unknown swap direction 'sideways'")),
+            (cp(), "sideways", "0", (InvalidAmount, "swap amount must be positive, got 0")),
+            *[(pool, d, "0.000000000000000001",
+               (InsufficientLiquidity, "pool pool: input 0.000000000000000001 buys no output"))
+              for d, pool in DUST_POOLS.items()],
         ],
         ids=["x_zero", "x_negative", "y_zero", "y_negative", "unknown_direction",
              "unknown_direction_zero", "x_dust", "y_dust"],
     )
-    def test_same_error_as_quote(self, pool, direction, amount):
+    def test_same_error_as_quote(self, pool, direction, amount, expected):
         s = state_with([pool], {("dex", "P", "ETH"): Amount("5"), ("dex", "P", "DAI"): Amount("5")})
-        expected = _outcome(quote_swap, pool, direction, Amount(amount))
-        assert isinstance(expected, tuple)
         assert _outcome(apply_swap, s, "P", "pool", direction, Amount(amount).units) == expected
-        if (direction, amount) == ("sideways", "0"):
-            assert expected == (InvalidAmount, "swap amount must be positive, got 0")
 
 
 class TestStylizedFill:
@@ -444,11 +450,22 @@ def _ref_swap(state, player, pool_id, direction, amount_in):
 
 
 def _ref_swap_and_pool(state, player, pool_id, direction, amount_in):
-    """``_ref_swap``'s state and the moved pool record it stores."""
+    """``_ref_swap``'s state and the moved pool record it stores; the output
+    comes from ``exact_swap_out``, with the checks in ``apply_swap``'s order."""
     pool = state.pool(pool_id)
     if not isinstance(pool, ConstantProductPool):
         raise UnknownPool(f"pool {pool_id!r} is not a constant-product pool")
-    out = quote_swap(pool, direction, amount_in)
+    if amount_in.units <= 0:
+        raise InvalidAmount(f"swap amount must be positive, got {amount_in}")
+    if direction == "x_to_y":
+        reserve_in, reserve_out = pool.reserve_x_units, pool.reserve_y_units
+    elif direction == "y_to_x":
+        reserve_in, reserve_out = pool.reserve_y_units, pool.reserve_x_units
+    else:
+        raise InvalidAmount(f"unknown swap direction {direction!r}")
+    out = Amount.from_units(exact_swap_out(reserve_in, reserve_out, amount_in.units, pool.fee_bps))
+    if out.units <= 0:
+        raise InsufficientLiquidity(f"pool {pool_id}: input {amount_in} buys no output")
     if direction == "x_to_y":
         asset_in, asset_out = pool.asset_x, pool.asset_y
         new_pool = pool.replace(reserve_x_units=(pool.reserve_x + amount_in).units,
