@@ -4,16 +4,17 @@ An action is a named one-shot state mapping owned by one domain (bridges
 and cross-domain rebalances carry a domain pair). It acts on one
 ``target``, the record the loader resolved: a pool spec (the very object
 in ``Registry.pools``) for a swap, a ``BridgeSpec``, a ``StylizedArbSpec``
-or a ``PendingTx``. Sequences never repeat an action id; pending
-transactions additionally mark the state's consumed set. Its one
-``amount`` mode is a fixed ``Amount``, an ``AmountInterval`` (parametric)
-or "all" (sweep the full input balance at execution time); an arb or a
-pending tx takes none. Below a sequence step ``(id, Amount)``, amounts are
-int units (see ``model``). ``apply_action`` takes one pass: it resolves the
-amount, then dispatches once on the target's class and hands the target
-to its venue, reading no ``Registry.pools`` entry. Whether an action can
-run is decided by running it: a search uses the actions whose domains the
-query allows (``engine._usable_actions``), sizes a parametric one up to
+or a ``PendingTx``; an arb's and an effect's pools are linked specs too.
+Sequences never repeat an action id; pending transactions additionally
+mark the state's consumed set. Its one ``amount`` mode is a fixed
+``Amount``, an ``AmountInterval`` (parametric) or "all" (sweep the full
+input balance at execution time); an arb or a pending tx takes none.
+Below a sequence step ``(id, Amount)``, amounts are int units (see
+``model``). ``apply_action`` takes one pass: it resolves the amount, then
+dispatches once on the target's class and hands the target to its venue;
+no venue reads a ``Registry.pools`` entry. Whether an action can run is
+decided by running it: a search uses the actions whose domains the query
+allows (``engine._usable_actions``), sizes a parametric one up to
 ``max_feasible_amount`` and drops an application that raises.
 """
 
@@ -43,6 +44,7 @@ KIND_BRIDGE = "Bridge"
 KIND_PENDING = "ExecutePendingTx"
 KIND_ARB = "StylizedArb"
 KIND_SWAP = "Swap"
+ACTION_KINDS = (KIND_BRIDGE, KIND_PENDING, KIND_ARB, KIND_SWAP)
 
 
 class AmountInterval(Record):
@@ -165,9 +167,9 @@ def apply_action(
     target = action.target
     cls = target.__class__
     if cls is ConstantProductPool:
-        return apply_swap(state, player, target.id, action.direction, amount, None, target)
+        return apply_swap(state, player, target, action.direction, amount)
     if cls is StylizedMidpointPool:
-        return apply_stylized_fill(state, player, target.id, action.direction, amount, target)
+        return apply_stylized_fill(state, player, target, action.direction, amount)
     if cls is BridgeSpec:
         return apply_bridge(state, player, target, amount)
     if cls is PendingTx:

@@ -104,13 +104,13 @@ def _action_params(action) -> str:
     if action.kind == KIND_BRIDGE:
         return f"bridge {t.id} {t.from_domain}->{t.to_domain} ({t.from_asset}->{t.to_asset})"
     if action.kind == KIND_ARB:
-        return f"rebalance {t.pool_a}/{t.pool_b} profit {t.declared_profit} {t.profit_asset}"
+        return f"rebalance {t.pool_a.id}/{t.pool_b.id} profit {t.declared_profit} {t.profit_asset}"
     if action.kind == KIND_PENDING:
         effect = t.effect
         if isinstance(effect, PricePushEffect):
-            return f"pending price_push {effect.pool_id} -> {effect.to_price}"
+            return f"pending price_push {effect.pool.id} -> {effect.to_price}"
         if isinstance(effect, CpSwapEffect):
-            return f"pending cp_swap {effect.pool_id} {effect.direction} {effect.amount_in}"
+            return f"pending cp_swap {effect.pool.id} {effect.direction} {effect.amount_in}"
         if isinstance(effect, TransferEffect):
             return (
                 f"pending transfer {effect.amount} {effect.asset} "
@@ -118,7 +118,7 @@ def _action_params(action) -> str:
             )
         if isinstance(effect, ArbLegEffect):
             return (
-                f"pending arb_leg {effect.pool_id} {effect.from_price}->{effect.to_price} "
+                f"pending arb_leg {effect.pool.id} {effect.from_price}->{effect.to_price} "
                 f"({effect.opportunity.id})"
             )
     return action.kind

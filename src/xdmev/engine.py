@@ -317,16 +317,15 @@ def _golden_section(
 
 class _LastSlot:
     """Stand-in for the state a shape's last slot applies to, the package's
-    one stand-in for a ``WorldState``: the four fields the venues read, and
+    one stand-in for a ``WorldState``: the three fields the venues read, and
     an ``update`` that moves balances by ``move_balances``, the rule
     ``WorldState.update`` follows, and returns the moved balance map. No
     later slot reads the pools or the consumed ids, so they are dropped and
     no ``WorldState`` is built."""
 
-    __slots__ = ("registry", "balances", "pools", "consumed")
+    __slots__ = ("balances", "pools", "consumed")
 
     def __init__(self, state: WorldState):
-        self.registry = state.registry
         self.balances = state.balances
         self.pools = state.pools
         self.consumed = state.consumed

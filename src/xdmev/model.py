@@ -39,8 +39,6 @@ from .fixedpoint import ZERO, Amount, format_units
 
 ID_RE = re.compile(r"[A-Za-z0-9_.-]{1,64}\Z")
 
-ACTION_KINDS = ("Bridge", "ExecutePendingTx", "StylizedArb", "Swap")
-
 
 class Registry(Record):
     """Declared identifier sets and pool specs of a scenario; shared by all

@@ -20,12 +20,12 @@ from pathlib import Path
 from typing import Mapping, Optional
 
 from ._record import Record
+from .actions import ACTION_KINDS, KIND_ARB, KIND_BRIDGE, KIND_PENDING, KIND_SWAP
 from .actions import Action, ActionSpaceSpec, AmountInterval
-from .actions import KIND_ARB, KIND_BRIDGE, KIND_PENDING, KIND_SWAP
 from .engine import DEFAULT_MAX_SEQUENCE_LENGTH, MevQuery
 from .errors import ParseError, ValidationError
 from .fixedpoint import Amount, format_fraction, format_units, parse_fraction
-from .model import ACTION_KINDS, ID_RE, PriceMatrix, Registry, WorldState
+from .model import ID_RE, PriceMatrix, Registry, WorldState
 from .venues import DIRECTIONS, ArbLegEffect, BridgeSpec, ConstantProductPool, CpSwapEffect
 from .venues import LegOpportunity, PendingTx, PricePushEffect, StylizedArbSpec
 from .venues import StylizedMidpointPool, TransferEffect
@@ -396,7 +396,7 @@ def _pending_rules(entry: tuple, path: str, ns: dict) -> PendingTx:
     tid, domain, effect = entry
     if effect.__class__ is TransferEffect:
         return PendingTx(tid, domain, effect)
-    pool = ns["pool"][effect.pool_id]
+    pool = effect.pool
     if pool.domain != domain:
         raise ValidationError(f"{path}.effect.pool", f"pool {pool.id!r} lives on {pool.domain!r}")
     if effect.__class__ is ArbLegEffect and tid not in effect.opportunity.leg_ids:
@@ -413,7 +413,7 @@ def _opportunity_rules(opp: LegOpportunity, path: str, ns: dict) -> None:
 
 
 def _arb_rules(arb: StylizedArbSpec, path: str, ns: dict) -> None:
-    pa, pb = ns["pool"][arb.pool_a], ns["pool"][arb.pool_b]
+    pa, pb = arb.pool_a, arb.pool_b
     if pa is pb:
         raise ValidationError(f"{path}.pool_b", "pools must differ")
     if (pa.asset_x, pa.asset_y) != (pb.asset_x, pb.asset_y):
@@ -427,8 +427,7 @@ def _action_rules(entry: tuple, path: str, ns: dict) -> tuple[str, Action]:
     if kind == KIND_ARB:
         if mode is not None:
             raise ValidationError(f"{path}.amount", "stylized arbs take no amount")
-        pools = ns["pool"]
-        domains = frozenset({pools[target.pool_a].domain, pools[target.pool_b].domain})
+        domains = frozenset({target.pool_a.domain, target.pool_b.domain})
     elif mode is None:
         raise ValidationError(f"{path}.amount", f"{kind.lower()} actions need an amount mode")
     elif kind == KIND_SWAP:
@@ -476,7 +475,7 @@ _STRING, _AMOUNT = (_string, None, None), (_number, Amount, str)
 _UNITS = (_number, lambda text: Amount(text).units, format_units)
 _RATE = (_number, parse_fraction, format_fraction)
 _ASSET, _DOMAIN, _PLAYER = ((_ref, what, False, None) for what in ("asset", "domain", "player"))
-_STYLIZED_POOL = (_ref, "pool", False, StylizedMidpointPool)
+_STYLIZED_POOL = (_ref, "pool", True, StylizedMidpointPool)
 _DIRECTION = (_string, DIRECTIONS, "direction")
 _POSITIVE_RESERVE, _POSITIVE_RATE = "reserves must be positive", "rate must be positive"
 
@@ -498,19 +497,19 @@ _POOL = _Table(
     })
 
 _EFFECT = _Table([], tag=("type", "effect type", None), variants={
-    "price_push": _Table([("pool", _STYLIZED_POOL, REQUIRED, None, "pool_id"),
-                          ("to_price", _AMOUNT)], build=PricePushEffect),
+    "price_push": _Table([("pool", _STYLIZED_POOL), ("to_price", _AMOUNT)],
+                         build=PricePushEffect),
     "cp_swap": _Table([
-        ("pool", (_ref, "pool", False, ConstantProductPool), REQUIRED, None, "pool_id"),
-        ("direction", _DIRECTION), ("amount_in", _AMOUNT), ("account", _PLAYER),
+        ("pool", (_ref, "pool", True, ConstantProductPool)), ("direction", _DIRECTION),
+        ("amount_in", _AMOUNT), ("account", _PLAYER),
     ], build=CpSwapEffect),
     "transfer": _Table([
         ("from_account", _PLAYER), ("to_account", _PLAYER), ("asset", _ASSET),
         ("amount", _AMOUNT, REQUIRED, 0),
     ], build=TransferEffect),
     "arb_leg": _Table([
-        ("pool", _STYLIZED_POOL, REQUIRED, None, "pool_id"), ("from_price", _AMOUNT),
-        ("to_price", _AMOUNT), ("opportunity", (_ref, "opportunity", True, None)),
+        ("pool", _STYLIZED_POOL), ("from_price", _AMOUNT), ("to_price", _AMOUNT),
+        ("opportunity", (_ref, "opportunity", True, None)),
     ], build=ArbLegEffect),
 })
 

@@ -10,12 +10,13 @@ A pool record is a spec in the scenario's ``Registry`` and, as a state
 value in ``WorldState.pools``, only what swaps move: ``state()`` gives a
 record's value (a constant-product pool's ``(reserve_x_units,
 reserve_y_units)``, a stylized pool's price units) and ``spec.at(value)``
-the record back. A swap venue takes the spec its caller holds (an
-action's ``target``), else reads it from the registry; every venue
-reads the value from the state and builds one new state with one
-``WorldState.update``: at most one debit, one credit, the pools it moves
-and the pending tx it consumes. Amounts are int units (see ``model``);
-the ``reserve_x``/``reserve_y`` properties hand out ``Amount``s.
+the record back. Every venue takes the pool record the loader linked
+(an action's ``target``, an effect's ``pool``, an arb's ``pool_a`` and
+``pool_b``), reads no ``Registry.pools`` entry, reads the pool's value
+from the state and builds one new state with one ``WorldState.update``:
+at most one debit, one credit, the pools it moves and the pending tx it
+consumes. Amounts are int units (see ``model``); the
+``reserve_x``/``reserve_y`` properties hand out ``Amount``s.
 """
 
 from __future__ import annotations
@@ -102,8 +103,8 @@ class StylizedArbSpec(Record):
     """Pair rebalance: both pools move to the midpoint, profit is stipulated."""
 
     id: str
-    pool_a: str
-    pool_b: str
+    pool_a: StylizedMidpointPool
+    pool_b: StylizedMidpointPool
     declared_profit: Amount
     profit_asset: str
     profit_domain: str
@@ -139,14 +140,14 @@ class LegOpportunity(Record):
 class PricePushEffect(Record):
     """Third-party flow that moves a stylized pool to a new quoted price."""
 
-    pool_id: str
+    pool: StylizedMidpointPool
     to_price: Amount
 
 
 class CpSwapEffect(Record):
     """Third-party swap on a constant-product pool, for the named account."""
 
-    pool_id: str
+    pool: ConstantProductPool
     direction: str
     amount_in: Amount
     account: str
@@ -164,7 +165,7 @@ class TransferEffect(Record):
 class ArbLegEffect(Record):
     """One leg of a declared rebalance: pool must sit at from_price, moves to to_price."""
 
-    pool_id: str
+    pool: StylizedMidpointPool
     from_price: Amount
     to_price: Amount
     opportunity: LegOpportunity
@@ -187,73 +188,60 @@ class PendingTx(Record):
 # -- constant-product operations -----------------------------------------
 
 
+def _value(state: WorldState, pool):
+    """The state value of the pool record ``pool``."""
+    try:
+        return state.pools[pool.id]
+    except KeyError:
+        raise UnknownPool(f"unknown pool {pool.id!r}") from None
+
+
 def apply_swap(
     state: WorldState,
     player: str,
-    pool_id: str,
+    pool: ConstantProductPool,
     direction: str,
     amount_in: int,
     consumed: str | None = None,
-    spec: ConstantProductPool | None = None,
 ) -> WorldState:
     """Swap against a constant-product pool, debiting and crediting the
-    player; a pending tx running the swap passes its id as ``consumed``, a
-    caller that holds the pool's spec passes it as ``spec``.
+    player; a pending tx running the swap passes its id as ``consumed``.
 
-    The one swap body: checks in their order (amount, direction,
+    The one swap body: checks in their order (amount, pool, direction,
     liquidity), one ``_kernels.swap_out`` call (rounded down), one ``update``."""
-    if spec is None:
-        spec = state.registry.pool(pool_id)
-        if not isinstance(spec, ConstantProductPool):
-            raise UnknownPool(f"pool {pool_id!r} is not a constant-product pool")
     if amount_in <= 0:
         raise InvalidAmount(f"swap amount must be positive, got {format_units(amount_in)}")
-    try:
-        reserve_x, reserve_y = state.pools[pool_id]
-    except KeyError:
-        raise UnknownPool(f"unknown pool {pool_id!r}") from None
-    domain = spec.domain
+    reserve_x, reserve_y = _value(state, pool)
+    domain = pool.domain
     if direction == X_TO_Y:
-        out = _kernels.swap_out(reserve_x, reserve_y, amount_in, spec.fee_bps)
-        debit, credit = (domain, player, spec.asset_x), (domain, player, spec.asset_y)
+        out = _kernels.swap_out(reserve_x, reserve_y, amount_in, pool.fee_bps)
+        debit, credit = (domain, player, pool.asset_x), (domain, player, pool.asset_y)
         reserves = (reserve_x + amount_in, reserve_y - out)
     elif direction == Y_TO_X:
-        out = _kernels.swap_out(reserve_y, reserve_x, amount_in, spec.fee_bps)
-        debit, credit = (domain, player, spec.asset_y), (domain, player, spec.asset_x)
+        out = _kernels.swap_out(reserve_y, reserve_x, amount_in, pool.fee_bps)
+        debit, credit = (domain, player, pool.asset_y), (domain, player, pool.asset_x)
         reserves = (reserve_x - out, reserve_y + amount_in)
     else:
         raise InvalidAmount(f"unknown swap direction {direction!r}")
     if out <= 0:
         raise InsufficientLiquidity(
-            f"pool {pool_id}: input {format_units(amount_in)} buys no output"
+            f"pool {pool.id}: input {format_units(amount_in)} buys no output"
         )
-    return state.update((debit, amount_in), (credit, out), ((pool_id, reserves),), consumed)
+    return state.update((debit, amount_in), (credit, out), ((pool.id, reserves),), consumed)
 
 
-def _stylized(state: WorldState, pool_id: str) -> tuple[StylizedMidpointPool, int]:
-    """A stylized pool's spec and price units."""
-    spec = state.registry.pool(pool_id)
-    if not isinstance(spec, StylizedMidpointPool):
-        raise UnknownPool(f"pool {pool_id!r} is not a stylized pool")
-    return spec, state.pools[pool_id]
-
-
-def _to_price(pool_id: str, price: Amount) -> int:
+def _to_price(pool: StylizedMidpointPool, price: Amount) -> int:
     """Units of a price a pending tx moves a pool to, checked as declared."""
     if price.units <= 0:
-        raise XdmevError(f"pool {pool_id}: price must be positive")
+        raise XdmevError(f"pool {pool.id}: price must be positive")
     return price.units
 
 
 def apply_stylized_fill(
-    state: WorldState, player: str, pool_id: str, direction: str, amount_in: int,
-    spec: StylizedMidpointPool | None = None,
+    state: WorldState, player: str, pool: StylizedMidpointPool, direction: str, amount_in: int
 ) -> WorldState:
     """Trade at a stylized pool's quoted price, rounded half-even; the quote does not move."""
-    try:
-        pool, price = _stylized(state, pool_id) if spec is None else (spec, state.pools[pool_id])
-    except KeyError:
-        raise UnknownPool(f"unknown pool {pool_id!r}") from None
+    price = _value(state, pool)
     if amount_in <= 0:
         raise InvalidAmount(f"fill amount must be positive, got {format_units(amount_in)}")
     if direction == X_TO_Y:
@@ -265,7 +253,7 @@ def apply_stylized_fill(
     else:
         raise InvalidAmount(f"unknown swap direction {direction!r}")
     if out <= 0:
-        raise InsufficientLiquidity(f"pool {pool_id}: fill output rounds to zero")
+        raise InsufficientLiquidity(f"pool {pool.id}: fill output rounds to zero")
     domain = pool.domain
     return state.update(
         ((domain, player, asset_in), amount_in), ((domain, player, asset_out), out)
@@ -277,17 +265,15 @@ def apply_stylized_fill(
 
 def apply_stylized_arb(state: WorldState, player: str, spec: StylizedArbSpec) -> WorldState:
     """Move both pools to the arithmetic midpoint and credit the stipulated profit."""
-    price_a = _stylized(state, spec.pool_a)[1]
-    price_b = _stylized(state, spec.pool_b)[1]
+    pool_a, pool_b = spec.pool_a, spec.pool_b
+    price_a, price_b = _value(state, pool_a), _value(state, pool_b)
     if price_a == price_b:
-        raise PricesEqual(
-            f"{spec.pool_a} and {spec.pool_b} both quote {format_units(price_a)}"
-        )
+        raise PricesEqual(f"{pool_a.id} and {pool_b.id} both quote {format_units(price_a)}")
     # (a + b) / Amount(2) on units: div_half_even(s * SCALE, 2 * SCALE) == div_half_even(s, 2)
     midpoint = div_half_even(price_a + price_b, 2)
     return state.update(
         credit=((spec.profit_domain, player, spec.profit_asset), spec.declared_profit.units),
-        pools=((spec.pool_a, midpoint), (spec.pool_b, midpoint)),
+        pools=((pool_a.id, midpoint), (pool_b.id, midpoint)),
     )
 
 
@@ -301,29 +287,30 @@ def apply_pending_tx(state: WorldState, tx: PendingTx) -> WorldState:
     effect = tx.effect
     if isinstance(effect, CpSwapEffect):
         return apply_swap(
-            state, effect.account, effect.pool_id, effect.direction, effect.amount_in.units, tx.id
+            state, effect.account, effect.pool, effect.direction, effect.amount_in.units, tx.id
         )
     debit = credit = None
     if isinstance(effect, PricePushEffect):
-        _stylized(state, effect.pool_id)
-        pools = ((effect.pool_id, _to_price(effect.pool_id, effect.to_price)),)
+        _value(state, effect.pool)
+        pools = ((effect.pool.id, _to_price(effect.pool, effect.to_price)),)
     elif isinstance(effect, TransferEffect):
         units = effect.amount.units
         debit = ((tx.domain, effect.from_account, effect.asset), units)
         credit = ((tx.domain, effect.to_account, effect.asset), units)
         pools = ()
     elif isinstance(effect, ArbLegEffect):
-        price = _stylized(state, effect.pool_id)[1]
+        pool = effect.pool
+        price = _value(state, pool)
         if price != effect.from_price.units:
             raise PriceMismatch(
-                f"leg {tx.id!r} expects {effect.pool_id} at {effect.from_price}, "
+                f"leg {tx.id!r} expects {pool.id} at {effect.from_price}, "
                 f"pool quotes {format_units(price)}"
             )
         opp = effect.opportunity
         if tx.other_legs <= state.consumed:
             key = (opp.profit_domain, opp.beneficiary, opp.profit_asset)
             credit = (key, opp.declared_profit.units)
-        pools = ((effect.pool_id, _to_price(effect.pool_id, effect.to_price)),)
+        pools = ((pool.id, _to_price(pool, effect.to_price)),)
     else:
         raise XdmevError(f"pending tx {tx.id!r}: unknown effect {type(effect).__name__}")
     return state.update(debit, credit, pools, tx.id)

@@ -134,7 +134,7 @@ def test_criterion_7_constant_product_checks(bundled):
     for amount in ("0.000000000000000123", "1", "7.5", "99.999999"):
         state = WorldState(
             registry, {("dex", "P", "ETH"): Amount("100").units}, {"pool": pool.state()})
-        after = apply_swap(state, "P", "pool", "x_to_y", Amount(amount).units).pool("pool")
+        after = apply_swap(state, "P", pool, "x_to_y", Amount(amount).units).pool("pool")
         drift = after.reserve_x.units * after.reserve_y.units - pool.reserve_x.units * pool.reserve_y.units
         assert 0 <= drift < after.reserve_x.units, amount
 

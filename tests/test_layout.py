@@ -1,5 +1,6 @@
 """Source-tree hygiene: the package ships Python modules and scenario JSON
-only, importing its CLI stays light, and states are built in one place."""
+only, importing its CLI stays light, states are built in one place, and
+pool specs are read from the registry only at the state layer's edge."""
 
 import re
 import subprocess
@@ -62,3 +63,14 @@ def test_insufficient_balance_is_raised_only_by_the_state_layer():
         if "raise InsufficientBalance(" in path.read_text(encoding="utf-8")
     }
     assert raisers == {"model.py"}, sorted(raisers)
+
+
+def test_pool_specs_are_read_from_the_registry_only_by_the_state_layer():
+    # the loader links every pool a record acts on, so each venue takes the
+    # record; ``WorldState.pool`` and ``with_pool`` join spec and value at
+    # the edge, and a lookup anywhere else would re-resolve a linked pool
+    readers = {
+        path.name for path in PACKAGE.glob("*.py")
+        if "registry.pool(" in path.read_text(encoding="utf-8")
+    }
+    assert readers == {"model.py"}, sorted(readers)

@@ -92,10 +92,10 @@ def samples() -> dict:
                 scenario.space, state,
                 query.replace(value_domains=scenario.defaults.action_domains), Amount(0),
             ))
-    # no bundled mempool holds these two effects; build them on bundled ids
+    # no bundled mempool holds these two effects; build them on a bundled pool
     pool = load_bundled("cp_arbitrage_small").pools[0]
-    add(CpSwapEffect(pool.id, "x_to_y", Amount("1"), "P"))
-    add(CpSwapEffect(pool.id, "y_to_x", Amount("2"), "P"))
+    add(CpSwapEffect(pool, "x_to_y", Amount("1"), "P"))
+    add(CpSwapEffect(pool, "y_to_x", Amount("2"), "P"))
     add(TransferEffect("P", "whale", pool.asset_x, Amount("3")))
     add(TransferEffect("whale", "P", pool.asset_x, Amount("3")))
     return found
@@ -263,7 +263,8 @@ REPRS = {
     ("section3_2amm", "action"): (
         "Action(id='tx_buy_eth', kind='ExecutePendingTx', domains=frozenset({'i'}), "
         "target=PendingTx(id='tx_buy_eth', domain='i', "
-        "effect=PricePushEffect(pool_id='uniswap', to_price=Amount('30'))), "
+        "effect=PricePushEffect(pool=StylizedMidpointPool(id='uniswap', domain='i', "
+        "asset_x='ETH', asset_y='DAI', price=Amount('20')), to_price=Amount('30'))), "
         "direction=None, amount=None)"
     ),
     ("section3_2amm", "query"): (

@@ -3,11 +3,16 @@
 When every parametric range holds at most ``grid_points`` units,
 ``grid_amounts`` returns every unit of it, so ``mev_oracle`` tries every
 integer amount of every sequence: it is the paper's maximum over valid
-sequences, computed by enumeration. The documents are
-``test_engine_digests.cp_pair_doc``'s constant-product pairs at reserves
-of 20-300 units: a parametric buy on pool_a, then a parametric or (about
-30% of them) a sweep sell on pool_b, which quotes 5-60% dearer; fees 0, 5
-or 30 bps; sequences of at most two steps.
+sequences, computed by enumeration. Two families of
+documents hold reserves of 20-300 units and fees of 0, 5 or 30 bps:
+
+- pairs: ``test_engine_digests.cp_pair_doc``'s constant-product pairs, a
+  parametric buy on pool_a, then a parametric or (about 30% of them) a
+  sweep sell on pool_b, which quotes 5-60% dearer; at most two steps;
+- chains: a parametric buy on an L2 constant-product pool, a sweep bridge
+  to L1 (rate 90/100-110/100, flat fee 0-3 units) and a sweep sell on an
+  L1 pool 5-60% dearer, constant-product or (about 40%) a stylized fill;
+  at most three steps.
 
 ``mev`` sizes each parametric slot by golden-section, a heuristic, so it
 may fall short of the optimum; its answer is never above it. Only an
@@ -23,7 +28,7 @@ from xdmev.fixedpoint import format_units
 from xdmev.scenario import loads
 
 SEEDS = range(1, 61)
-# the widest range is the buy's [0, reserve_y of pool_a + 1], at most 302 units
+# the widest range is a buy's [0, reserve_y of its pool + 1], at most 302 units
 GRID_POINTS = 302
 
 
@@ -45,10 +50,55 @@ def small_pair_doc(seed: int) -> dict:
     return doc
 
 
-def test_exhaustive_optimum_bounds_mev_and_equals_every_exact_answer():
+def small_chain_doc(seed: int) -> dict:
+    """Buy ETH on L2, bridge all of it to L1 and sell all of it there."""
+    rng = random.Random(seed)
+    fee = rng.choice(CP_FEES)
+    rx_a, ry_a = rng.randint(20, 300), rng.randint(20, 300)
+    dearer = rng.uniform(1.05, 1.6)
+    rate, flat_fee = rng.randint(90, 110), rng.randint(0, 3)
+    if rng.random() < 0.4:
+        sell_pool = {"type": "stylized_midpoint", "price": f"{ry_a / rx_a * dearer:.18f}"}
+    else:
+        rx_b = rng.randint(20, 300)
+        sell_pool = {"type": "constant_product", "fee_bps": fee, "reserve_x": format_units(rx_b),
+                     "reserve_y": format_units(round(rx_b * ry_a / rx_a * dearer))}
+    capabilities = [{"domain": d, "kinds": ["Bridge", "Swap"]} for d in ("l1", "l2")]
+    return {
+        "schema_version": 1,
+        "domains": [{"id": "l1", "native_asset": "USD"}, {"id": "l2", "native_asset": "USD"}],
+        "assets": ["ETH", "USD"],
+        "players": [{"id": "P", "capabilities": capabilities, "balances": [
+            {"domain": "l2", "asset": "USD", "amount": format_units(ry_a + 1)}]}],
+        "pools": [
+            {"id": "pool_l2", "type": "constant_product", "domain": "l2", "asset_x": "ETH",
+             "asset_y": "USD", "reserve_x": format_units(rx_a), "reserve_y": format_units(ry_a),
+             "fee_bps": fee},
+            {"id": "pool_l1", "domain": "l1", "asset_x": "ETH", "asset_y": "USD", **sell_pool},
+        ],
+        "bridges": [{"id": "to_l1", "from_domain": "l2", "to_domain": "l1", "from_asset": "ETH",
+                     "to_asset": "ETH", "rate": f"{rate}/100", "flat_fee": format_units(flat_fee)}],
+        "mempool": [], "opportunities": [], "stylized_arbs": [],
+        "actions": [
+            {"id": "buy", "player": "P", "kind": "Swap", "pool": "pool_l2", "direction": "y_to_x",
+             "amount": {"interval": ["0", format_units(ry_a + 1)]}},
+            {"id": "bridge", "player": "P", "kind": "Bridge", "bridge": "to_l1", "amount": "all"},
+            {"id": "sell", "player": "P", "kind": "Swap", "pool": "pool_l1", "direction": "x_to_y",
+             "amount": "all"},
+        ],
+        "prices": [],
+        "defaults": {"player": "P", "base_domain": "l2", "base_asset": "USD",
+                     "max_sequence_length": 3, "alpha": "0"},
+    }
+
+
+def profitable_documents(build) -> int:
+    """Check every seed's document of the family ``build``: the grid gives
+    every unit, the exhaustive optimum is never below ``mev`` and equals
+    every ``exact`` answer. Returns how many documents have a positive optimum."""
     positive = 0
     for seed in SEEDS:
-        scenario = loads(json.dumps(small_pair_doc(seed)))
+        scenario = loads(json.dumps(build(seed)))
         for action in scenario.space.for_player("P"):
             if action.parametric:
                 lo, hi = action.amount.lo.units, action.amount.hi.units
@@ -60,4 +110,13 @@ def test_exhaustive_optimum_bounds_mev_and_equals_every_exact_answer():
         if engine.method == "exact":
             assert engine.value == optimum.value, f"seed {seed}"
         positive += optimum.value.units > 0
-    assert positive >= 10  # the family holds profitable documents, not only empty answers
+    return positive
+
+
+def test_exhaustive_optimum_bounds_mev_and_equals_every_exact_answer():
+    # the family holds profitable documents, not only empty answers
+    assert profitable_documents(small_pair_doc) >= 10
+
+
+def test_bridge_chains_exhaustive_optimum_bounds_mev_and_equals_every_exact_answer():
+    assert profitable_documents(small_chain_doc) >= 10
