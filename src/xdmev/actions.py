@@ -59,7 +59,8 @@ class AmountInterval(Record):
 class Action(Record):
     """One declared action template: ``target`` is what it acts on, ``direction``
     a swap's (else None), ``amount`` its one amount mode (None for an arb or a
-    pending tx)."""
+    pending tx). ``step`` and ``parametric`` derive from the fields, once, at
+    construction."""
 
     id: str
     kind: str
@@ -70,13 +71,11 @@ class Action(Record):
 
     def __post_init__(self):
         # ``step``: this action's witness step when it takes no amount, built
-        # once and shared by every result that contains it. It derives from
-        # ``id``, so equal actions have equal steps.
+        # once and shared by every result that contains it; ``parametric``:
+        # whether ``amount`` is an interval. Each derives from a field, so
+        # equal actions agree on both.
         object.__setattr__(self, "step", (self.id, None))
-
-    @property
-    def parametric(self) -> bool:
-        return self.amount.__class__ is AmountInterval
+        object.__setattr__(self, "parametric", self.amount.__class__ is AmountInterval)
 
     def sort_key(self) -> str:
         return self.id

@@ -17,7 +17,9 @@ where a value enters from a document or leaves the state layer (loading,
 messages format units with ``format_units``. ``WorldState`` is a value —
 applying anything yields a new state through the one primitive
 ``WorldState.update``, prior states stay intact, and states are hashable
-so reachable-state sets deduplicate naturally.
+so reachable-state sets and the search memo deduplicate naturally. A
+state's identity is its registry and its three maps, compared directly;
+its hash is computed from the maps on first use and cached.
 """
 
 from __future__ import annotations
@@ -137,9 +139,13 @@ class WorldState:
     state owns the dicts it is built from: the constructor neither copies
     nor filters them, so a caller hands over maps it will not change
     again, with only positive balances in them. All updaters return fresh states.
+
+    Two states are equal when their registries and their ``balances``,
+    ``pools`` and ``consumed`` are equal, in any insertion order. The hash
+    covers those three, not the registry, and is cached on first use.
     """
 
-    __slots__ = ("registry", "balances", "pools", "consumed", "_key")
+    __slots__ = ("registry", "balances", "pools", "consumed", "_hash")
 
     def __init__(
         self,
@@ -152,7 +158,7 @@ class WorldState:
         self.balances = balances
         self.pools = pools
         self.consumed = consumed
-        self._key = None
+        self._hash = None
 
     # -- reads ---------------------------------------------------------
 
@@ -216,15 +222,6 @@ class WorldState:
 
     # -- value semantics -------------------------------------------------
 
-    def _canonical_key(self):
-        if self._key is None:
-            self._key = (
-                tuple(sorted(self.balances.items())),
-                tuple(sorted(self.pools.items())),
-                tuple(sorted(self.consumed)),
-            )
-        return self._key
-
     def __eq__(self, other: object) -> bool:
         # the pools' static fields live in the registry (see ``Registry``), so
         # equal states need equal registries; the hash leaves them out
@@ -232,11 +229,18 @@ class WorldState:
             return False
         registry = other.registry
         return (
-            self.registry is registry or self.registry == registry
-        ) and self._canonical_key() == other._canonical_key()
+            (self.registry is registry or self.registry == registry)
+            and self.balances == other.balances
+            and self.pools == other.pools
+            and self.consumed == other.consumed
+        )
 
     def __hash__(self) -> int:
-        return hash(self._canonical_key())
+        if self._hash is None:
+            self._hash = hash(
+                (frozenset(self.balances.items()), frozenset(self.pools.items()), self.consumed)
+            )
+        return self._hash
 
     def __repr__(self) -> str:
         return (

@@ -285,20 +285,21 @@ def apply_pending_tx(state: WorldState, tx: PendingTx) -> WorldState:
     if tx.id in state.consumed:
         raise AlreadyConsumed(f"pending tx {tx.id!r} already executed")
     effect = tx.effect
-    if isinstance(effect, CpSwapEffect):
+    cls = effect.__class__
+    if cls is CpSwapEffect:
         return apply_swap(
             state, effect.account, effect.pool, effect.direction, effect.amount_in.units, tx.id
         )
     debit = credit = None
-    if isinstance(effect, PricePushEffect):
+    if cls is PricePushEffect:
         _value(state, effect.pool)
         pools = ((effect.pool.id, _to_price(effect.pool, effect.to_price)),)
-    elif isinstance(effect, TransferEffect):
+    elif cls is TransferEffect:
         units = effect.amount.units
         debit = ((tx.domain, effect.from_account, effect.asset), units)
         credit = ((tx.domain, effect.to_account, effect.asset), units)
         pools = ()
-    elif isinstance(effect, ArbLegEffect):
+    elif cls is ArbLegEffect:
         pool = effect.pool
         price = _value(state, pool)
         if price != effect.from_price.units:
@@ -312,7 +313,7 @@ def apply_pending_tx(state: WorldState, tx: PendingTx) -> WorldState:
             credit = (key, opp.declared_profit.units)
         pools = ((pool.id, _to_price(pool, effect.to_price)),)
     else:
-        raise XdmevError(f"pending tx {tx.id!r}: unknown effect {type(effect).__name__}")
+        raise XdmevError(f"pending tx {tx.id!r}: unknown effect {cls.__name__}")
     return state.update(debit, credit, pools, tx.id)
 
 

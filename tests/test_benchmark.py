@@ -45,11 +45,13 @@ CP_CHAIN_SEED1_COUNTS = {
 }
 
 # seed-1 counts of one traced tips round (pending transfers, no parametric
-# action): one Amount per answer, none per priced node or balance move
+# action): one Amount per answer, none per priced node or balance move, and
+# one state hash per memo lookup or store
 TIPS_SEED1_COUNTS = {
     "engine.explored": 448,
     "actions.apply_calls": 1_440,
     "model.worldstate_new": 1_446,
+    "model.worldstate_hash_calls": 1_894,
     "fixedpoint.amount_new": 6,
 }
 

@@ -11,7 +11,7 @@ import pytest
 from conftest import deep_tips_doc, one_domain_doc
 from xdmev import cli
 from xdmev.errors import ExplosionGuard
-from xdmev.scenario import bundled_path
+from xdmev.scenario import BUNDLED_NAMES, bundled_path
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -443,6 +443,42 @@ class TestDeterminism:
             assert proc.returncode == 2, proc.stderr
             errors.add(proc.stderr)
         assert errors == {"error: unknown domain 'zz1'\n"}
+
+    # the bundled commands a benchmark round runs: ``mev`` on every scenario,
+    # ``collusion`` with two or more value domains, ``oracle-check`` when no
+    # action is parametric; one line per command with its stdout's sha256
+    BUNDLED_DIGESTS = """
+import contextlib, hashlib, io
+from xdmev import cli
+from xdmev.scenario import BUNDLED_NAMES, load_bundled
+
+for name in BUNDLED_NAMES:
+    sc = load_bundled(name)
+    commands = ["mev"]
+    if len(sc.defaults.value_domains) >= 2:
+        commands.append("collusion")
+    if not any(a.parametric for p in sc.space.players() for a in sc.space.for_player(p)):
+        commands.append("oracle-check")
+    for command in commands:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main([command, "--scenario", name, "--format", "json"])
+        print(name, command, code, hashlib.sha256(out.getvalue().encode()).hexdigest())
+"""
+
+    def test_bundled_output_bytes_are_seed_independent(self):
+        # sets of states iterate in hash order; no output byte may follow it
+        digests = []
+        for seed in ("0", "4242"):
+            proc = subprocess.run(
+                [sys.executable, "-c", self.BUNDLED_DIGESTS], capture_output=True, text=True,
+                env={**os.environ, "PYTHONHASHSEED": seed},
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.splitlines())
+        assert len(digests[0]) >= 2 * len(BUNDLED_NAMES)
+        assert all(line.split()[2] == "0" for line in digests[0])
+        assert digests[0] == digests[1]
 
 
 class TestParserReuse:

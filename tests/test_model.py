@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import one_domain_doc, scen
 from xdmev.errors import (
@@ -117,6 +119,70 @@ class TestWorldStateValueSemantics:
             assert str(err.value) == f"pool {pool_id}: record does not match its declared spec"
         with pytest.raises(UnknownPool):
             state.with_pool("nowhere", pool)
+
+
+BALANCE_KEYS = [(d, p, a) for d in ("i", "j") for p in ("P", "whale")
+                for a in ("MATIC", "WMATIC", "WETH")]
+# (balances, pools, consumed) of one state, drawn from small spaces so that
+# distinct draws often agree on some parts
+STATE_PARTS = st.tuples(
+    st.dictionaries(st.sampled_from(BALANCE_KEYS), st.integers(1, 3), max_size=4),
+    st.dictionaries(
+        st.sampled_from(("a", "b", "c")),
+        st.integers(1, 3) | st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        max_size=3,
+    ),
+    st.frozensets(st.sampled_from(("t1", "t2", "t3")), max_size=3),
+)
+
+
+@st.composite
+def state_part_pairs(draw):
+    """Two states' parts: the same, or with one of the three parts redrawn."""
+    first = draw(STATE_PARTS)
+    second = list(first)
+    redrawn = draw(st.sampled_from((None, 0, 1, 2)))
+    if redrawn is not None:
+        second[redrawn] = draw(STATE_PARTS)[redrawn]
+    return first, tuple(second)
+
+
+def reference_key(state: WorldState) -> tuple:
+    """An order-free reference identity: each of the three parts as a sorted tuple."""
+    return (tuple(sorted(state.balances.items())), tuple(sorted(state.pools.items())),
+            tuple(sorted(state.consumed)))
+
+
+def built_states(parts, reverse: bool) -> list[WorldState]:
+    """The state of ``parts`` built twice, inserting entries in list order or
+    reversed: once by the constructor, once by a chain of ``update`` calls."""
+    balances, pools, consumed = parts
+    step = -1 if reverse else 1
+    balance_items, pool_items = list(balances.items())[::step], list(pools.items())[::step]
+    constructed = WorldState(registry(), dict(balance_items), dict(pool_items), consumed)
+    # a key credited and drained first leaves no entry behind
+    grown = fresh_state().update(credit=(("j", "whale", "WETH"), 7))
+    grown = grown.update(debit=(("j", "whale", "WETH"), 7))
+    for key, units in balance_items:
+        grown = grown.update(credit=(key, units + 1)).update(debit=(key, 1))
+    for pool in pool_items:
+        grown = grown.update(pools=(pool,))
+    for tx in sorted(consumed)[::step]:
+        grown = grown.update(consumed=tx)
+    return [constructed, grown]
+
+
+@settings(max_examples=300, deadline=None)
+@given(state_part_pairs())
+def test_states_are_equal_exactly_when_their_sorted_parts_are(pair):
+    # equality ignores insertion order and how a state was built, and
+    # agrees with the reference key; equal states hash equal
+    states = [s for parts in pair for reverse in (False, True) for s in built_states(parts, reverse)]
+    for a in states:
+        for b in states:
+            assert (a == b) == (reference_key(a) == reference_key(b))
+            if a == b:
+                assert hash(a) == hash(b)
 
 
 ONE = 10**18
