@@ -22,12 +22,10 @@ def swap_out(reserve_in: int, reserve_out: int, amount_in: int, fee_bps: int) ->
     amount_eff = amount_in * (BPS_DENOM - fee_bps) // BPS_DENOM
     if amount_eff <= 0:
         return 0
-    k = reserve_in * reserve_out
-    denom = reserve_in + amount_eff
-    # keep ceil(k/denom) in the pool so the invariant never decreases
-    kept = -(-k // denom)
-    out = reserve_out - kept
-    return out if out > 0 else 0
+    # reserve_out - ceil(k / denom) with k = reserve_in * reserve_out and
+    # denom = reserve_in + amount_eff, in one floor division: the pool
+    # keeps ceil(k / denom), so the invariant never decreases
+    return reserve_out * amount_eff // (reserve_in + amount_eff)
 
 
 def round_trip_profit(

@@ -15,8 +15,9 @@ search nodes ``mev`` expanded: memo misses on (state, used action ids),
 the initial state included, plus parametric shape evaluations. The
 query's ``candidate_cap`` bounds that count; exceeding it exits 3.
 ``oracle_explored`` is the oracle's count instead: 1 for the empty
-sequence plus every grid application it attempted, failed ones included
-(a failed application extends no sequence, but it is counted).
+sequence plus every grid step it tried, failed ones included, whether it
+applied the step or answered it from its transition graph (a failed step
+extends no sequence, but it is counted).
 
 ``main`` builds its argument parser on its first call and reuses it for
 every later call in the same process, so in-process callers pay for the

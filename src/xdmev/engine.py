@@ -6,7 +6,11 @@ continuous trade sizes by golden-section at the leaves; the one probe
 schedule, ``_golden_section``, also serves ``optimal_cp_arbitrage``.
 ``mev_oracle`` is the independent cross-check: plain enumeration with
 amounts discretized on an even grid, sharing nothing with the search but
-the state semantics. A search whose sequences nest deeper than the
+the state semantics. It has its own transition graph and state identity
+(``_GridWalk``, ``_identity``): each distinct (state, discrete action)
+pair is applied once per call, and states are told apart by their sorted
+maps, never by the ``WorldState.__eq__`` and ``__hash__`` that ``mev``'s
+memo trusts. A search whose sequences nest deeper than the
 interpreter's recursion limit, or a golden-section range past float
 range, raises a one-line ``XdmevError`` (``ExplosionGuard`` for depth)
 instead of escaping with a Python error.
@@ -33,12 +37,13 @@ once, from the winning candidate; a step with no amount is its action's
 shared ``step`` tuple.
 
 Everything here is a pure function over immutable values; the only
-mutable machinery (a work counter, the search memo, the oracle's best
-candidate) lives inside one call, so concurrent queries need no
-coordination. The searches are plain functions and methods, and the
-visitor the grid walk calls per sequence is a closure that does not
-refer to itself, so a query leaves no reference cycle and its states are
-freed when it returns.
+mutable machinery (a work counter, the search memo, the grid walk's
+transition graph, the oracle's best candidate) lives inside one call, so
+concurrent queries need no coordination. The searches are plain
+functions and methods, the transition graph links its nodes by index,
+and the visitor the grid walk calls per sequence is a closure that does
+not refer to itself, so a query leaves no reference cycle and its states
+are freed when it returns.
 """
 
 from __future__ import annotations
@@ -90,8 +95,9 @@ class MevResult(Record):
 
     ``explored`` counts the search's work: for ``mev``, nodes expanded
     (memo misses plus parametric shape evaluations); for ``mev_oracle``,
-    1 for the empty sequence plus every grid application tried, failed
-    ones included. Slotted, so a kept result carries no ``__dict__``.
+    1 for the empty sequence plus every grid step tried, failed ones
+    included, whether applied or answered from its transition graph.
+    Slotted, so a kept result carries no ``__dict__``.
     """
 
     __slots__ = ("value", "witness", "explored", "method")
@@ -522,35 +528,109 @@ def _grid_choices(
     )
 
 
-def _grid_walk(choices, current, ids, amounts, used, player, max_len, counter, visit) -> None:
-    """Call ``visit(final, ids, amounts, action id, units)`` for every
-    valid sequence that extends the prefix ``ids``, ``amounts`` (the ids
-    ``used``, reaching ``current``) by one to ``max_len`` steps, depth
-    first in action order, each before the sequences below it. The
-    prefix's amounts are as in a candidate's key; ``units`` is the last
-    step's, None for a step that takes none. Each application tried bumps
-    ``counter`` once. The walk extends the prefix only when a level lies
-    below it, the visitor only to keep it."""
-    deeper = len(ids) + 1 < max_len
-    bump = counter.bump
-    for action, grid in choices:
-        action_id = action.id
-        if action_id in used:
-            continue
-        if deeper:
-            below, ids_below = used | {action_id}, ids + (action_id,)
-        for units in grid:
-            bump()
+_FAILED = -1  # a graph edge whose application raised
+
+
+def _identity(state: WorldState) -> tuple:
+    """The grid walk's own state identity: each of the three maps as a
+    sorted tuple. Not ``WorldState.__eq__`` and ``__hash__``: ``mev``'s
+    memo trusts those, and a fault in them must not hide from the
+    engine/oracle check."""
+    return (
+        tuple(sorted(state.balances.items())),
+        tuple(sorted(state.pools.items())),
+        tuple(sorted(state.consumed)),
+    )
+
+
+class _GridWalk:
+    """One ``mev_oracle`` or ``reachable_states`` call's enumeration and its
+    lazy transition graph over the states discrete prefixes reach.
+
+    A node is a distinct state under ``_identity``, the root included:
+    ``states[node]`` is the first state reached with that identity and
+    ``edges[node]`` maps a discrete action id to the child's node, or to
+    ``_FAILED`` when the application raised. So each (state, discrete
+    action) pair applies once per call, however many prefixes reach it. A
+    grid step applies directly and its descendants stay outside the graph:
+    no grid child repeats, so identity work there would be pure cost.
+    Nodes and edges are ints, so the graph holds no reference cycle.
+    """
+
+    __slots__ = ("choices", "player", "max_len", "counter", "visit", "nodes", "states", "edges")
+
+    def __init__(self, choices, root: WorldState, player: str, max_len: int, counter, visit):
+        self.choices = choices
+        self.player = player
+        self.max_len = max_len
+        self.counter = counter
+        self.visit = visit
+        self.nodes = {_identity(root): 0}
+        self.states = [root]
+        self.edges: list[dict[str, int]] = [{}]
+
+    def step(self, node: int, action: Action) -> int:
+        """The node discrete ``action`` leads to from ``node``, or ``_FAILED``;
+        applied on the edge's first use only."""
+        out = self.edges[node]
+        child = out.get(action.id)
+        if child is None:
             try:
-                nxt = apply_action(current, player, action, units)
+                nxt = apply_action(self.states[node], self.player, action, None)
             except XdmevError:
+                child = _FAILED
+            else:
+                states = self.states
+                child = self.nodes.setdefault(_identity(nxt), len(states))
+                if child == len(states):
+                    states.append(nxt)
+                    self.edges.append({})
+            out[action.id] = child
+        return child
+
+    def extend(self, current: WorldState, node: Optional[int], ids, amounts) -> None:
+        """Call ``visit(final, ids, amounts, action id, units)`` for every
+        valid sequence that extends the prefix ``ids``, ``amounts`` (reaching
+        ``current``, graph node ``node``, None below a grid step) by one to
+        ``max_len`` steps, depth first in action order, each before the
+        sequences below it. The prefix's amounts are as in a candidate's
+        key; ``units`` is the last step's, None for a step that takes none.
+        Each step tried bumps the counter once, whether it applies or the
+        graph answers it. The walk extends the prefix only when a level lies
+        below it, the visitor only to keep it."""
+        deeper = len(ids) + 1 < self.max_len
+        bump, visit, player = self.counter.bump, self.visit, self.player
+        for action, grid in self.choices:
+            action_id = action.id
+            if action_id in ids:
                 continue
-            visit(nxt, ids, amounts, action_id, units)
             if deeper:
-                _grid_walk(
-                    choices, nxt, ids_below, amounts + (-1 if units is None else units,),
-                    below, player, max_len, counter, visit,
-                )
+                ids_below = ids + (action_id,)
+            if node is not None and not action.parametric:
+                bump()
+                child = self.step(node, action)
+                if child == _FAILED:
+                    continue
+                nxt = self.states[child]
+                visit(nxt, ids, amounts, action_id, None)
+                if deeper:
+                    self.extend(nxt, child, ids_below, amounts + (-1,))
+                continue
+            for units in grid:
+                bump()
+                try:
+                    nxt = apply_action(current, player, action, units)
+                except XdmevError:
+                    continue
+                visit(nxt, ids, amounts, action_id, units)
+                if deeper:
+                    self.extend(nxt, None, ids_below, amounts + (-1 if units is None else units,))
+
+
+def _grid_walk(choices, root: WorldState, player: str, max_len: int, counter, visit) -> None:
+    """Visit every valid sequence of one to ``max_len`` steps from ``root``
+    (see ``_GridWalk.extend``), with a fresh transition graph."""
+    _GridWalk(choices, root, player, max_len, counter, visit).extend(root, 0, (), ())
 
 
 def mev_oracle(
@@ -565,9 +645,10 @@ def mev_oracle(
     final state with the query's ``price_terms`` and keeps the best
     candidate, building a sequence's candidate only when its value is at
     least the best so far. ``explored`` counts the empty sequence and
-    every grid application tried. Deliberately shares no search machinery
-    with ``mev``; agreement between the two is the engine's correctness
-    check.
+    every grid step tried, applied or answered from the walk's transition
+    graph. Deliberately shares no search machinery with ``mev``, not even
+    its state identity; agreement between the two is the engine's
+    correctness check.
     """
     terms = price_terms(query, state)
     counter = _Counter(query.candidate_cap)
@@ -589,7 +670,7 @@ def mev_oracle(
                 best, best_value = candidate, value
 
     try:
-        _grid_walk(choices, state, (), (), frozenset(), query.player, max_len, counter, keep)
+        _grid_walk(choices, state, query.player, max_len, counter, keep)
     except RecursionError:
         raise _too_deep() from None
     return _result(best, space, query.player, counter.count, "oracle")
@@ -621,8 +702,8 @@ def reachable_states(
 
     Parametric amounts are sampled on the examination grid; the initial
     state (empty sequence) is always included. ``_grid_walk`` visits each
-    valid sequence and the visitor adds its final state; every application
-    tried counts against ``candidate_cap``, the empty sequence does not.
+    valid sequence and the visitor adds its final state; every step tried
+    counts against ``candidate_cap``, the empty sequence does not.
     """
     if max_len < 0:
         raise XdmevError("max_len must be >= 0")
@@ -633,8 +714,7 @@ def reachable_states(
     seen = {state}
     try:
         _grid_walk(
-            choices, state, (), (), frozenset(), player, max_len, counter,
-            lambda final, *_: seen.add(final),
+            choices, state, player, max_len, counter, lambda final, *_: seen.add(final)
         )
     except RecursionError:
         raise _too_deep() from None

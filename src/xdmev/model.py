@@ -90,6 +90,30 @@ class Registry(Record):
 BalanceKey = tuple[str, str, str]  # (domain, player, asset)
 
 
+class _Overdraft:
+    """The message of a debit past the balance, formatted when read: the
+    searches raise and drop most overdrafts unread. ``str`` and ``repr``
+    read as the formatted text itself, so the exception carrying it reads
+    as one raised with that text."""
+
+    __slots__ = ("key", "held", "needed")
+
+    def __init__(self, key: BalanceKey, held: int, needed: int):
+        self.key = key
+        self.held = held
+        self.needed = needed
+
+    def __str__(self) -> str:
+        domain, player, asset = self.key
+        return (
+            f"{player} holds {format_units(self.held)} {asset} on {domain}, "
+            f"needs {format_units(self.needed)}"
+        )
+
+    def __repr__(self) -> str:
+        return repr(str(self))
+
+
 def move_balances(
     balances: dict[BalanceKey, int],
     debit: Optional[tuple[BalanceKey, int]],
@@ -100,8 +124,9 @@ def move_balances(
 
     ``debit`` and ``credit`` are ``(key, units)`` or None. A negative amount
     or a debit past the balance raises ``InsufficientBalance``, the debit
-    checked first; a zero amount moves nothing, and a balance that reaches
-    zero is dropped. ``balances`` itself is never written.
+    checked first (an overdraft's message is formatted when read); a zero
+    amount moves nothing, and a balance that reaches zero is dropped.
+    ``balances`` itself is never written.
     """
     balances = balances.copy()
     if debit is not None:
@@ -112,11 +137,7 @@ def move_balances(
         if held > units:
             balances[key] = held - units
         elif held < units:
-            domain, player, asset = key
-            raise InsufficientBalance(
-                f"{player} holds {format_units(held)} {asset} on {domain}, "
-                f"needs {format_units(units)}"
-            )
+            raise InsufficientBalance(_Overdraft(key, held, units))
         elif units:  # a zero debit of an absent key moves nothing
             del balances[key]
     if credit is not None:

@@ -21,7 +21,7 @@ from xdmev.engine import (
     reachable_states,
     replay_witness,
 )
-from xdmev.actions import AmountInterval, apply_sequence
+from xdmev.actions import AmountInterval, apply_action, apply_sequence
 from xdmev.collusion import classify_collusion
 from xdmev.errors import (
     ExplosionGuard, MissingRate, NoOpportunity, ParseError, UnknownId, XdmevError,
@@ -444,6 +444,53 @@ def reference_grid(lo: int, hi: int, points: int) -> list[int]:
     return out
 
 
+def identity(state) -> tuple:
+    """This module's own state identity: each of the three maps as a sorted tuple."""
+    return (tuple(sorted(state.balances.items())), tuple(sorted(state.pools.items())),
+            tuple(sorted(state.consumed)))
+
+
+class ReferenceWalk:
+    """Every step the grid walk tries, by plain recursion over the usable
+    actions in id order and ``reference_grid`` amounts. ``tried`` counts the
+    steps; ``sequences`` holds each valid sequence's (ids, final state) in
+    walk order; ``applications`` is what a walk applies that applies each
+    (identity, discrete action) edge of the states discrete prefixes reach
+    once, and every other step directly."""
+
+    def __init__(self, space, state, player, domains, max_len, grid_points):
+        self.actions = [a for a in space.for_player(player) if a.domains <= frozenset(domains)]
+        self.player, self.max_len, self.grid_points = player, max_len, grid_points
+        self.tried, self.sequences, self.edges, self.direct = 0, [], set(), 0
+        if max_len > 0:
+            self.extend(state, (), True)
+
+    @property
+    def applications(self) -> int:
+        return len(self.edges) + self.direct
+
+    def extend(self, state, ids, discrete):
+        for action in self.actions:
+            if action.id in ids:
+                continue
+            amount = action.amount
+            grid = (reference_grid(amount.lo.units, amount.hi.units, self.grid_points)
+                    if action.parametric else [None])
+            for units in grid:
+                self.tried += 1
+                if discrete and units is None:
+                    self.edges.add((identity(state), action.id))
+                else:
+                    self.direct += 1
+                try:
+                    nxt = apply_action(state, self.player, action, units)
+                except XdmevError:
+                    continue
+                self.sequences.append((ids + (action.id,), nxt))
+                if len(ids) + 1 < self.max_len:
+                    self.extend(nxt, ids + (action.id,), discrete and units is None)
+
+
 class TestGridWork:
     def test_grid_size_and_points_over_random_intervals(self):
         rng = random.Random(20261018)
@@ -516,7 +563,8 @@ class TestGridWork:
     def test_reachable_states_finish_exactly_up_to_their_own_count(
         self, bundled, name, grid_points, monkeypatch
     ):
-        # every application tried counts against the cap, the empty sequence does not
+        # every step tried counts against the cap, the empty sequence does
+        # not; a step the transition graph answers is tried but not applied
         from xdmev import engine
 
         scenario = bundled(name)
@@ -524,19 +572,155 @@ class TestGridWork:
         query = scenario.default_query()
         walk = (scenario.space, state, query.player, query.action_domains,
                 query.max_sequence_length, grid_points)
-        tried = []
+        reference = ReferenceWalk(*walk)
+        applied = []
         apply = engine.apply_action
 
         def counting_apply(*args, **kwargs):
-            tried.append(args[2].id)
+            applied.append(args[2].id)
             return apply(*args, **kwargs)
 
         monkeypatch.setattr(engine, "apply_action", counting_apply)
         full = reachable_states(*walk)
         monkeypatch.undo()
-        assert reachable_states(*walk, candidate_cap=len(tried)) == full
+        assert len(applied) == reference.applications
+        assert full == frozenset([state] + [final for _, final in reference.sequences])
+        assert reachable_states(*walk, candidate_cap=reference.tried) == full
         with pytest.raises(ExplosionGuard):
-            reachable_states(*walk, candidate_cap=len(tried) - 1)
+            reachable_states(*walk, candidate_cap=reference.tried - 1)
+
+
+def there_and_back_doc() -> dict:
+    """P sells 1 AAA for 20 GLD at a stylized pool whose quote never moves
+    and buys it back, so ``sell`` then ``buy`` returns to the initial state;
+    a pending 2.5 GLD tip from Q extends the walk from there."""
+    doc = one_domain_doc()
+    doc["pools"] = [{"id": "sty", "type": "stylized_midpoint", "domain": "d0",
+                     "asset_x": "AAA", "asset_y": "GLD", "price": "20"}]
+    doc["players"][0]["balances"] = [{"domain": "d0", "asset": "AAA", "amount": "1"}]
+    doc["players"].append({"id": "Q", "capabilities": [],
+                           "balances": [{"domain": "d0", "asset": "GLD", "amount": "5"}]})
+    doc["mempool"] = [{"id": "tip", "domain": "d0", "effect": {
+        "type": "transfer", "from_account": "Q", "to_account": "P", "asset": "GLD",
+        "amount": "2.5"}}]
+    doc["actions"] = [
+        {"id": "buy", "player": "P", "kind": "Swap", "pool": "sty", "direction": "y_to_x",
+         "amount": {"fixed": "20"}},
+        {"id": "sell", "player": "P", "kind": "Swap", "pool": "sty", "direction": "x_to_y",
+         "amount": {"fixed": "1"}},
+    ]
+    return doc
+
+
+class TestTransitionGraph:
+    """The oracle's walk applies each distinct (state, discrete action) pair
+    once, under an identity of its own, and still tries every step."""
+
+    @pytest.mark.parametrize("name", BUNDLED_NAMES)
+    def test_oracle_needs_no_world_state_equality_or_hash(self, bundled, name, monkeypatch):
+        # ``mev``'s memo trusts ``WorldState.__eq__`` and ``__hash__``; the
+        # oracle must not, or a fault in them would hide from oracle-check
+        from xdmev.model import WorldState
+
+        scenario = bundled(name)
+        state = scenario.initial_state()
+        query = scenario.default_query()
+        expected = mev_oracle(scenario.space, state, query, grid_points=11)
+
+        def refuse(*_):
+            raise AssertionError("the oracle compared or hashed a WorldState")
+
+        monkeypatch.setattr(WorldState, "__eq__", refuse)
+        monkeypatch.setattr(WorldState, "__hash__", refuse)
+        result = mev_oracle(scenario.space, state, query, grid_points=11)
+        monkeypatch.undo()
+        assert result == expected
+
+    def test_appendix_b_applies_each_distinct_pair_once(self, bundled, monkeypatch):
+        from xdmev import engine
+
+        scenario = bundled("appendix_b_4amm")
+        applied = []
+        apply = engine.apply_action
+
+        def counting_apply(*args, **kwargs):
+            applied.append(args[2].id)
+            return apply(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "apply_action", counting_apply)
+        result = mev_oracle(scenario.space, scenario.initial_state(), scenario.default_query())
+        assert (len(applied), result.explored) == (168, 1536)
+
+    @staticmethod
+    def walk_both(doc, monkeypatch):
+        """The oracle's answer, the reachable states and the applications of
+        both walks on ``doc``, each at grid 11 and the default length, with
+        no reference cycle left behind; and the test-local walk of the same
+        steps, with its brute-force answer: highest GLD gain, then fewest
+        steps, then ids in order."""
+        from xdmev import engine
+
+        scenario = scen(doc)
+        state = scenario.initial_state()
+        query = scenario.default_query()
+        walk = (scenario.space, state, query.player, query.action_domains,
+                query.max_sequence_length, 11)
+        reference = ReferenceWalk(*walk)
+        gld = ("d0", "P", "GLD")
+        value, _, ids = min(
+            (-final.balances.get(gld, 0), len(ids), ids) for ids, final in reference.sequences
+        )
+        applied = []
+        apply = engine.apply_action
+
+        def counting_apply(*args, **kwargs):
+            applied.append(args[2].id)
+            return apply(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "apply_action", counting_apply)
+        gc.collect()
+        gc.disable()
+        try:
+            result = mev_oracle(scenario.space, state, query, grid_points=11)
+            states = reachable_states(*walk)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        monkeypatch.undo()
+        assert result.value == Amount.from_units(-value)
+        assert tuple(step[0] for step in result.witness) == ids
+        assert result.explored == 1 + reference.tried
+        assert states == frozenset([state] + [final for _, final in reference.sequences])
+        # each walk applies each distinct (identity, discrete action) edge once
+        assert len(applied) == 2 * reference.applications
+        return state, reference, result
+
+    def test_there_and_back_returns_to_the_root_node(self, monkeypatch):
+        state, reference, result = self.walk_both(there_and_back_doc(), monkeypatch)
+        assert identity(dict(reference.sequences)[("sell", "buy")]) == identity(state)
+        assert [step[0] for step in result.witness] == ["sell", "tip"]
+        # back at the root, tip is answered by the root's edge; sell, tip
+        # and tip, sell meet in one node, whose buy edge applies once
+        assert reference.applications == reference.tried - 2
+
+    def test_states_one_map_apart_are_distinct_nodes(self, monkeypatch):
+        # pushes to 10 and to 30 in either order differ in the pool alone,
+        # and a zero transfer changes the consumed ids alone; an identity
+        # that left either map out would merge them and apply too little
+        doc = there_and_back_doc()
+        doc["mempool"] += [
+            {"id": f"push_{price}", "domain": "d0",
+             "effect": {"type": "price_push", "pool": "sty", "to_price": price}}
+            for price in ("10", "30")
+        ] + [{"id": "nothing", "domain": "d0", "effect": {
+            "type": "transfer", "from_account": "Q", "to_account": "P", "asset": "GLD",
+            "amount": "0"}}]
+        state, reference, _ = self.walk_both(doc, monkeypatch)
+        finals = dict(reference.sequences)
+        up, down = identity(finals[("push_10", "push_30")]), identity(finals[("push_30", "push_10")])
+        assert (up[0], up[2]) == (down[0], down[2]) and up[1] != down[1]
+        idle, root = identity(finals[("nothing",)]), identity(state)
+        assert idle[:2] == root[:2] and idle[2] != root[2]
 
 
 class TestAmountsAtTheEdge:
@@ -648,14 +832,12 @@ class TestQueryMechanics:
         # same holds for the pricer's binding and ``engine.priced_delta_*``.
         from xdmev import engine
 
-        calls, applied, priced = [], [], []
+        calls, priced = [], []
         apply, price = engine.apply_action, engine.priced_balance_delta
 
         def counting_apply(*args, **kwargs):
             calls.append(args[2].id)
-            nxt = apply(*args, **kwargs)
-            applied.append(nxt)
-            return nxt
+            return apply(*args, **kwargs)
 
         def counting_price(*args, **kwargs):
             priced.append(args[-1])
@@ -667,13 +849,19 @@ class TestQueryMechanics:
         state = scenario.initial_state()
         query = scenario.default_query()
         result = mev_oracle(scenario.space, state, query, grid_points=11)
-        assert len(calls) == result.explored - 1
-        # one pricing per sequence the walk yields, that is per application
-        # that succeeded, of that application's balance map
-        assert list(map(id, priced)) == [id(final.balances) for final in applied]
+        reference = ReferenceWalk(scenario.space, state, query.player, query.action_domains,
+                                  query.max_sequence_length, 11)
+        assert result.explored == 1 + reference.tried
+        assert len(calls) == reference.applications
+        # one pricing per sequence the walk yields, in walk order, of that
+        # sequence's final balance map
+        assert priced == [final.balances for _, final in reference.sequences]
         calls.clear()
         states = reachable_states(scenario.space, state, query.player, query.action_domains, 2)
-        assert len(calls) >= len(states) - 1
+        assert len(calls) == ReferenceWalk(
+            scenario.space, state, query.player, query.action_domains, 2, 5
+        ).applications
+
 
     @pytest.mark.parametrize("name", BUNDLED_NAMES)
     def test_search_prices_through_the_engine_binding(self, bundled, name, monkeypatch):

@@ -11,6 +11,7 @@ from conftest import one_domain_doc, scen
 from xdmev.errors import (
     InsufficientBalance,
     MissingRate,
+    SequenceStepError,
     UnknownId,
     UnknownPool,
     ValidationError,
@@ -226,6 +227,17 @@ def test_state_update_and_last_slot_move_balances_by_one_rule(debit, credit, exp
     moved = moved.balances if isinstance(moved, WorldState) else moved
     assert moved == outcome(_LastSlot(state).update) == expected
     assert state.balances == before
+
+
+def test_an_overdraft_reads_as_the_text_it_is_formatted_to():
+    # the message is formatted only when read, yet reads, prints and
+    # wraps into a sequence error as one raised with the text itself
+    with pytest.raises(InsufficientBalance) as caught:
+        fresh_state().update(debit=(HELD, ONE))
+    text = "P holds 0 MATIC on i, needs 1"
+    assert (type(caught.value), str(caught.value)) == (InsufficientBalance, text)
+    assert repr(caught.value) == repr(InsufficientBalance(text))
+    assert str(SequenceStepError(0, "a", caught.value)) == f"action 0 (a): {text}"
 
 
 class TestPriceMatrix:
