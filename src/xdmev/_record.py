@@ -10,22 +10,20 @@ behaves as a frozen dataclass does:
 - ``__post_init__`` runs after the fields are set; it sets anything
   derived with ``object.__setattr__``;
 - equality only with an instance of the same class, on the field values,
-  and a hash of them (``eq=False`` in the class statement keeps identity
-  equality and hash instead);
+  and a hash of them (``Scenario`` assigns ``object.__eq__``/``__hash__``);
 - the repr ``Name(field=value!r, ...)``;
 - ``AttributeError`` on assignment and deletion;
 - ``replace(**changes)`` builds a copy with some fields changed, validated again.
 
-The values live in the instance ``__dict__``, in field order, and
-equality and hash read that dict whole: methods that read each field by
-name are 2-3x slower than the ones a dataclass generates. A subclass that
-declares ``__slots__`` (its fields, no defaults) has no ``__dict__`` and
-gets slot-based methods.
+One storage path, no class options: the values live in the instance
+``__dict__``, in field order, and equality and hash read that dict whole
+(per-field methods are 2-3x slower than a dataclass's). Query results,
+kept by the thousand, are ``typing.NamedTuple``s instead: no ``__dict__``.
 
 The base generates no source. ``dataclasses`` compiles six methods per
 frozen class, one ``exec`` each, and imports ``inspect``, ``ast``,
 ``tokenize`` and ``dis``: about two thirds of ``import xdmev.cli`` when the
-package's 22 value classes were dataclasses.
+package's value classes were dataclasses.
 """
 
 from __future__ import annotations
@@ -39,17 +37,11 @@ class Record:
     _fields: tuple[str, ...] = ()
     _defaults: dict[str, object] = {}
 
-    def __init_subclass__(cls, eq: bool = True, **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = fields = tuple(cls.__annotations__)
         attrs = cls.__dict__
-        cls._defaults = {}
-        if "__slots__" in attrs:  # the class attributes are the slots themselves
-            cls.__init__, cls.__eq__, cls.__hash__ = _slots_init, _slots_eq, _slots_hash
-        else:
-            cls._defaults = {name: attrs[name] for name in fields if name in attrs}
-        if not eq:
-            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+        cls._defaults = {name: attrs[name] for name in fields if name in attrs}
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
@@ -107,29 +99,3 @@ class Record:
         values = {name: getattr(self, name) for name in self._fields}
         values.update(changes)
         return self.__class__(**values)
-
-
-# methods of records that declare ``__slots__``
-
-
-def _slots_init(self, *args, **kwargs):
-    fields = self._fields
-    if kwargs or len(args) != len(fields):
-        args = self._bind(args, kwargs)
-    for name, value in zip(fields, args):
-        object.__setattr__(self, name, value)
-    self.__post_init__()
-
-
-def _slots_values(record: Record) -> tuple:
-    return tuple([getattr(record, name) for name in record._fields])
-
-
-def _slots_eq(self, other: object):
-    if other.__class__ is self.__class__:
-        return _slots_values(self) == _slots_values(other)
-    return NotImplemented
-
-
-def _slots_hash(self) -> int:
-    return hash(_slots_values(self))

@@ -90,17 +90,16 @@ class MevQuery(Record):
     candidate_cap: int = DEFAULT_CANDIDATE_CAP
 
 
-class MevResult(Record):
+class MevResult(NamedTuple):
     """Best value and its witness; the final state is ``apply_sequence`` of the witness.
 
     ``explored`` counts the search's work: for ``mev``, nodes expanded
     (memo misses plus parametric shape evaluations); for ``mev_oracle``,
     1 for the empty sequence plus every grid step tried, failed ones
     included, whether applied or answered from its transition graph.
-    Slotted, so a kept result carries no ``__dict__``.
+    A named tuple, as ``CpArbResult`` is: no ``__dict__``; it equals and hashes
+    as the plain tuple of its four items, unpacks, and copies by ``_replace``.
     """
-
-    __slots__ = ("value", "witness", "explored", "method")
 
     value: Amount
     witness: tuple[SequenceStep, ...]

@@ -60,9 +60,11 @@ class Defaults(Record):
     value_domains: tuple[str, ...]
 
 
-class Scenario(Record, eq=False):
+class Scenario(Record):
     """A fully validated scenario; immutable. Equality and hash are by
     identity. ``registry`` and ``space`` are derived at construction."""
+
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     schema_version: int
     domains: tuple[DomainDecl, ...]
