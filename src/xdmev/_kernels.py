@@ -8,6 +8,8 @@ remainder, never the trader.
 
 from __future__ import annotations
 
+from .fixedpoint import div_half_even
+
 BPS_DENOM = 10_000
 
 
@@ -77,11 +79,7 @@ def grid_scan(
         buy_rin, buy_rout, sell_rin, sell_rout, buy_fee_bps, sell_fee_bps, lo
     )
     for k in range(1, points):
-        numerator = lo * steps + span * k
-        amount, rem = divmod(numerator, steps)
-        twice = 2 * rem
-        if twice > steps or (twice == steps and amount % 2):
-            amount += 1
+        amount = div_half_even(lo * steps + span * k, steps)
         profit = round_trip_profit(
             buy_rin, buy_rout, sell_rin, sell_rout, buy_fee_bps, sell_fee_bps, amount
         )

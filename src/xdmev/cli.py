@@ -48,14 +48,8 @@ EXIT_DISAGREE = 4
 ORACLE_TOLERANCE = Amount("0.000001")
 
 
-def _resolve_scenario(arg: str) -> Path:
-    if arg in BUNDLED_NAMES:
-        return bundled_path(arg)
-    return Path(arg)
-
-
 def _load(arg: str) -> Scenario:
-    return load_path(_resolve_scenario(arg))
+    return load_path(bundled_path(arg) if arg in BUNDLED_NAMES else Path(arg))
 
 
 def _parse_base(text: str) -> tuple[str, str]:
@@ -238,10 +232,9 @@ def cmd_mev(args) -> int:
 
 def cmd_collusion(args) -> int:
     scenario = _load(args.scenario)
-    coalition = _csv(args.domains, "--domains")
-    query = scenario.default_query(
-        player=args.player, action_domains=coalition, value_domains=coalition, max_len=args.max_len
-    )
+    # the coalition; classify_collusion restricts both action and value domains to it
+    query = scenario.default_query(player=args.player, max_len=args.max_len,
+                                   value_domains=_csv(args.domains, "--domains"))
     alpha = scenario.defaults.alpha if args.alpha is None else _parse_alpha(args.alpha)
     state = scenario.initial_state()
     report_obj = classify_collusion(scenario.space, state, query, alpha)

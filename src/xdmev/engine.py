@@ -10,10 +10,11 @@ the state semantics. It has its own transition graph and state identity
 (``_GridWalk``, ``_identity``): each distinct (state, discrete action)
 pair is applied once per call, and states are told apart by their sorted
 maps, never by the ``WorldState.__eq__`` and ``__hash__`` that ``mev``'s
-memo trusts. A search whose sequences nest deeper than the
-interpreter's recursion limit, or a golden-section range past float
-range, raises a one-line ``XdmevError`` (``ExplosionGuard`` for depth)
-instead of escaping with a Python error.
+memo trusts. The walk, shared with ``reachable_states``, builds its grids,
+checks the budget and guards its recursion itself. A search whose
+sequences nest deeper than the interpreter's recursion limit, or a
+golden-section range past float range, raises a one-line ``XdmevError``
+(``ExplosionGuard`` for depth) instead of escaping with a Python error.
 
 Both compute on int units (see ``model``). Before any search, one pass
 of ``price_terms`` checks the query and resolves each value domain's
@@ -483,19 +484,14 @@ def mev(space: ActionSpaceSpec, state: WorldState, query: MevQuery) -> MevResult
 # -- independent oracle -------------------------------------------------------
 
 
-def _grid_size(interval, points: int) -> int:
-    """Length of ``grid_amounts(interval, points)``, computed without building it."""
-    if points < 2:
-        raise XdmevError("grid needs at least 2 points")
-    return min(points, interval.hi.units - interval.lo.units + 1)
-
-
 def grid_amounts(interval, points: int) -> tuple[int, ...]:
     """Evenly spaced amount units over [lo, hi], half-even to whole units,
     distinct: every unit in [lo, hi] with a point per unit or more, else
     ``points`` amounts."""
+    if points < 2:
+        raise XdmevError("grid needs at least 2 points")
     lo, hi = interval.lo.units, interval.hi.units
-    if _grid_size(interval, points) == hi - lo + 1:
+    if points > hi - lo:
         return tuple(range(lo, hi + 1))
     # point k is (lo * (steps - k) + hi * k) / steps; the numerator grows by hi - lo
     steps, span = points - 1, hi - lo
@@ -509,7 +505,7 @@ def grid_amounts(interval, points: int) -> tuple[int, ...]:
 def _grid_choices(
     actions: tuple[Action, ...], max_len: int, grid_points: int, counter: _Counter
 ) -> tuple[tuple[Action, tuple[Optional[int], ...]], ...]:
-    """Each action paired with the amount units ``_grid_walk`` tries:
+    """Each action paired with the amount units ``_GridWalk`` tries:
     ``grid_amounts`` for a parametric action, (None,) for a discrete one.
 
     ``grid_points < 2`` is refused first, whatever the actions and the
@@ -520,7 +516,8 @@ def _grid_choices(
         raise XdmevError("grid needs at least 2 points")
     if max_len < 1:
         return ()
-    counter.check(sum(_grid_size(a.amount, grid_points) if a.parametric else 1 for a in actions))
+    counter.check(sum(min(grid_points, a.amount.hi.units - a.amount.lo.units + 1)
+                      if a.parametric else 1 for a in actions))
     return tuple(
         (action, grid_amounts(action.amount, grid_points) if action.parametric else (None,))
         for action in actions
@@ -554,12 +551,16 @@ class _GridWalk:
     grid step applies directly and its descendants stay outside the graph:
     no grid child repeats, so identity work there would be pure cost.
     Nodes and edges are ints, so the graph holds no reference cycle.
+    The walk builds its grids by ``_grid_choices``, so the budget is checked
+    before any is built, and ``run`` guards its recursion.
     """
 
     __slots__ = ("choices", "player", "max_len", "counter", "visit", "nodes", "states", "edges")
 
-    def __init__(self, choices, root: WorldState, player: str, max_len: int, counter, visit):
-        self.choices = choices
+    def __init__(self, space: ActionSpaceSpec, root: WorldState, player: str, domains,
+                 max_len: int, grid_points: int, counter: _Counter, visit):
+        actions = _usable_actions(space, player, domains)
+        self.choices = _grid_choices(actions, max_len, grid_points, counter)
         self.player = player
         self.max_len = max_len
         self.counter = counter
@@ -567,6 +568,13 @@ class _GridWalk:
         self.nodes = {_identity(root): 0}
         self.states = [root]
         self.edges: list[dict[str, int]] = [{}]
+
+    def run(self) -> None:
+        """``extend`` from the root; nesting past the recursion limit raises ``_too_deep()``."""
+        try:
+            self.extend(self.states[0], 0, (), ())
+        except RecursionError:
+            raise _too_deep() from None
 
     def step(self, node: int, action: Action) -> int:
         """The node discrete ``action`` leads to from ``node``, or ``_FAILED``;
@@ -626,12 +634,6 @@ class _GridWalk:
                     self.extend(nxt, None, ids_below, amounts + (-1 if units is None else units,))
 
 
-def _grid_walk(choices, root: WorldState, player: str, max_len: int, counter, visit) -> None:
-    """Visit every valid sequence of one to ``max_len`` steps from ``root``
-    (see ``_GridWalk.extend``), with a fresh transition graph."""
-    _GridWalk(choices, root, player, max_len, counter, visit).extend(root, 0, (), ())
-
-
 def mev_oracle(
     space: ActionSpaceSpec,
     state: WorldState,
@@ -640,22 +642,18 @@ def mev_oracle(
 ) -> MevResult:
     """Brute-force reference: enumerate ordered subsets, amounts on a grid.
 
-    ``_grid_walk`` visits every valid sequence; the visitor prices its
+    A ``_GridWalk`` visits every valid sequence; the visitor prices its
     final state with the query's ``price_terms`` and keeps the best
     candidate, building a sequence's candidate only when its value is at
     least the best so far. ``explored`` counts the empty sequence and
     every grid step tried, applied or answered from the walk's transition
-    graph. Deliberately shares no search machinery with ``mev``, not even
-    its state identity; agreement between the two is the engine's
-    correctness check.
+    graph; a grid or budget refusal wins over the empty sequence's count.
+    Deliberately shares no search machinery with ``mev``, not even its
+    state identity; agreement between the two is the engine's correctness
+    check.
     """
     terms = price_terms(query, state)
     counter = _Counter(query.candidate_cap)
-    max_len = query.max_sequence_length
-    choices = _grid_choices(
-        _usable_actions(space, query.player, query.action_domains), max_len, grid_points, counter
-    )
-    counter.bump()  # the empty sequence
     best, best_value = _NO_STEPS, 0
 
     def keep(final: WorldState, ids, amounts, action_id: str, units: Optional[int]) -> None:
@@ -668,10 +666,10 @@ def mev_oracle(
             if candidate < best:
                 best, best_value = candidate, value
 
-    try:
-        _grid_walk(choices, state, query.player, max_len, counter, keep)
-    except RecursionError:
-        raise _too_deep() from None
+    walk = _GridWalk(space, state, query.player, query.action_domains,
+                     query.max_sequence_length, grid_points, counter, keep)
+    counter.bump()  # the empty sequence, counted once the walk's grids are checked
+    walk.run()
     return _result(best, space, query.player, counter.count, "oracle")
 
 
@@ -700,7 +698,7 @@ def reachable_states(
     """Distinct states reachable by valid sequences of length <= max_len.
 
     Parametric amounts are sampled on the examination grid; the initial
-    state (empty sequence) is always included. ``_grid_walk`` visits each
+    state (empty sequence) is always included. A ``_GridWalk`` visits each
     valid sequence and the visitor adds its final state; every step tried
     counts against ``candidate_cap``, the empty sequence does not.
     """
@@ -708,15 +706,9 @@ def reachable_states(
         raise XdmevError("max_len must be >= 0")
     state.registry.require_player(player)
     domains = state.registry.require_domains(domains)
-    counter = _Counter(candidate_cap)
-    choices = _grid_choices(_usable_actions(space, player, domains), max_len, grid_points, counter)
     seen = {state}
-    try:
-        _grid_walk(
-            choices, state, player, max_len, counter, lambda final, *_: seen.add(final)
-        )
-    except RecursionError:
-        raise _too_deep() from None
+    _GridWalk(space, state, player, domains, max_len, grid_points, _Counter(candidate_cap),
+              lambda final, *_: seen.add(final)).run()
     return frozenset(seen)
 
 

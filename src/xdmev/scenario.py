@@ -67,13 +67,13 @@ class Scenario(Record):
     __eq__, __hash__ = object.__eq__, object.__hash__
 
     schema_version: int
-    domains: tuple[DomainDecl, ...]
     assets: tuple[str, ...]
+    domains: tuple[DomainDecl, ...]
     players: tuple[PlayerDecl, ...]
     pools: tuple[object, ...]
     bridges: tuple[BridgeSpec, ...]
-    mempool: tuple[PendingTx, ...]
     opportunities: tuple[LegOpportunity, ...]
+    mempool: tuple[PendingTx, ...]
     stylized_arbs: tuple[StylizedArbSpec, ...]
     player_actions: tuple[tuple[str, Action], ...]
     prices: PriceMatrix
@@ -529,7 +529,8 @@ _ACTION = _Table([
 }, get=lambda pair, attr: pair[0] if attr == "owner" else _field(pair[1], attr))
 
 # The top-level sections in dependency order: every reference resolves
-# against the sections read before it.
+# against the sections read before it. ``Scenario`` declares its fields in
+# this order, so the table builds it from its values as they come.
 _DOCUMENT = _Table([
     ("schema_version", (_integer, None, SCHEMA_VERSION)),
     ("assets", (_list, (_id, "asset"), (), None)),
@@ -577,9 +578,7 @@ _DOCUMENT = _Table([
         ("action_domains", (_list, _DOMAIN, None, None), None, "must be nonempty"),
         ("value_domains", (_list, _DOMAIN, None, None), None, "must be nonempty"),
     ], check=_defaults_rules))),
-], build=lambda *values: Scenario(*[values[i] for i in _SCENARIO_ORDER]), check=_document_rules)
-
-_SCENARIO_ORDER = [[row[4] for row in _DOCUMENT.rows].index(f) for f in Scenario._fields]
+], build=Scenario, check=_document_rules)
 _NAMESPACES = ("asset", "domain", "player", "pool", "bridge", "opportunity", "stylized arb",
                "action id")  # pending txs and actions share one namespace
 

@@ -1,6 +1,7 @@
 """Value definitions, the exhaustive search, and its brute-force oracle."""
 
 import gc
+import itertools
 import math
 import random
 import time
@@ -491,6 +492,55 @@ class ReferenceWalk:
                     self.extend(nxt, ids + (action.id,), discrete and units is None)
 
 
+def guard(cap: int) -> tuple:
+    return ExplosionGuard, f"search work exceeded the cap of {cap}"
+
+
+# What each walk answers on a query several refusals could stop: a negative
+# length is refused first, then a grid below 2 points (at any length), then
+# a budget too small for the depth-1 steps, before the walk runs.
+NEGATIVE_LENGTH = ((XdmevError, "max_sequence_length must be >= 0"),
+                   (XdmevError, "max_len must be >= 0"))
+SPARSE_GRID = (XdmevError, "grid needs at least 2 points")
+# name -> (candidate_cap, max_len) -> the (mev_oracle, reachable_states)
+# outcomes at grid_points 2 and 5: the oracle's ``explored``, the size of
+# the reachable set, or the error's class and message
+WALK_OUTCOMES = {
+    "section3_2amm": {
+        # at cap 0 and length 0 the oracle's count of the empty sequence
+        # trips the guard, while reachable_states, which does not count it,
+        # returns the initial state
+        (0, 0): ((guard(0), 1), (guard(0), 1)),
+        (0, 1): ((guard(0), guard(0)), (guard(0), guard(0))),
+        (0, 2): ((guard(0), guard(0)), (guard(0), guard(0))),
+        (1, 0): ((1, 1), (1, 1)),
+        (1, 1): ((guard(1), guard(1)), (guard(1), guard(1))),
+        (1, 2): ((guard(1), guard(1)), (guard(1), guard(1))),
+        (2, 0): ((1, 1), (1, 1)),
+        (2, 1): ((guard(2), 2), (guard(2), 2)),
+        (2, 2): ((guard(2), guard(2)), (guard(2), guard(2))),
+        (5, 0): ((1, 1), (1, 1)),
+        (5, 1): ((3, 2), (3, 2)),
+        (5, 2): ((4, 3), (4, 3)),
+    },
+    "cp_arbitrage_small": {
+        (0, 0): ((guard(0), 1), (guard(0), 1)),  # as in section3_2amm
+        (0, 1): ((guard(0), guard(0)), (guard(0), guard(0))),
+        (0, 2): ((guard(0), guard(0)), (guard(0), guard(0))),
+        (1, 0): ((1, 1), (1, 1)),
+        (1, 1): ((guard(1), guard(1)), (guard(1), guard(1))),
+        (1, 2): ((guard(1), guard(1)), (guard(1), guard(1))),
+        (2, 0): ((1, 1), (1, 1)),
+        (2, 1): ((guard(2), guard(2)), (guard(2), guard(2))),
+        (2, 2): ((guard(2), guard(2)), (guard(2), guard(2))),
+        (5, 0): ((1, 1), (1, 1)),
+        # a buy on 5 grid points and a discrete sell: 6 depth-1 steps pass a cap of 5
+        (5, 1): ((4, 2), (guard(5), guard(5))),
+        (5, 2): ((5, 3), (guard(5), guard(5))),
+    },
+}
+
+
 class TestGridWork:
     def test_grid_size_and_points_over_random_intervals(self):
         rng = random.Random(20261018)
@@ -539,6 +589,35 @@ class TestGridWork:
                 reachable_states(
                     scenario.space, state, "P", query.action_domains, max_len, grid_points
                 )
+
+    @pytest.mark.parametrize("name", sorted(WALK_OUTCOMES))
+    def test_walks_pin_which_refusal_wins(self, bundled, name):
+        scenario = bundled(name)
+        state = scenario.initial_state()
+        query = scenario.default_query()
+
+        def outcome(call):
+            try:
+                return call()
+            except XdmevError as exc:
+                return type(exc), str(exc)
+
+        for cap, max_len, grid_points in itertools.product((0, 1, 2, 5), (-1, 0, 1, 2), (1, 2, 5)):
+            oracle = outcome(lambda: mev_oracle(
+                scenario.space, state,
+                query.replace(candidate_cap=cap, max_sequence_length=max_len), grid_points,
+            ).explored)
+            reachable = outcome(lambda: len(reachable_states(
+                scenario.space, state, query.player, query.action_domains, max_len,
+                grid_points, cap,
+            )))
+            if max_len < 0:
+                expected = NEGATIVE_LENGTH
+            elif grid_points < 2:
+                expected = (SPARSE_GRID, SPARSE_GRID)
+            else:
+                expected = WALK_OUTCOMES[name][cap, max_len][grid_points == 5]
+            assert (oracle, reachable) == expected, (cap, max_len, grid_points)
 
     @pytest.mark.parametrize("name", BUNDLED_NAMES)
     @pytest.mark.parametrize("grid_points", [5, 101])
